@@ -30,11 +30,11 @@ from .graph import (
 )
 from .rigidity import (
     GscDecomposition,
+    RigidityReport,
     is_2tree,
     rank,
     recognize_gsc,
     rigidity_report,
-    rigidly_related_pairs,
 )
 
 EXIT_OK = 0
@@ -91,8 +91,13 @@ def _stable_cut_payload(g: Graph, result: Optional[sc.StableCutResult], method: 
     }
 
 
-def _find_stable_cut(g: Graph) -> tuple[Optional[sc.StableCutResult], Optional[str]]:
-    """Neighbourhood heuristic, then the contraction algorithm, then exhaustive."""
+def _find_stable_cut(
+    g: Graph, report: Optional[RigidityReport] = None
+) -> tuple[Optional[sc.StableCutResult], Optional[str]]:
+    """Neighbourhood heuristic, then the contraction algorithm, then exhaustive.
+
+    `report` is g's rigidity report when the caller already has it.
+    """
     from .graph import is_cut, is_stable_set
 
     for u in range(g.n):
@@ -100,13 +105,14 @@ def _find_stable_cut(g: Graph) -> tuple[Optional[sc.StableCutResult], Optional[s
         if is_stable_set(g, nbrs) and is_cut(g, nbrs):
             return sc.StableCutResult(cut=frozenset(nbrs)), "neighbourhood"
     if g.n >= 2 and is_connected(g):
-        report = rigidity_report(g)
+        if report is None:
+            report = rigidity_report(g)
         if report.is_flexible:
-            related = rigidly_related_pairs(g)
             for u in range(g.n):
-                for v in range(u + 1, g.n):
-                    if (u, v) not in related:
-                        return sc.algorithm1_stable_cut(g, u, v), "algorithm1"
+                related = set().union(*(c for c in report.rigid_components if u in c))
+                v = next((v for v in range(u + 1, g.n) if v not in related), None)
+                if v is not None:
+                    return sc.algorithm1_stable_cut(g, u, v), "algorithm1"
     if g.n <= sc.EXHAUSTIVE_MAX_VERTICES:
         return sc.exhaustive_stable_cut(g), "exhaustive"
     return None, "skipped"
@@ -133,7 +139,7 @@ def cmd_analyze(args) -> int:
             report["gsc"] = {"member": False, "reason": dec.reason}
     else:
         report["gsc"] = {"member": False, "reason": "edge count"}
-    cut, method = _find_stable_cut(g)
+    cut, method = _find_stable_cut(g, rig)
     payload = _stable_cut_payload(g, cut, method)
     report["stable_cut"] = payload["cut"]
     report["stable_cut_method"] = method

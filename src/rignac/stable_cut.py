@@ -8,20 +8,20 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+from .colouring import connected_components_without
 from .graph import (
     Graph,
     PreconditionError,
     blocks,
-    connected_components,
-    contract_edge,
-    induced_subgraph,
     is_connected,
     is_cut,
     is_stable_set,
 )
-from .rigidity import rigidity_report, rigidly_related_pairs
+from .rigidity import pebble_game, rigid_components, rigidity_report
 
 EXHAUSTIVE_MAX_VERTICES = 24
+
+Components = tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,6 @@ class StableCutResult:
     cut: frozenset[int]
     separated_pair: Optional[tuple[int, int]] = None
     avoided_vertex: Optional[int] = None
-
-
-def _components_without(g: Graph, removed: frozenset[int]) -> list[frozenset[int]]:
-    sub, ids = induced_subgraph(g, (v for v in range(g.n) if v not in removed))
-    return [frozenset(ids[v] for v in comp) for comp in connected_components(sub)]
 
 
 def _validate_result(g: Graph, result: StableCutResult) -> StableCutResult:
@@ -44,7 +39,7 @@ def _validate_result(g: Graph, result: StableCutResult) -> StableCutResult:
         raise RuntimeError(f"produced set {sorted(result.cut)} does not disconnect the graph")
     if result.separated_pair is not None:
         u, v = result.separated_pair
-        comps = _components_without(g, result.cut)
+        comps = connected_components_without(g, result.cut)
         cu = next(c for c in comps if u in c)
         if v in cu:
             raise RuntimeError(f"cut fails to separate {u} and {v}")
@@ -53,42 +48,90 @@ def _validate_result(g: Graph, result: StableCutResult) -> StableCutResult:
     return result
 
 
-def _complete_components(g: Graph) -> tuple[Graph, set[tuple[int, int]]]:
-    """Add the missing edges inside every rigid component."""
-    related = rigidly_related_pairs(g)
-    return Graph.from_edges(g.n, sorted(related)), related
+def _solve(g: Graph, stats: dict) -> tuple[bool, Components]:
+    """One pebble game on g: whether g is flexible, and its rigid components."""
+    state = pebble_game(g)
+    comps = rigid_components(g, state)
+    stats["pair_probes"] += state.searches
+    return len(state.accepted) < 2 * g.n - 3, comps
 
 
-def _alg1(g: Graph, u: int, v: int, stats: dict) -> frozenset[int]:
-    """Recursive step on current labels; returns the cut in current labels."""
-    stats["calls"] += 1
-    stats["pair_probes"] += g.n * (g.n - 1) // 2
-    comp, related = _complete_components(g)
-    nbrs = sorted(comp.adjacency[u])
-    stable = True
-    tri: Optional[tuple[int, int]] = None
-    for x1, x2 in combinations(nbrs, 2):
-        if comp.has_edge(x1, x2):
-            stable = False
-            tri = (x1, x2)
+def _membership(n: int, comps: Components) -> list[set[int]]:
+    """Vertex -> ids of the rigid components containing it."""
+    member: list[set[int]] = [set() for _ in range(n)]
+    for i, comp in enumerate(comps):
+        for w in comp:
+            member[w].add(i)
+    return member
+
+
+def _contract(n: int, comps: Components, keep: int, removed: int) -> Graph:
+    """The component-completed graph with vertex `removed` merged into `keep`.
+
+    Relabelled as `contract_edge` does: ids above `removed` shift down by
+    one.  Each image of a component gets a fan (a minimally rigid graph)
+    instead of a clique; both span the same rigidity closure, hence give
+    the same rigid components, with O(|C|) edges instead of O(|C|^2).
+    """
+    edges: set[tuple[int, int]] = set()
+    for comp in comps:
+        image = sorted({keep if w == removed else w - 1 if w > removed else w for w in comp})
+        if len(image) < 2:
+            continue
+        a, b = image[0], image[1]
+        edges.add((a, b))
+        for w in image[2:]:
+            edges.add((a, w))
+            edges.add((b, w))
+    return Graph.from_edges(n - 1, edges)
+
+
+def _alg1(n: int, comps: Components, u: int, v: int, stats: dict) -> frozenset[int]:
+    """Contraction loop on current labels; returns the cut in the input's labels.
+
+    Each step works on the component-completed graph (every rigid component
+    made a clique), represented by its components: if the completed
+    neighbourhood of u is stable it is the cut; otherwise contract one of
+    the two triangle edges at u, picking the contraction that keeps the
+    merged vertex and v in different rigid components.  The components of
+    the chosen contraction are passed on, so each graph is solved once.
+    """
+    removals: list[int] = []
+    while True:
+        stats["calls"] += 1
+        member = _membership(n, comps)
+        nbrs = sorted(set().union(*(comps[c] for c in member[u])) - {u})
+        tri = next(
+            ((x1, x2) for i, x1 in enumerate(nbrs) for x2 in nbrs[i + 1 :] if member[x1] & member[x2]),
+            None,
+        )
+        if tri is None:
+            cut = frozenset(nbrs)
             break
-    if stable:
-        return frozenset(nbrs)
-    assert tri is not None
-    for xi in tri:
-        a, b = (u, xi) if u < xi else (xi, u)
-        contracted, merged = contract_edge(comp, comp.edge_index[(a, b)])
-        removed = max(u, xi)
-        u2 = merged
-        v2 = v - 1 if v > removed else v
-        stats["pair_probes"] += contracted.n * (contracted.n - 1) // 2
-        rel2 = rigidly_related_pairs(contracted)
-        pair = (u2, v2) if u2 < v2 else (v2, u2)
-        if pair not in rel2:
-            cut2 = _alg1(contracted, u2, v2, stats)
-            # lift back: ids >= removed shift up by one
-            return frozenset(w + 1 if w >= removed else w for w in cut2)
-    raise RuntimeError("neither contraction separates; flexibility invariant broken")
+        for xi in tri:
+            keep, removed = min(u, xi), max(u, xi)
+            contracted = _contract(n, comps, keep, removed)
+            _, comps2 = _solve(contracted, stats)
+            v2 = v - 1 if v > removed else v
+            if not any(keep in comp and v2 in comp for comp in comps2):
+                break
+        else:
+            raise RuntimeError("neither contraction separates; flexibility invariant broken")
+        removals.append(removed)
+        n, comps, u, v = n - 1, comps2, keep, v2
+    # lift back: at each contraction, ids >= removed shift up by one
+    for removed in reversed(removals):
+        cut = frozenset(w + 1 if w >= removed else w for w in cut)
+    return cut
+
+
+def _check_flexible_input(g: Graph, stats: dict) -> Components:
+    if not is_connected(g):
+        raise PreconditionError("graph is not connected")
+    flexible, comps = _solve(g, stats)
+    if not flexible:
+        raise PreconditionError("graph is not flexible")
+    return comps
 
 
 def algorithm1_stable_cut(
@@ -99,26 +142,23 @@ def algorithm1_stable_cut(
     Recursion: if the (component-completed) neighbourhood of u is stable it
     is the cut; otherwise contract one of two triangle edges at u, picking
     the contraction that keeps the merged vertex and v in different rigid
-    components.
+    components.  `stats`, if given, receives "calls" (contraction levels)
+    and "pair_probes" (pebble searches, over the games on g and on every
+    contracted graph tried).
     """
     for w in (u, v):
         if not 0 <= w < g.n:
             raise ValueError(f"vertex {w} out of range")
     if u == v:
         raise PreconditionError("endpoints must be distinct")
-    if not is_connected(g):
-        raise PreconditionError("graph is not connected")
-    report = rigidity_report(g)
-    if not report.is_flexible:
-        raise PreconditionError("graph is not flexible")
-    pair = (u, v) if u < v else (v, u)
-    if pair in rigidly_related_pairs(g):
-        raise PreconditionError(f"{u} and {v} lie in a common rigid component")
     if stats is None:
         stats = {}
     stats.setdefault("calls", 0)
     stats.setdefault("pair_probes", 0)
-    cut = _alg1(g, u, v, stats)
+    comps = _check_flexible_input(g, stats)
+    if any(u in comp and v in comp for comp in comps):
+        raise PreconditionError(f"{u} and {v} lie in a common rigid component")
+    cut = _alg1(g.n, comps, u, v, stats)
     return _validate_result(g, StableCutResult(cut=cut, separated_pair=(u, v)))
 
 
@@ -138,21 +178,17 @@ def stable_cut_avoiding(g: Graph, v: int) -> StableCutResult:
         raise ValueError(f"vertex {v} out of range")
     if not is_biconnected(g):
         raise PreconditionError("graph is not 2-connected")
-    report = rigidity_report(g)
-    if not report.is_flexible:
-        raise PreconditionError("graph is not flexible")
-    related = rigidly_related_pairs(g)
+    stats = {"calls": 0, "pair_probes": 0}
+    comps = _check_flexible_input(g, stats)
+    related = set().union(*(comp for comp in comps if v in comp))
     for u in range(g.n):
-        if u == v:
+        if u in related:
             continue
-        pair = (u, v) if u < v else (v, u)
-        if pair in related:
-            continue
-        result = algorithm1_stable_cut(g, u, v)
-        if v not in result.cut:
+        cut = _alg1(g.n, comps, u, v, stats)
+        if v not in cut:
             return _validate_result(
                 g,
-                StableCutResult(cut=result.cut, separated_pair=(u, v), avoided_vertex=v),
+                StableCutResult(cut=cut, separated_pair=(u, v), avoided_vertex=v),
             )
     raise RuntimeError("no partner vertex found; 2-connectivity invariant broken")
 
@@ -191,7 +227,7 @@ def exhaustive_stable_cut(
                 len(s & comp) > max_per_rigid_component for comp in comps_limit
             ):
                 continue
-            comps = _components_without(g, s)
+            comps = connected_components_without(g, s)
             if len(comps) < 2:
                 continue
             if separate is not None:

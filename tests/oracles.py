@@ -172,26 +172,79 @@ def _rank_gfp(rows: list[list[int]], p: int = _GFP) -> int:
     return rank_
 
 
+def _rigidity_rows(g: Graph, s: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """A seeded placement over GF(p) and the rigidity matrix rows of g's edges."""
+    rnd = random.Random((s << 16) | 0xACE5)
+    pts = [(rnd.randrange(1, _GFP), rnd.randrange(1, _GFP)) for _ in range(g.n)]
+    rows = []
+    for u, v in g.edges:
+        row = [0] * (2 * g.n)
+        dx = (pts[u][0] - pts[v][0]) % _GFP
+        dy = (pts[u][1] - pts[v][1]) % _GFP
+        row[2 * u], row[2 * u + 1] = dx, dy
+        row[2 * v], row[2 * v + 1] = (-dx) % _GFP, (-dy) % _GFP
+        rows.append(row)
+    return pts, rows
+
+
 def generic_matrix_rank(g: Graph, seed: int = 0) -> int:
     """Rank of the generic distance-constraint matrix over a big prime field.
 
     Independent of the pebble game; two seeds are combined to suppress the
     (already tiny) chance of a degenerate random placement.
     """
-    best = 0
+    return max(_rank_gfp(_rigidity_rows(g, s)[1]) for s in (seed, seed + 1))
+
+
+def _kernel_gfp(rows: list[list[int]], cols: int, p: int = _GFP) -> list[list[int]]:
+    """A basis of {x : row . x = 0 for every row}, by reduced row echelon form."""
+    rows = [r[:] for r in rows]
+    pivots: list[int] = []
+    for col in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [a * inv % p for a in rows[r]]
+        for i in range(len(rows)):
+            factor = rows[i][col] if i != r else 0
+            if factor:
+                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in sorted(set(range(cols)) - set(pivots)):
+        x = [0] * cols
+        x[free] = 1
+        for i, col in enumerate(pivots):
+            x[col] = -rows[i][free] % p
+        basis.append(x)
+    return basis
+
+
+def generic_related_pairs(g: Graph, seed: int = 0) -> set[tuple[int, int]]:
+    """Pairs u < v such that adding the edge uv does not raise generic_matrix_rank.
+
+    Edges of g qualify trivially.  The row of uv lies in the row space of
+    the rigidity matrix iff it is orthogonal to every infinitesimal motion
+    (the matrix's kernel), so one kernel basis decides every pair.  Of the
+    two placements generic_matrix_rank tries, the one of higher rank is used.
+    """
+    best = None
     for s in (seed, seed + 1):
-        rnd = random.Random((s << 16) | 0xACE5)
-        pts = [(rnd.randrange(1, _GFP), rnd.randrange(1, _GFP)) for _ in range(g.n)]
-        rows = []
-        for u, v in g.edges:
-            row = [0] * (2 * g.n)
-            dx = (pts[u][0] - pts[v][0]) % _GFP
-            dy = (pts[u][1] - pts[v][1]) % _GFP
-            row[2 * u], row[2 * u + 1] = dx, dy
-            row[2 * v], row[2 * v + 1] = (-dx) % _GFP, (-dy) % _GFP
-            rows.append(row)
-        best = max(best, _rank_gfp(rows))
-    return best
+        pts, rows = _rigidity_rows(g, s)
+        kernel = _kernel_gfp(rows, 2 * g.n)
+        if best is None or len(kernel) < len(best[1]):
+            best = pts, kernel
+    pts, kernel = best
+    related = set()
+    for u, v in combinations(range(g.n), 2):
+        dx = pts[u][0] - pts[v][0]
+        dy = pts[u][1] - pts[v][1]
+        if all((dx * (k[2 * u] - k[2 * v]) + dy * (k[2 * u + 1] - k[2 * v + 1])) % _GFP == 0 for k in kernel):
+            related.add((u, v))
+    return related
 
 
 def brute_rigid_components(g: Graph) -> set[frozenset[int]]:
@@ -277,3 +330,33 @@ def random_flexible_connected(seed: int, count: int, n_lo: int = 4, n_hi: int = 
         if rigidity_report(g).is_flexible:
             out.append(g)
     return out
+
+
+def random_laman_edges(rnd: random.Random, vertices: list[int]) -> set[tuple[int, int]]:
+    """A minimally rigid graph on `vertices` by Henneberg steps: a triangle,
+    then 0-extensions and 1-extensions."""
+    a, b, c = sorted(vertices[:3])
+    edges = {(a, b), (a, c), (b, c)}
+    for i in range(3, len(vertices)):
+        w, old = vertices[i], vertices[:i]
+        if rnd.random() < 0.5:
+            ends = rnd.sample(old, 2)
+        else:
+            x, y = rnd.choice(sorted(edges))
+            edges.remove((x, y))
+            ends = [x, y, rnd.choice([t for t in old if t not in (x, y)])]
+        edges.update((min(t, w), max(t, w)) for t in ends)
+    return edges
+
+
+def random_two_body(rnd: random.Random, n: int) -> Graph:
+    """Two minimally rigid bodies joined by two disjoint bars (m = 2n - 4).
+
+    Its rigid components are exactly the two bodies and the two bars.
+    """
+    half = n // 2
+    edges = random_laman_edges(rnd, list(range(half))) | random_laman_edges(rnd, list(range(half, n)))
+    a1, a2 = rnd.sample(range(half), 2)
+    b1, b2 = rnd.sample(range(half, n), 2)
+    edges.update([(a1, b1), (a2, b2)])
+    return Graph.from_edges(n, edges)

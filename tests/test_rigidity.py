@@ -15,6 +15,7 @@ from rignac.rigidity import (
     recognize_0extension_graph,
     recognize_gsc,
     rigidity_report,
+    rigidly_related_pairs,
     two_tree_peel,
     vertex_split,
     zero_extend,
@@ -26,7 +27,9 @@ from oracles import (
     brute_max_sparse_subset,
     brute_rigid_components,
     generic_matrix_rank,
+    generic_related_pairs,
     random_connected_graph,
+    random_two_body,
 )
 
 
@@ -121,6 +124,56 @@ class TestRigidityReport:
                     assert len(a & b) <= 1
             owners = [sum(1 for c in comps if u in c and v in c) for u, v in g.edges]
             assert owners == [1] * g.m
+
+
+class TestComponentsAgainstGenericOracle:
+    """Components from the pebble game against the generic rigidity matrix."""
+
+    @staticmethod
+    def _check(g: Graph) -> tuple[frozenset[int], ...]:
+        comps = rigidity_report(g).rigid_components
+        related = generic_related_pairs(g)
+
+        def rel(a: int, b: int) -> bool:
+            return a == b or (min(a, b), max(a, b)) in related
+
+        expect = {frozenset(w for w in range(g.n) if rel(w, u) and rel(w, v)) for u, v in g.edges}
+        assert set(comps) == expect and len(comps) == len(expect)
+        first_edge = [min(i for i, (u, v) in enumerate(g.edges) if u in c and v in c) for c in comps]
+        assert first_edge == sorted(first_edge)
+        pairs = {(a, b) for c in comps for a in c for b in c if a < b}
+        assert pairs == related
+        assert rigidly_related_pairs(g) == pairs
+        return comps
+
+    def test_oracle_matches_rank_definition(self):
+        rnd = random.Random(13)
+        for _ in range(30):
+            n = rnd.randrange(2, 8)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            g = Graph.from_edges(n, rnd.sample(pairs, rnd.randrange(0, len(pairs) + 1)))
+            base = generic_matrix_rank(g)
+            expect = {
+                (u, v)
+                for u, v in pairs
+                if g.has_edge(u, v) or generic_matrix_rank(g.add_edge(u, v)) == base
+            }
+            assert generic_related_pairs(g) == expect
+
+    def test_random_graphs_up_to_30(self):
+        rnd = random.Random(17)
+        for _ in range(60):
+            n = rnd.randrange(2, 31)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            m = rnd.randrange(0, min(len(pairs), 5 * n // 2) + 1)
+            self._check(Graph.from_edges(n, rnd.sample(pairs, m)))
+
+    def test_two_body_graphs(self):
+        rnd = random.Random(19)
+        for n in (40, 47, 53, 60):
+            g = random_two_body(rnd, n)
+            assert g.m == 2 * n - 4
+            assert len(self._check(g)) == 4
 
 
 class TestTwoTrees:

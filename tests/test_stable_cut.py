@@ -17,6 +17,75 @@ from rignac.constructions import make_cycle, make_gk, make_path
 from oracles import brute_stable_cuts, random_connected_graph, random_flexible_connected
 
 
+# Cuts recorded with the earlier probe-per-pair rigid components, on
+# seeded flexible graphs (random, crossed ladders minus an edge, fans with a
+# pendant); the contraction choices, and so these cuts, must not change.
+# graph6, u, v, cut, contraction levels
+PINNED_SEPARATE = [
+    ("K?GWGDCCA?Wa", 0, 1, [11], 1),
+    ("K?GWGDCCA?Wa", 10, 11, [1], 1),
+    ("L?Ct??AO_a?g_?", 0, 1, [6, 12], 1),
+    ("L?Ct??AO_a?g_?", 11, 12, [5, 7], 1),
+    ("ITwdPOPh?", 0, 1, [4], 8),
+    ("ITwdPOPh?", 1, 9, [4], 1),
+    ("K?F?@@?Cb?CS", 0, 1, [5], 1),
+    ("K?F?@@?Cb?CS", 10, 11, [1, 2], 1),
+    ("O?C?@S?OA?GCA@_?c?AGO", 0, 1, [13], 1),
+    ("O?C?@S?OA?GCA@_?c?AGO", 14, 15, [2], 1),
+    ("MC?RO?@??CA?@GOD?", 0, 1, [3], 1),
+    ("MC?RO?@??CA?@GOD?", 12, 13, [5, 8], 1),
+    ("J[_QK@AouQ?", 0, 5, [3, 6], 8),
+    ("J[_QK@AouQ?", 5, 10, [3, 6], 1),
+    ("GQq_wG", 0, 1, [4, 5], 2),
+    ("GQq_wG", 6, 7, [3, 4, 5], 1),
+    ("JP?__GKOOb?", 0, 1, [2], 1),
+    ("JP?__GKOOb?", 9, 10, [1, 7], 1),
+    ("KH~C??_AP?wB", 0, 7, [6, 8, 9], 8),
+    ("KH~C??_AP?wB", 8, 11, [2], 1),
+    ("NAc_gP??c??_?@_?G_?", 0, 1, [4, 10, 13], 1),
+    ("NAc_gP??c??_?@_?G_?", 13, 14, [0], 1),
+    ("GWCAy?", 0, 1, [2], 1),
+    ("GWCAy?", 6, 7, [1, 4, 5], 2),
+    ("J??vO`oA_T?", 0, 1, [6], 1),
+    ("J??vO`oA_T?", 8, 9, [1, 2, 3, 10], 1),
+    ("LA`?CPAuEAGGNO", 0, 2, [8, 12], 9),
+    ("LA`?CPAuEAGGNO", 8, 12, [1, 6], 1),
+    ("G]KoWW", 0, 1, [2, 3], 1),
+    ("G]KoWW", 6, 7, [4, 5], 1),
+    ("I]KoWWB?o", 0, 1, [2, 3], 1),
+    ("I]KoWWB?o", 8, 9, [6, 7], 1),
+    ("K]KoWWB?o@_E", 0, 1, [2, 3], 1),
+    ("K]KoWWB?o@_E", 10, 11, [8, 9], 1),
+    ("G|eKGC", 0, 7, [6], 6),
+    ("G|eKGC", 5, 7, [6], 6),
+    ("L|eKKE@_K?o@?@", 0, 12, [11], 11),
+    ("L|eKKE@_K?o@?@", 10, 12, [11], 11),
+]
+# graph6, avoided vertex, cut
+PINNED_AVOID = [
+    ("F]D_w", 0, [2, 3]),
+    ("Fah@g", 3, [1, 4]),
+    ("IHcI_aaBW", 7, [4, 8]),
+    ("LwA?@Sa_OoQg?]", 4, [2, 9, 11]),
+    ("FHNCg", 0, [2, 5]),
+    ("FhtOo", 3, [2, 4, 5]),
+    ("DtW", 3, [0, 4]),
+    ("L@cb?KOscI?oBH", 5, [4, 9, 10]),
+    ("DU[", 2, [0, 4]),
+    ("G@ZOtW", 5, [1, 3, 7]),
+    ("IKNU?g`CO", 8, [2, 6, 7]),
+    ("EyUO", 4, [1, 5]),
+    ("D[s", 3, [2, 4]),
+    ("GKLeSo", 2, [1, 4]),
+    ("Is?JTDIDO", 5, [4, 9]),
+    ("LCG_?dGC`LQHOB", 6, [1, 7, 9, 10]),
+    ("FhO[G", 2, [1, 6]),
+    ("GHdH]G", 5, [4, 7]),
+    ("Hbe`ZB?", 0, [1, 4, 5]),
+    ("GQN_a[", 0, [4, 5]),
+]
+
+
 def c4():
     return Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
@@ -148,6 +217,18 @@ class TestAlgorithm1:
             coeff = w0 / n0 ** 3
             for n, work in data[1:]:
                 assert work <= 2 * coeff * n ** 3, data
+
+
+class TestPinnedCuts:
+    def test_algorithm1_cuts_and_levels(self):
+        for key, u, v, cut, levels in PINNED_SEPARATE:
+            stats: dict = {}
+            result = algorithm1_stable_cut(parse_graph6(key), u, v, stats=stats)
+            assert (sorted(result.cut), stats["calls"]) == (cut, levels), (key, u, v)
+
+    def test_avoiding_cuts(self):
+        for key, v, cut in PINNED_AVOID:
+            assert sorted(stable_cut_avoiding(parse_graph6(key), v).cut) == cut, (key, v)
 
 
 class TestAvoiding:
