@@ -29,8 +29,8 @@ from .graph import (
     parse_graph6,
 )
 from .rigidity import (
-    GscDecomposition,
     RigidityReport,
+    gsc_decomposition,
     is_2tree,
     rank,
     recognize_gsc,
@@ -92,11 +92,15 @@ def _stable_cut_payload(g: Graph, result: Optional[sc.StableCutResult], method: 
 
 
 def _find_stable_cut(
-    g: Graph, report: Optional[RigidityReport] = None
+    g: Graph, report: Optional[RigidityReport] = None, member: Optional[bool] = None
 ) -> tuple[Optional[sc.StableCutResult], Optional[str]]:
-    """Neighbourhood heuristic, then the contraction algorithm, then exhaustive.
+    """Neighbourhood heuristic, then the contraction algorithm, then the
+    gluing-family peel, then exhaustive.
 
-    `report` is g's rigidity report when the caller already has it.
+    `report` is g's rigidity report and `member` whether g is in the gluing
+    family, when the caller already has them.  A connected rigid graph
+    with m = 2n-3 has no stable cut exactly when the peel finds a
+    decomposition (Le and Pfender), so a member needs no search.
     """
     from .graph import is_cut, is_stable_set
 
@@ -113,6 +117,11 @@ def _find_stable_cut(
                 v = next((v for v in range(u + 1, g.n) if v not in related), None)
                 if v is not None:
                     return sc.algorithm1_stable_cut(g, u, v), "algorithm1"
+        elif report.is_minimally_rigid:
+            if member is None:
+                member = gsc_decomposition(g) is not None
+            if member:
+                return None, "gsc"
     if g.n <= sc.EXHAUSTIVE_MAX_VERTICES:
         return sc.exhaustive_stable_cut(g), "exhaustive"
     return None, "skipped"
@@ -131,15 +140,17 @@ def cmd_analyze(args) -> int:
         rigid_components=len(rig.rigid_components),
         two_tree=is_2tree(g),
     )
+    dec = None
     if g.m == 2 * g.n - 3 and is_connected(g):
-        dec = recognize_gsc(g)
-        if isinstance(dec, GscDecomposition):
+        dec = gsc_decomposition(g)
+        if dec is not None:
             report["gsc"] = {"member": True, "prisms": dec.prism_count}
         else:
-            report["gsc"] = {"member": False, "reason": dec.reason}
+            # a tight connected non-member has a stable cut (Le and Pfender)
+            report["gsc"] = {"member": False, "reason": "stable cut"}
     else:
         report["gsc"] = {"member": False, "reason": "edge count"}
-    cut, method = _find_stable_cut(g, rig)
+    cut, method = _find_stable_cut(g, rig, dec is not None)
     payload = _stable_cut_payload(g, cut, method)
     report["stable_cut"] = payload["cut"]
     report["stable_cut_method"] = method

@@ -581,10 +581,10 @@ def construct_nac_minimally_rigid(g: Graph):
 
     Tries stable-neighbourhood cuts first, then the gluing-family
     decomposition; a failed recognition hands back a witness stable cut,
-    which also yields a colouring.
+    which also yields a colouring.  Only that witness search is limited in
+    size, so members of any size get a colouring.
     """
     from .rigidity import GscNonMembership, recognize_gsc, rigidity_report, two_tree_peel
-    from .stable_cut import exhaustive_stable_cut
 
     report = rigidity_report(g)
     if not report.is_minimally_rigid:
@@ -596,9 +596,6 @@ def construct_nac_minimally_rigid(g: Graph):
         nbrs = g.adjacency[u]
         if is_stable_set(g, nbrs) and is_cut(g, nbrs):
             return nap_from_separation(g, separation_from_stable_cut(g, nbrs))
-    small = exhaustive_stable_cut(g, max_per_rigid_component=1)
-    if small is not None:
-        return nap_from_separation(g, separation_from_stable_cut(g, small.cut))
     dec = recognize_gsc(g)
     if isinstance(dec, GscNonMembership):
         if dec.stable_cut is None:

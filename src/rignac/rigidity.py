@@ -19,15 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Optional
 
-from .graph import (
-    CANONICAL_FORM_MAX_VERTICES,
-    Graph,
-    PreconditionError,
-    canonical_form,
-    connected_components,
-    induced_subgraph,
-    is_connected,
-)
+from .graph import Graph, PreconditionError, is_connected
 
 
 class PebbleState:
@@ -398,108 +390,198 @@ def count_prism_subgraphs(g: Graph) -> int:
     return len(seen)
 
 
+def _prism_moves(adj: list[set[int]], t1: tuple[int, ...], t2: tuple[int, ...]) -> list[GscStep]:
+    """Moves that peel prism (t1, t2) off, vertex k of t1 matched to vertex k of t2.
+
+    A move is listed only when its new vertices all have live degree 3, that
+    is, when they carry no edge outside the prism.
+    """
+
+    def free(vs: tuple[int, ...]) -> bool:
+        return all(len(adj[x]) == 3 for x in vs)
+
+    out = []
+    # prism glued along a triangle: one face is internal (degree 3), other stays
+    for face, kept in ((t1, t2), (t2, t1)):
+        if free(face):
+            kt = tuple(sorted(kept))
+            order = {kept[k]: face[k] for k in range(3)}
+            out.append(GscStep("prism", "triangle", kt, tuple(order[x] for x in kt)))
+    # prism glued along one of its triangle edges
+    for face, other in ((t1, t2), (t2, t1)):
+        partner = dict(zip(face, other))
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            a, b = sorted((face[i], face[j]))
+            (p,) = set(face) - {a, b}
+            new = (p, partner[a], partner[b], partner[p])
+            if free(new):
+                out.append(GscStep("prism", "edge", (a, b), new, "triangle"))
+    # prism glued along one of its matching edges
+    for k in range(3):
+        a, b = t1[k], t2[k]
+        fa = tuple(x for x in t1 if x != a)
+        fb = tuple(t2[t1.index(x)] for x in fa)
+        if a > b:
+            a, b, fa, fb = b, a, fb, fa
+        new = fa + fb
+        if free(new):
+            out.append(GscStep("prism", "edge", (a, b), new, "matching"))
+    return out
+
+
+def _live_prisms(adj: list[set[int]], deg3: Iterable[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Prisms (t1, t2) of the live graph through a vertex of degree 3.
+
+    Every prism move has a new vertex of degree 3, so these are all the
+    prisms that can be peeled.  A degree-3 vertex x lies on a prism as one
+    of its triangles {x, y, z} with its third neighbour as x's partner.
+    Ordered as the triangle pairs of the whole graph would be: t1 < t2 as
+    sorted triples, then t2's matched order lexicographically.
+    """
+    found: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    for x in deg3:
+        for y, z in combinations(sorted(adj[x]), 2):
+            if z not in adj[y]:
+                continue
+            (xp,) = adj[x] - {y, z}
+            tri = (x, y, z)
+            for yp in adj[y] & adj[xp]:
+                if yp in tri:
+                    continue
+                for zp in adj[z] & adj[xp] & adj[yp]:
+                    if zp in tri:
+                        continue
+                    partner = {x: xp, y: yp, z: zp, xp: x, yp: y, zp: z}
+                    t1 = min(tuple(sorted(tri)), tuple(sorted((xp, yp, zp))))
+                    found.add((t1, tuple(partner[v] for v in t1)))
+    return sorted(found, key=lambda p: (p[0], sorted(p[1]), p[1]))
+
+
+def _peel(g: Graph) -> Optional[GscDecomposition]:
+    """Depth-first peel of gluing moves down to an edge, or None.
+
+    One live adjacency is updated in place by each move and restored on
+    backtrack; the levels sit on an explicit stack, so depth is not bounded
+    by Python's recursion limit.  A level tries its triangle moves (degree-2
+    vertices with adjacent neighbours, ascending) before its prism moves,
+    which are only generated once the triangle moves are used up.  Live
+    vertex sets that failed are remembered exactly.
+    """
+    adj = [set(s) for s in g.adjacency]
+    live = set(range(g.n))
+    deg2 = {v for v in live if len(adj[v]) == 2}
+    deg3 = {v for v in live if len(adj[v]) == 3}
+
+    def retag(v: int) -> None:
+        d = len(adj[v])
+        (deg2.add if d == 2 else deg2.discard)(v)
+        (deg3.add if d == 3 else deg3.discard)(v)
+
+    def remove(vs: tuple[int, ...]) -> None:
+        for v in vs:
+            live.remove(v)
+            deg2.discard(v)
+            deg3.discard(v)
+            for u in adj[v]:
+                adj[u].remove(v)
+                retag(u)
+
+    def restore(vs: tuple[int, ...]) -> None:
+        # reverse order: a vertex removed later is back before the ones it touched
+        for v in reversed(vs):
+            for u in adj[v]:
+                adj[u].add(v)
+                retag(u)
+            live.add(v)
+            retag(v)
+
+    def next_ear(after: int) -> Optional[int]:
+        best = None
+        for w in deg2:
+            if after < w and (best is None or w < best):
+                a, b = adj[w]
+                if b in adj[a]:
+                    best = w
+        return best
+
+    def prism_moves() -> list[GscStep]:
+        moves, seen = [], set()
+        for t1, t2 in _live_prisms(adj, deg3):
+            for mv in _prism_moves(adj, t1, t2):
+                key = (mv.glue_type, mv.glue_at, tuple(sorted(mv.new_vertices)), mv.layout)
+                if key not in seen:
+                    seen.add(key)
+                    moves.append(mv)
+        return moves
+
+    failed: set[frozenset[int]] = set()
+    path: list[GscStep] = []  # path[i] leads from level i to level i+1
+    # per level: [last ear tried, prism moves (None until the ears are used up), next prism move]
+    levels: list[list] = [[-1, None, 0]]
+    while len(live) > 2:
+        level = levels[-1]
+        mv = None
+        if level[1] is None:
+            w = next_ear(level[0])
+            if w is None:
+                level[1] = prism_moves()
+            else:
+                level[0] = w
+                mv = GscStep("triangle", "edge", tuple(sorted(adj[w])), (w,))
+        if mv is None and level[2] < len(level[1]):
+            mv = level[1][level[2]]
+            level[2] += 1
+        if mv is None:
+            failed.add(frozenset(live))
+            levels.pop()
+            if not levels:
+                return None
+            restore(path.pop().new_vertices)
+            continue
+        remove(mv.new_vertices)
+        path.append(mv)
+        if failed and frozenset(live) in failed:
+            restore(path.pop().new_vertices)
+            continue
+        levels.append([-1, None, 0])
+    a, b = sorted(live)
+    return GscDecomposition((a, b), tuple(reversed(path)))
+
+
+def gsc_decomposition(g: Graph) -> Optional[GscDecomposition]:
+    """The gluing-family build script of g, or None when g is not a member.
+
+    The peel alone: no witness is searched for.  By Le and Pfender's
+    characterisation a connected graph with m = 2n-3 has no stable cut
+    exactly when it is a member.
+    """
+    if g.n < 2:
+        raise PreconditionError("gluing-family recognition requires at least two vertices")
+    if not is_connected(g):
+        raise PreconditionError("gluing-family recognition requires a connected graph")
+    if g.m != 2 * g.n - 3:
+        return None
+    return _peel(g)
+
+
 def recognize_gsc(g: Graph):
     """Decide membership in the triangle/prism gluing family.
 
     Returns a GscDecomposition on success, else GscNonMembership carrying a
     witness stable cut (which must exist when the edge count matches).
-    Backtracking peel with memoisation; per-instance certification is by
-    replaying the decomposition.
+    Per-instance certification is by replaying the decomposition.
     """
-    if g.n < 2:
-        raise PreconditionError("recognize_gsc requires at least two vertices")
-    if not is_connected(g):
-        raise PreconditionError("recognize_gsc requires a connected graph")
+    dec = gsc_decomposition(g)
+    if dec is not None:
+        return dec
     if g.m != 2 * g.n - 3:
         return GscNonMembership("edge count")
+    from .stable_cut import exhaustive_stable_cut
 
-    adj_full = list(g.adjacency)
-    failed: set[frozenset[int]] = set()
-    failed_canon: set[bytes] = set()
-
-    def live_adj(verts: set[int]) -> list[frozenset[int]]:
-        return [adj_full[v] & frozenset(verts) if v in verts else frozenset() for v in range(g.n)]
-
-    def search(verts: set[int]) -> Optional[list[GscStep]]:
-        if len(verts) == 2:
-            return []
-        key = frozenset(verts)
-        if key in failed:
-            return None
-        ckey = None
-        if len(verts) <= CANONICAL_FORM_MAX_VERTICES:
-            sub, _ = induced_subgraph(g, verts)
-            ckey = canonical_form(sub)
-            if ckey in failed_canon:
-                failed.add(key)
-                return None
-        adj = live_adj(verts)
-        moves: list[GscStep] = []
-        for w in sorted(verts):
-            if len(adj[w]) == 2:
-                a, b = sorted(adj[w])
-                if b in adj[a]:
-                    moves.append(GscStep("triangle", "edge", (a, b), (w,)))
-        for t1, t2 in _prisms_in(adj, verts):
-            # prism glued along a triangle: one face is internal (degree 3), other stays
-            for face, kept in ((t1, t2), (t2, t1)):
-                if all(len(adj[x]) == 3 for x in face):
-                    kt = tuple(sorted(kept))
-                    order = {kept[k]: face[k] for k in range(3)}
-                    moves.append(
-                        GscStep("prism", "triangle", kt, tuple(order[x] for x in kt))
-                    )
-            # prism glued along one of its triangle edges
-            for face, other in ((t1, t2), (t2, t1)):
-                partner = {face[k]: other[k] for k in range(3)}
-                for i, j in ((0, 1), (1, 2), (0, 2)):
-                    a, b = face[i], face[j]
-                    if a > b:
-                        a, b = b, a
-                    (p,) = set(face) - {a, b}
-                    new = (p, partner[a], partner[b], partner[p])
-                    if all(len(adj[x]) == 3 for x in new):
-                        moves.append(GscStep("prism", "edge", (a, b), new, "triangle"))
-            # prism glued along one of its matching edges
-            for k in range(3):
-                a, b = t1[k], t2[k]
-                fa = tuple(x for x in t1 if x != a)
-                fb = tuple(t2[(t1.index(x))] for x in fa)
-                if a > b:
-                    a, b = b, a
-                    fa, fb = fb, fa
-                new = (fa[0], fa[1], fb[0], fb[1])
-                if all(len(adj[x]) == 3 for x in new):
-                    moves.append(GscStep("prism", "edge", (a, b), new, "matching"))
-        seen_moves = set()
-        for mv in moves:
-            mkey = (mv.piece, mv.glue_type, mv.glue_at, tuple(sorted(mv.new_vertices)), mv.layout)
-            if mkey in seen_moves:
-                continue
-            seen_moves.add(mkey)
-            sub = search(verts - set(mv.new_vertices))
-            if sub is not None:
-                sub.append(mv)
-                return sub
-        failed.add(key)
-        if ckey is not None:
-            failed_canon.add(ckey)
-        return None
-
-    steps = search(set(range(g.n)))
-    if steps is None:
-        from .stable_cut import exhaustive_stable_cut
-
-        witness = exhaustive_stable_cut(g)
-        if witness is None:
-            raise RuntimeError("peel failed but no stable cut exists; recognizer is incomplete")
-        return GscNonMembership("stable cut", witness.cut)
-
-    remaining = set(range(g.n))
-    for s in steps:
-        remaining -= set(s.new_vertices)
-    a, b = sorted(remaining)
-    return GscDecomposition((a, b), tuple(steps))
+    witness = exhaustive_stable_cut(g)
+    if witness is None:
+        raise RuntimeError("peel failed but no stable cut exists; recognizer is incomplete")
+    return GscNonMembership("stable cut", witness.cut)
 
 
 # ---------------------------------------------------------------------------
@@ -518,20 +600,12 @@ def recognize_0extension_graph(g: Graph) -> tuple[bool, Optional[int]]:
 
     adj_full = list(g.adjacency)
     memo: dict[frozenset[int], Optional[int]] = {}
-    memo_canon: dict[bytes, Optional[int]] = {}
 
     def search(verts: frozenset[int]) -> Optional[int]:
         if len(verts) == 2:
             return 0
         if verts in memo:
             return memo[verts]
-        ckey = None
-        if len(verts) <= CANONICAL_FORM_MAX_VERTICES:
-            sub, _ = induced_subgraph(g, verts)
-            ckey = canonical_form(sub)
-            if ckey in memo_canon:
-                memo[verts] = memo_canon[ckey]
-                return memo_canon[ckey]
         best: Optional[int] = None
         for w in sorted(verts):
             nbrs = adj_full[w] & verts
@@ -545,8 +619,6 @@ def recognize_0extension_graph(g: Graph) -> tuple[bool, Optional[int]]:
                 if best == 0:
                     break
         memo[verts] = best
-        if ckey is not None:
-            memo_canon[ckey] = best
         return best
 
     result = search(frozenset(range(g.n)))

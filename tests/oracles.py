@@ -304,6 +304,112 @@ def brute_stable_cuts(g: Graph) -> list[frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
+# gluing-family oracle
+
+
+def _live_triangles(adj: list[frozenset[int]], verts: set[int]) -> list[tuple[int, int, int]]:
+    return [
+        (a, b, c)
+        for a in sorted(verts)
+        for b in sorted(adj[a])
+        if b > a
+        for c in sorted(adj[a] & adj[b])
+        if c > b
+    ]
+
+
+def _all_prisms(adj: list[frozenset[int]], verts: set[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every triangle pair t1 < t2 with a matching, vertex k of t1 to perm[k]."""
+    tris = _live_triangles(adj, verts)
+    out = []
+    for i, t1 in enumerate(tris):
+        for t2 in tris[i + 1 :]:
+            if set(t1) & set(t2):
+                continue
+            for perm in permutations(t2):
+                if all(perm[k] in adj[t1[k]] for k in range(3)):
+                    out.append((t1, perm))
+    return out
+
+
+def slow_gsc_decomposition(g: Graph) -> dict | None:
+    """The gluing-family peel by plain recursion over vertex subsets, no memo.
+
+    Rebuilds the live graph, every triangle and every prism at each level
+    and tries all moves in a fixed order: triangle moves by ascending vertex,
+    then prism moves by triangle pair.  Returns the first build script found
+    in the JSON shape of `GscDecomposition.to_json()`, or None.  Exponential
+    on non-members; small graphs only.
+    """
+    if g.m != 2 * g.n - 3:
+        return None
+
+    def search(verts: set[int]) -> list[dict] | None:
+        if len(verts) == 2:
+            return []
+        adj = [g.adjacency[v] & frozenset(verts) if v in verts else frozenset() for v in range(g.n)]
+
+        def free(vs) -> bool:
+            return all(len(adj[x]) == 3 for x in vs)
+
+        def step(piece, glue_type, at, new, layout=None) -> dict:
+            item = {"piece": piece, "glue": {"type": glue_type, "at": list(at)}, "new": list(new)}
+            if layout is not None:
+                item["layout"] = layout
+            return item
+
+        moves = []
+        for w in sorted(verts):
+            if len(adj[w]) == 2:
+                a, b = sorted(adj[w])
+                if b in adj[a]:
+                    moves.append(step("triangle", "edge", (a, b), (w,)))
+        for t1, t2 in _all_prisms(adj, verts):
+            for face, kept in ((t1, t2), (t2, t1)):
+                if free(face):
+                    kt = sorted(kept)
+                    order = {kept[k]: face[k] for k in range(3)}
+                    moves.append(step("prism", "triangle", kt, [order[x] for x in kt]))
+            for face, other in ((t1, t2), (t2, t1)):
+                partner = {face[k]: other[k] for k in range(3)}
+                for i, j in ((0, 1), (1, 2), (0, 2)):
+                    a, b = sorted((face[i], face[j]))
+                    (p,) = set(face) - {a, b}
+                    new = (p, partner[a], partner[b], partner[p])
+                    if free(new):
+                        moves.append(step("prism", "edge", (a, b), new, "triangle"))
+            for k in range(3):
+                a, b = t1[k], t2[k]
+                fa = [x for x in t1 if x != a]
+                fb = [t2[t1.index(x)] for x in fa]
+                if a > b:
+                    a, b, fa, fb = b, a, fb, fa
+                if free(fa + fb):
+                    moves.append(step("prism", "edge", (a, b), fa + fb, "matching"))
+        seen = set()
+        for mv in moves:
+            key = (mv["piece"], mv["glue"]["type"], tuple(mv["glue"]["at"]), tuple(sorted(mv["new"])), mv.get("layout"))
+            if key in seen:
+                continue
+            seen.add(key)
+            sub = search(verts - set(mv["new"]))
+            if sub is not None:
+                return sub + [mv]
+        return None
+
+    steps = search(set(range(g.n)))
+    if steps is None:
+        return None
+    base = set(range(g.n)) - {w for s in steps for w in s["new"]}
+    return {
+        "base": "K2",
+        "base_vertices": sorted(base),
+        "steps": steps,
+        "prisms": sum(1 for s in steps if s["piece"] == "prism"),
+    }
+
+
+# ---------------------------------------------------------------------------
 # corpora
 
 
@@ -360,3 +466,43 @@ def random_two_body(rnd: random.Random, n: int) -> Graph:
     b1, b2 = rnd.sample(range(half, n), 2)
     edges.update([(a1, b1), (a2, b2)])
     return Graph.from_edges(n, edges)
+
+
+def random_prism_chain(rnd: random.Random, prisms: int) -> Graph:
+    """Prisms glued edge to edge, each onto an edge between two of the
+    previous prism's new vertices, with a random layout (n = 4 * prisms + 2)."""
+    from rignac.constructions import make_gsc
+
+    # edges among the new ids k..k+3 of an edge-glued prism, by layout (see GscStep)
+    inner = {"triangle": ((0, 3), (1, 2), (2, 3), (1, 3)), "matching": ((0, 1), (2, 3), (0, 2), (1, 3))}
+    steps: list[list] = []
+    glue = (0, 1)
+    for i in range(prisms):
+        layout = rnd.choice(["triangle", "matching"])
+        steps.append(["prism", "edge", list(glue), layout])
+        x, y = rnd.choice(inner[layout])
+        glue = (2 + 4 * i + x, 2 + 4 * i + y)
+    return make_gsc(steps)
+
+
+def random_gsc_member(rnd: random.Random, pieces: int) -> Graph:
+    """A gluing-family member from a random script mixing all four step kinds,
+    with its vertices relabelled at random."""
+    from rignac.constructions import make_gsc
+
+    steps: list[list] = []
+    g = Graph.from_edges(2, [(0, 1)])
+    for _ in range(pieces):
+        tris = _live_triangles(list(g.adjacency), set(range(g.n)))
+        if tris and rnd.random() < 0.2:
+            steps.append(["prism", "triangle", list(rnd.choice(tris))])
+        else:
+            edge = list(rnd.choice(g.edges))
+            if rnd.random() < 0.5:
+                steps.append(["triangle", "edge", edge])
+            else:
+                steps.append(["prism", "edge", edge, rnd.choice(["triangle", "matching"])])
+        g = make_gsc(steps)
+    label = list(range(g.n))
+    rnd.shuffle(label)
+    return Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges])

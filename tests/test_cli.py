@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import io
 import json
+import random
 
 import pytest
 
 from rignac.cli import main
-from rignac.graph import parse_graph
-from rignac.constructions import fixtures
+from rignac.graph import Graph, parse_graph
+from rignac.constructions import fixtures, make_2tree, make_gk
+
+from oracles import random_prism_chain
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):
@@ -18,6 +21,15 @@ def run_cli(monkeypatch, capsys, argv, stdin=""):
 
 
 PRISM_EDGES = "\n".join(f"{u} {v}" for u, v in fixtures()["prism"].graph.edges)
+
+
+def edge_text(g: Graph) -> str:
+    return "\n".join(f"{u} {v}" for u, v in g.edges)
+
+
+# minimally rigid, not in the gluing family, and no vertex has a stable
+# neighbourhood, so the stable cut comes from exhaustive search
+NON_MEMBER_EDGES = "0 1\n0 5\n1 2\n1 5\n2 3\n2 4\n3 4\n3 5\n4 5"
 
 
 class TestAnalyze:
@@ -44,6 +56,29 @@ class TestAnalyze:
     def test_parse_error_exit_2(self, monkeypatch, capsys):
         code, out, err = run_cli(monkeypatch, capsys, ["analyze"], "0 1\n0 1")
         assert code == 2 and "parse error" in err
+
+    def test_deep_2tree_is_a_member(self, monkeypatch, capsys):
+        g = make_2tree(51, 1500)
+        code, out, _ = run_cli(monkeypatch, capsys, ["analyze"], edge_text(g))
+        report = json.loads(out)
+        assert code == 0 and report["two_tree"]
+        assert report["gsc"] == {"member": True, "prisms": 0}
+        assert report["stable_cut"] is None and report["stable_cut_method"] == "gsc"
+
+    def test_small_non_member_keeps_exhaustive_cut(self, monkeypatch, capsys):
+        code, out, _ = run_cli(monkeypatch, capsys, ["analyze"], NON_MEMBER_EDGES)
+        report = json.loads(out)
+        assert code == 0 and report["minimally_rigid"]
+        assert report["gsc"] == {"member": False, "reason": "stable cut"}
+        assert report["stable_cut"] == [2, 5] and report["stable_cut_method"] == "exhaustive"
+
+    def test_large_non_member_needs_no_witness_search(self, monkeypatch, capsys):
+        g, _ = make_gk(12)  # 26 vertices, above the exhaustive search limit
+        code, out, _ = run_cli(monkeypatch, capsys, ["analyze"], edge_text(g))
+        report = json.loads(out)
+        assert code == 0 and report["minimally_rigid"]
+        assert report["gsc"] == {"member": False, "reason": "stable cut"}
+        assert report["stable_cut_method"] == "neighbourhood" and report["stable_cut"] is not None
 
 
 class TestNac:
@@ -108,6 +143,17 @@ class TestStableCut:
             monkeypatch, capsys, ["stable-cut", "--separate", "0", "4"], PRISM_EDGES
         )
         assert code == 3 and "precondition failed" in err
+
+    def test_members_have_no_cut_by_the_peel(self, monkeypatch, capsys):
+        for g in (make_2tree(52, 18), random_prism_chain(random.Random(53), 7)):
+            code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut"], edge_text(g))
+            assert code == 1 and json.loads(out) == {"cut": None, "method": "gsc"}
+
+    def test_non_member_keeps_exhaustive_cut(self, monkeypatch, capsys):
+        code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut"], NON_MEMBER_EDGES)
+        payload = json.loads(out)
+        assert code == 0 and payload["method"] == "exhaustive"
+        assert payload["cut"] == [2, 5] and payload["components_after_removal"] == 2
 
     def test_exhaustive_none_exit_1(self, monkeypatch, capsys):
         k4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3"

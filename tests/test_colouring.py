@@ -56,6 +56,7 @@ from oracles import (
     brute_stable_cuts,
     random_connected_graph,
     random_flexible_connected,
+    random_prism_chain,
 )
 
 
@@ -466,6 +467,15 @@ class TestConstructiveColouring:
         g = fix["h18"].graph
         res = construct_nac_minimally_rigid(g)
         assert is_nac(g, res)
+
+    def test_prism_chains_past_the_exhaustive_limit(self):
+        # members get their colouring from the decomposition, whatever their size
+        rnd = random.Random(41)
+        for prisms in (7, 50):
+            g = random_prism_chain(rnd, prisms)
+            assert g.n == 4 * prisms + 2
+            res = construct_nac_minimally_rigid(g)
+            assert isinstance(res, EdgeColouring) and is_nac(g, res)
 
 
 class TestLocallyNac:

@@ -10,6 +10,7 @@ from rignac.rigidity import (
     GscDecomposition,
     GscNonMembership,
     count_prism_subgraphs,
+    gsc_decomposition,
     is_2tree,
     rank,
     recognize_0extension_graph,
@@ -26,10 +27,14 @@ from rignac.constructions import make_2tree, make_complete_bipartite, make_gk, m
 from oracles import (
     brute_max_sparse_subset,
     brute_rigid_components,
+    brute_stable_cuts,
     generic_matrix_rank,
     generic_related_pairs,
     random_connected_graph,
+    random_gsc_member,
+    random_prism_chain,
     random_two_body,
+    slow_gsc_decomposition,
 )
 
 
@@ -341,6 +346,64 @@ class TestGscRecognition:
         assert payload["base"] == "K2"
         assert payload["prisms"] == 1
         assert all({"piece", "glue", "new"} <= set(s) for s in payload["steps"])
+
+
+class TestGscPeelAgainstSlowPath:
+    """The iterative peel returns the slow recursive peel's first script."""
+
+    @staticmethod
+    def same_answer(g: Graph) -> None:
+        got = recognize_gsc(g)
+        want = slow_gsc_decomposition(g)
+        if want is not None:
+            assert isinstance(got, GscDecomposition)
+            assert got.to_json() == want
+            assert gsc_decomposition(g).to_json() == want
+            return
+        assert isinstance(got, GscNonMembership) and gsc_decomposition(g) is None
+        assert got.reason == "stable cut"
+        assert got.stable_cut == brute_stable_cuts(g)[0]  # smallest, then lexicographically first
+
+    def test_catalog_classes_up_to_8(self, laman_keys):
+        from rignac.catalog import minimally_rigid_graph6
+
+        keys = [k for n in range(3, 8) for k in laman_keys[n]] + minimally_rigid_graph6(8)
+        assert len(keys) == 1 + 1 + 3 + 13 + 70 + 608
+        for key in keys:
+            self.same_answer(parse_graph6(key))
+
+    def test_seeded_2trees(self):
+        for seed in range(24):
+            self.same_answer(make_2tree(seed, 3 + (seed * 37) % 58))
+        self.same_answer(make_2tree(99, 60))
+
+    def test_seeded_prism_chains(self):
+        rnd = random.Random(31)
+        for prisms in range(1, 11):
+            for _ in range(2):
+                self.same_answer(random_prism_chain(rnd, prisms))
+
+    def test_seeded_mixed_members(self):
+        rnd = random.Random(32)
+        for pieces in range(1, 41):
+            self.same_answer(random_gsc_member(rnd, 1 + pieces % 10))
+
+    def test_deep_prism_chain_replays(self):
+        g = random_prism_chain(random.Random(33), 100)
+        dec = recognize_gsc(g)
+        assert isinstance(dec, GscDecomposition) and dec.prism_count == 100
+        assert dec.replay().edges == g.edges
+
+    def test_deep_2tree(self):
+        g = make_2tree(34, 3000)
+        dec = gsc_decomposition(g)
+        assert dec is not None and dec.prism_count == 0 and dec.depth == g.n - 2
+        assert dec.replay().edges == g.edges
+
+    def test_too_few_edges_is_not_a_member(self):
+        assert gsc_decomposition(c4()) is None
+        with pytest.raises(PreconditionError):
+            gsc_decomposition(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
 class TestZeroExtensionRecognition:
