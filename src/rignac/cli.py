@@ -100,10 +100,12 @@ def _find_stable_cut(
     `report` is g's rigidity report and `member` whether g is in the gluing
     family, when the caller already has them.  A connected rigid graph
     with m = 2n-3 has no stable cut exactly when the peel finds a
-    decomposition (Le and Pfender), so a member needs no search.
+    decomposition (Le and Pfender), so a member needs no search, and
+    exhaustive search must find a cut in a non-member.
     """
     from .graph import is_cut, is_stable_set
 
+    peeled_non_member = False
     for u in range(g.n):
         nbrs = g.adjacency[u]
         if is_stable_set(g, nbrs) and is_cut(g, nbrs):
@@ -122,8 +124,12 @@ def _find_stable_cut(
                 member = gsc_decomposition(g) is not None
             if member:
                 return None, "gsc"
+            peeled_non_member = True
     if g.n <= sc.EXHAUSTIVE_MAX_VERTICES:
-        return sc.exhaustive_stable_cut(g), "exhaustive"
+        result = sc.exhaustive_stable_cut(g)
+        if result is None and peeled_non_member:
+            raise RuntimeError("peel failed but no stable cut exists; recognizer is incomplete")
+        return result, "exhaustive"
     return None, "skipped"
 
 

@@ -461,11 +461,14 @@ def _peel(g: Graph) -> Optional[GscDecomposition]:
     """Depth-first peel of gluing moves down to an edge, or None.
 
     One live adjacency is updated in place by each move and restored on
-    backtrack; the levels sit on an explicit stack, so depth is not bounded
-    by Python's recursion limit.  A level tries its triangle moves (degree-2
-    vertices with adjacent neighbours, ascending) before its prism moves,
-    which are only generated once the triangle moves are used up.  Live
-    vertex sets that failed are remembered exactly.
+    backtrack; the prism choices sit on an explicit stack, so depth is not
+    bounded by Python's recursion limit.  Ears (degree-2 vertices with
+    adjacent neighbours) are peeled greedily, smallest first: for such a
+    vertex w, G has a stable cut exactly when G - w has one, so by Le and
+    Pfender's characterisation G is a member exactly when G - w is, and a
+    failed ear needs no retry with another.  Only a graph without ears
+    branches, over its prism moves.  Ear-free live vertex sets that failed
+    are remembered exactly.
     """
     adj = [set(s) for s in g.adjacency]
     live = set(range(g.n))
@@ -495,10 +498,10 @@ def _peel(g: Graph) -> Optional[GscDecomposition]:
             live.add(v)
             retag(v)
 
-    def next_ear(after: int) -> Optional[int]:
+    def smallest_ear() -> Optional[int]:
         best = None
         for w in deg2:
-            if after < w and (best is None or w < best):
+            if best is None or w < best:
                 a, b = adj[w]
                 if b in adj[a]:
                     best = w
@@ -515,37 +518,37 @@ def _peel(g: Graph) -> Optional[GscDecomposition]:
         return moves
 
     failed: set[frozenset[int]] = set()
-    path: list[GscStep] = []  # path[i] leads from level i to level i+1
-    # per level: [last ear tried, prism moves (None until the ears are used up), next prism move]
-    levels: list[list] = [[-1, None, 0]]
-    while len(live) > 2:
-        level = levels[-1]
-        mv = None
-        if level[1] is None:
-            w = next_ear(level[0])
+    path: list[GscStep] = []
+    # ear-free levels with prism moves left: [len(path) there, live set, moves, next move]
+    branches: list[list] = []
+    while True:
+        while len(live) > 2:
+            w = smallest_ear()
             if w is None:
-                level[1] = prism_moves()
-            else:
-                level[0] = w
-                mv = GscStep("triangle", "edge", tuple(sorted(adj[w])), (w,))
-        if mv is None and level[2] < len(level[1]):
-            mv = level[1][level[2]]
-            level[2] += 1
-        if mv is None:
-            failed.add(frozenset(live))
-            levels.pop()
-            if not levels:
-                return None
-            restore(path.pop().new_vertices)
-            continue
-        remove(mv.new_vertices)
-        path.append(mv)
-        if failed and frozenset(live) in failed:
-            restore(path.pop().new_vertices)
-            continue
-        levels.append([-1, None, 0])
-    a, b = sorted(live)
-    return GscDecomposition((a, b), tuple(reversed(path)))
+                break
+            mv = GscStep("triangle", "edge", tuple(sorted(adj[w])), (w,))
+            remove(mv.new_vertices)
+            path.append(mv)
+        if len(live) == 2:
+            a, b = sorted(live)
+            return GscDecomposition((a, b), tuple(reversed(path)))
+        key = frozenset(live)
+        if key not in failed:
+            branches.append([len(path), key, prism_moves(), 0])
+        while branches:
+            branch = branches[-1]
+            while len(path) > branch[0]:
+                restore(path.pop().new_vertices)
+            if branch[3] < len(branch[2]):
+                mv = branch[2][branch[3]]
+                branch[3] += 1
+                remove(mv.new_vertices)
+                path.append(mv)
+                break
+            failed.add(branch[1])
+            branches.pop()
+        else:
+            return None
 
 
 def gsc_decomposition(g: Graph) -> Optional[GscDecomposition]:

@@ -31,6 +31,10 @@ def edge_text(g: Graph) -> str:
 # neighbourhood, so the stable cut comes from exhaustive search
 NON_MEMBER_EDGES = "0 1\n0 5\n1 2\n1 5\n2 3\n2 4\n3 4\n3 5\n4 5"
 
+# the same graph with 30 ears on edge 0-1: 36 vertices, still no stable
+# neighbourhood, and above the exhaustive search limit
+EARED_NON_MEMBER_EDGES = NON_MEMBER_EDGES + "".join(f"\n0 {w}\n1 {w}" for w in range(6, 36))
+
 
 class TestAnalyze:
     def test_prism_report(self, monkeypatch, capsys):
@@ -106,6 +110,10 @@ class TestNac:
         assert code == 1
         assert json.loads(out)["two_tree_peel"]
 
+    def test_construct_refuses_large_non_member(self, monkeypatch, capsys):
+        code, out, err = run_cli(monkeypatch, capsys, ["nac", "construct"], EARED_NON_MEMBER_EDGES)
+        assert code == 3 and out == "" and "exhaustive search limited" in err
+
     def test_threads_flag(self, monkeypatch, capsys):
         code, out, _ = run_cli(
             monkeypatch, capsys, ["nac", "count", "--raw", "--threads", "2"], PRISM_EDGES
@@ -154,6 +162,17 @@ class TestStableCut:
         payload = json.loads(out)
         assert code == 0 and payload["method"] == "exhaustive"
         assert payload["cut"] == [2, 5] and payload["components_after_removal"] == 2
+
+    def test_large_non_member_is_skipped(self, monkeypatch, capsys):
+        code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut"], EARED_NON_MEMBER_EDGES)
+        assert code == 1 and json.loads(out) == {"cut": None, "method": "skipped"}
+
+    def test_peel_is_checked_against_exhaustive_search(self, monkeypatch, capsys):
+        # a peel that misses a member contradicts Le and Pfender: exhaustive
+        # search finds no stable cut, and that must not pass silently
+        monkeypatch.setattr("rignac.cli.gsc_decomposition", lambda g: None)
+        with pytest.raises(RuntimeError, match="recognizer is incomplete"):
+            run_cli(monkeypatch, capsys, ["stable-cut"], edge_text(make_2tree(54, 10)))
 
     def test_exhaustive_none_exit_1(self, monkeypatch, capsys):
         k4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3"

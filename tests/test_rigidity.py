@@ -400,6 +400,16 @@ class TestGscPeelAgainstSlowPath:
         assert dec is not None and dec.prism_count == 0 and dec.depth == g.n - 2
         assert dec.replay().edges == g.edges
 
+    def test_ears_on_a_non_member_are_peeled_once(self):
+        # ears do not change membership, so a failed ear is never retried with
+        # another: 30 ears cost 30 peel steps, not 2^30 live sets
+        base = [(0, 1), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
+        for ears in (1, 2, 3):
+            edges = base + [(x, 6 + i) for i in range(ears) for x in (0, 1)]
+            self.same_answer(Graph.from_edges(6 + ears, edges))
+        edges = base + [(x, 6 + i) for i in range(30) for x in (0, 1)]
+        assert gsc_decomposition(Graph.from_edges(36, edges)) is None
+
     def test_too_few_edges_is_not_a_member(self):
         assert gsc_decomposition(c4()) is None
         with pytest.raises(PreconditionError):
