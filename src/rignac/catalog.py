@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Optional
 
-from .colouring import enumerate_nac
+from .colouring import count_nac
 from .graph import Graph, PreconditionError, canonical_form, parse_graph6
 from .rigidity import (
     GscDecomposition,
@@ -44,7 +44,7 @@ class CatalogEntry:
 
 def _classify(g6: str) -> CatalogEntry:
     g = parse_graph6(g6)
-    nnac = enumerate_nac(g)
+    nnac = count_nac(g)
     two_tree = is_2tree(g)
     dec = recognize_gsc(g)
     member = isinstance(dec, GscDecomposition)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Optional
 
 from . import catalog as cat
@@ -161,7 +162,7 @@ def cmd_analyze(args) -> int:
     report["stable_cut"] = payload["cut"]
     report["stable_cut_method"] = method
     if args.count:
-        report["nnac"] = str(col.enumerate_nac(g, workers=_workers(args)))
+        report["nnac"] = str(col.count_nac(g))
     _emit(report, args)
     return EXIT_OK
 
@@ -182,11 +183,14 @@ def cmd_nac(args) -> int:
     g = _load_graph(args)
     workers = _workers(args)
     if args.action == "count":
-        count, nodes, ms = col.enumerate_nac_detailed(g, workers=workers)
+        start = time.perf_counter()
+        stats: dict = {}
+        count = col.count_nac(g, stats)
+        ms = (time.perf_counter() - start) * 1000.0
         if args.raw:
             _emit(str(count), args)
         else:
-            _emit({"nnac": str(count), "nodes": nodes, "millis": int(ms)}, args)
+            _emit({"nnac": str(count), "nodes": stats["states"], "millis": int(ms)}, args)
         return EXIT_OK
     if args.action == "exists":
         count = col.enumerate_nac(g, first_only=True)
@@ -239,7 +243,16 @@ def cmd_stable_cut(args) -> int:
         _emit(_stable_cut_payload(g, result, "exhaustive"), args)
         return EXIT_OK if result else EXIT_NEGATIVE
     result, method = _find_stable_cut(g)
-    _emit(_stable_cut_payload(g, result, method), args)
+    payload = _stable_cut_payload(g, result, method)
+    if method == "skipped":
+        # nothing was proven either way: a refusal, not a negative answer
+        payload["reason"] = (
+            "no stable cut found without exhaustive search, which is limited to "
+            f"{sc.EXHAUSTIVE_MAX_VERTICES} vertices"
+        )
+        _emit(payload, args)
+        return EXIT_PRECONDITION
+    _emit(payload, args)
     return EXIT_OK if result else EXIT_NEGATIVE
 
 
@@ -305,15 +318,15 @@ def _selftest_rows() -> list[tuple[str, object, object]]:
     fx = cons.fixtures()
     prism, k33 = fx["prism"].graph, fx["k33"].graph
     rows: list[tuple[str, object, object]] = []
-    rows.append(("prism-nac-count", 1, col.enumerate_nac(prism)))
-    rows.append(("k33-nac-count", 15, col.enumerate_nac(k33)))
+    rows.append(("prism-nac-count", 1, col.count_nac(prism)))
+    rows.append(("k33-nac-count", 15, col.count_nac(k33)))
     rows.append(("prism-rigid", True, rigidity_report(prism).is_rigid))
     rows.append(("k33-rigid", True, rigidity_report(k33).is_rigid))
-    rows.append(("path8-count", 2 ** 6 - 1, col.enumerate_nac(cons.make_path(8))))
-    rows.append(("cycle8-count", 2 ** 7 - 9, col.enumerate_nac(cons.make_cycle(8))))
-    rows.append(("k23-count", 7, col.enumerate_nac(cons.make_complete_bipartite(2, 3))))
+    rows.append(("path8-count", 2 ** 6 - 1, col.count_nac(cons.make_path(8))))
+    rows.append(("cycle8-count", 2 ** 7 - 9, col.count_nac(cons.make_cycle(8))))
+    rows.append(("k23-count", 7, col.count_nac(cons.make_complete_bipartite(2, 3))))
     gk2, _ = cons.make_gk(2)
-    rows.append(("gk2-count", 3, col.enumerate_nac(gk2)))
+    rows.append(("gk2-count", 3, col.count_nac(gk2)))
     rows.append(("two-triangles-blocks", 1, col.count_nac(_two_triangles())))
     rows.append(("upper-bound-n6", 35, col.nnac_upper_bound(6)))
     rows.append(("prism-gsc-prisms", 1, recognize_gsc(prism).prism_count))
@@ -349,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threads", type=int, default=None, help="worker count (default: RIGNAC_THREADS or cores)")
 
     p = sub.add_parser("analyze", help="one-object JSON report")
-    add_io(p, with_threads=True)
+    add_io(p)
     p.add_argument("--count", action="store_true", help="include the exponential colouring count")
     p.set_defaults(func=cmd_analyze)
 

@@ -8,6 +8,7 @@ colour-swap involution.
 
 from __future__ import annotations
 
+import heapq
 import os
 import time
 from dataclasses import dataclass
@@ -277,27 +278,36 @@ class PartialNacState:
 # enumeration engine
 
 
-def canonical_edge_order(g: Graph) -> list[int]:
-    return list(range(g.m))
-
-
 def cycle_closing_edge_order(g: Graph) -> list[int]:
-    """Heuristic order: starts at edge 0, prefers edges closing cycles early."""
-    visited: set[int] = set(g.edges[0]) if g.m else set()
-    order = [0] if g.m else []
-    remaining = set(range(1, g.m))
-    while remaining:
-        best = None
-        for i in sorted(remaining):
-            u, v = g.edges[i]
-            k = (u in visited) + (v in visited)
-            cand = (-k, i)
-            if best is None or cand < best:
-                best = cand
-        i = best[1]
+    """Heuristic order: starts at edge 0, prefers edges closing cycles early.
+
+    Each step takes the remaining edge with the most visited endpoints,
+    smallest index first.  A heap holds (-visited endpoints, edge) and gets
+    a new entry whenever an edge's count grows; the fresh entry always
+    surfaces before the older ones, which are then skipped, so the whole
+    order costs O(m log m).
+    """
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    visited = [False] * g.n
+    taken = [False] * g.m
+    heap = [(0, i) for i in range(g.m)]  # sorted, so already a heap
+    order: list[int] = []
+    while heap:
+        _, i = heapq.heappop(heap)
+        if taken[i]:
+            continue
+        taken[i] = True
         order.append(i)
-        remaining.remove(i)
-        visited.update(g.edges[i])
+        for x in g.edges[i]:
+            if not visited[x]:
+                visited[x] = True
+                for j in incident[x]:
+                    if not taken[j]:
+                        u, v = g.edges[j]
+                        heapq.heappush(heap, (-visited[u] - visited[v], j))
     return order
 
 
@@ -432,7 +442,7 @@ def enumerate_nac_detailed(
     if g.m < 1:
         raise PreconditionError("enumeration requires at least one edge")
     start = time.perf_counter()
-    order = cycle_closing_edge_order(g) if heuristic_order else canonical_edge_order(g)
+    order = cycle_closing_edge_order(g) if heuristic_order else list(range(g.m))
     if workers <= 1 or first_only or g.m < 6:
         state = PartialNacState(g)
         count, nodes = _dfs(g, order, 0, state, on_found, first_only)
@@ -467,20 +477,185 @@ def default_workers() -> int:
 # counting
 
 
-def count_nac(g: Graph) -> int:
+def triangle_classes(g: Graph) -> list[list[int]]:
+    """Edge classes of the relation "lie in a common triangle", closed transitively.
+
+    A triangle cannot carry both colours in a NAC-colouring, so every
+    NAC-colouring is constant on each class (Grasegger, Legerský and
+    Schicho, DCG 2019).  Classes are listed by their smallest edge, each
+    in increasing edge order.
+    """
+    parent = list(range(g.m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    adj, index = g.adjacency, g.edge_index
+    for i, (u, v) in enumerate(g.edges):
+        for w in adj[u] & adj[v]:
+            if w > v:  # each triangle u < v < w once
+                for j in (index[(u, w)], index[(v, w)]):
+                    a, b = find(i), find(j)
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+    classes: dict[int, list[int]] = {}
+    for i in range(g.m):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
+
+
+def _frontier_levels(g: Graph) -> list[tuple[int, tuple[int, ...], list[tuple[int, int]], list[int]]]:
+    """The counter's levels: one per triangle class, in cycle-closing order.
+
+    Level k colours unit k.  Its vertices are numbered locally: first the
+    frontier (vertices with edges both before and in or after unit k, in
+    increasing order), then the vertices unit k reaches first.  A level is
+    (the frontier size, the local numbers of the new vertices, the unit's
+    edges as local pairs, the local numbers of the next frontier in
+    increasing vertex order).
+    """
+    rank = {i: pos for pos, i in enumerate(cycle_closing_edge_order(g))}
+    units = sorted(triangle_classes(g), key=lambda unit: min(rank[i] for i in unit))
+    first = [-1] * g.n
+    last = [-1] * g.n
+    for k, unit in enumerate(units):
+        for i in unit:
+            for x in g.edges[i]:
+                if first[x] < 0:
+                    first[x] = k
+                last[x] = k
+    levels = []
+    frontier: list[int] = []
+    for k, unit in enumerate(units):
+        fresh = sorted({x for i in unit for x in g.edges[i] if first[x] == k})
+        local = {x: pos for pos, x in enumerate(frontier + fresh)}
+        edges = [(local[u], local[v]) for u, v in (g.edges[i] for i in unit)]
+        size = len(frontier)
+        frontier = sorted(x for x in local if last[x] > k)
+        levels.append((size, tuple(range(size, len(local))), edges, [local[x] for x in frontier]))
+    return levels
+
+
+# A counter state is one flat tuple, which keeps a level's memory small:
+#   blue label and red label of each frontier vertex (2 * size entries),
+#   has_red (0 or 1), the length of the blue pair list, then the blue pair
+#   list and the red pair list, each pair as two consecutive labels.
+# A colour's labels number its components from 0 in order of first
+# appearance, so equal partitions give equal keys.  The pairs of a colour
+# are the pairs of its components that an edge of the other colour joins,
+# sorted.
+
+
+def _colour_unit(key: tuple, colour: int, level: tuple) -> Optional[tuple]:
+    """The next state after colouring the level's unit, or None if it is rejected.
+
+    A new vertex takes its local number as label, which no frontier label
+    reaches.
+    """
+    size, new, edges, keep = level
+    split = 2 * size + 2 + key[2 * size + 1]
+    labels = (key[:size] + new, key[size : 2 * size] + new)
+    pairs = (key[2 * size + 2 : split], key[split:])
+    other = 1 - colour
+    mine, theirs = labels[colour], labels[other]
+    parent = list(range(len(mine)))  # union-find over the labels of `mine`
+    joined = list(pairs[other])
+    for a, b in edges:
+        ta, tb = theirs[a], theirs[b]
+        if ta == tb:
+            return None  # the edge closes an almost cycle of the other colour
+        joined += (ta, tb)
+        ra, rb = mine[a], mine[b]
+        while parent[ra] != ra:
+            ra = parent[ra]
+        while parent[rb] != rb:
+            rb = parent[rb]
+        if ra != rb:
+            parent[ra] = rb
+    root = []
+    for x in range(len(parent)):
+        while parent[x] != x:
+            x = parent[x]
+        root.append(x)
+    mine_pairs = pairs[colour]
+    for j in range(0, len(mine_pairs), 2):
+        if root[mine_pairs[j]] == root[mine_pairs[j + 1]]:
+            return None  # a merge traps an edge of the other colour
+    mine_kept, mine_pairs = _project([root[x] for x in mine], [root[x] for x in mine_pairs], keep)
+    theirs_kept, theirs_pairs = _project(theirs, joined, keep)
+    if colour == RED:
+        return theirs_kept + mine_kept + (1, len(theirs_pairs)) + theirs_pairs + mine_pairs
+    return mine_kept + theirs_kept + (key[2 * size], len(mine_pairs)) + mine_pairs + theirs_pairs
+
+
+def _project(labels, pairs, keep: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Canonical labels of the kept vertices, and the flat sorted pairs among
+    their components.
+
+    Components without a kept vertex are dropped with their pairs, since
+    nothing can reach them again.
+    """
+    rename: dict[int, int] = {}
+    kept = []
+    for x in keep:
+        kept.append(rename.setdefault(labels[x], len(rename)))
+    out = set()
+    for j in range(0, len(pairs), 2):
+        a, b = rename.get(pairs[j]), rename.get(pairs[j + 1])
+        if a is not None and b is not None:
+            out.add((a, b) if a < b else (b, a))
+    return tuple(kept), tuple(x for pair in sorted(out) for x in pair)
+
+
+def _frontier_count(g: Graph) -> tuple[int, int]:
+    """(NAC classes of g, states expanded), by dynamic programming over units.
+
+    The units are the triangle classes; the one holding edge 0 is coloured
+    blue, every other one red or blue.  A component with no frontier vertex
+    never changes again, so the number of ways to finish depends only on
+    the state, and states with equal keys are merged with their
+    multiplicities added.  The count is the multiplicity of the states that
+    used red once the last unit is coloured.
+    """
+    states: dict[tuple, int] = {(0, 0): 1}
+    expanded = 0
+    for k, level in enumerate(_frontier_levels(g)):
+        colours = (BLUE,) if k == 0 else (BLUE, RED)
+        nxt: dict[tuple, int] = {}
+        for key, mult in states.items():
+            for colour in colours:
+                child = _colour_unit(key, colour, level)
+                if child is not None:
+                    nxt[child] = nxt.get(child, 0) + mult
+        expanded += len(states)
+        states = nxt
+    return states.get((1, 0), 0), expanded
+
+
+def count_nac(g: Graph, stats: Optional[dict] = None) -> int:
     """nnac via block decomposition: half the product of (2*nnac(block)+2), minus 1.
 
     Isolated vertices do not affect the count and are dropped before the
-    block decomposition.
+    block decomposition; each block is counted by `_frontier_count`.
+    `stats`, if given, receives "states" (counter states expanded, summed
+    over the blocks).
     """
     if g.m < 1:
         raise PreconditionError("count requires at least one edge")
+    if stats is None:
+        stats = {}
+    stats.setdefault("states", 0)
     core, _ = induced_subgraph(g, (v for v in range(g.n) if g.adjacency[v]))
     product = 1
     for block in blocks(core):
         verts = {v for i in block for v in core.edges[i]}
         sub, _ = induced_subgraph(core, verts)
-        product *= 2 * enumerate_nac(sub) + 2
+        count, states = _frontier_count(sub)
+        stats["states"] += states
+        product *= 2 * count + 2
     return product // 2 - 1
 
 

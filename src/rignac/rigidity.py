@@ -593,7 +593,11 @@ def recognize_gsc(g: Graph):
 
 def recognize_0extension_graph(g: Graph) -> tuple[bool, Optional[int]]:
     """Is g buildable from an edge by 0-extensions; if so, the minimum number
-    of open steps over all construction orders (memoised full search)."""
+    of open steps over all construction orders (memoised full search).
+
+    The search removes degree-2 vertices one at a time, depth first on an
+    explicit stack, so input size is not bounded by the recursion limit.
+    """
     if g.n < 2:
         return (False, None)
     if g.n == 2:
@@ -604,25 +608,37 @@ def recognize_0extension_graph(g: Graph) -> tuple[bool, Optional[int]]:
     adj_full = list(g.adjacency)
     memo: dict[frozenset[int], Optional[int]] = {}
 
-    def search(verts: frozenset[int]) -> Optional[int]:
-        if len(verts) == 2:
-            return 0
-        if verts in memo:
-            return memo[verts]
-        best: Optional[int] = None
+    def removals(verts: frozenset[int]) -> list[tuple[int, int]]:
+        """(w, 1 if removing w undoes an open step else 0) per degree-2 vertex w."""
+        out = []
         for w in sorted(verts):
             nbrs = adj_full[w] & verts
-            if len(nbrs) != 2:
-                continue
-            a, b = sorted(nbrs)
-            cost = 0 if b in adj_full[a] else 1
-            sub_open = search(verts - {w})
-            if sub_open is not None and (best is None or cost + sub_open < best):
-                best = cost + sub_open
-                if best == 0:
-                    break
-        memo[verts] = best
-        return best
+            if len(nbrs) == 2:
+                a, b = nbrs
+                out.append((w, 0 if b in adj_full[a] else 1))
+        return out
 
-    result = search(frozenset(range(g.n)))
+    root = frozenset(range(g.n))
+    # frame: [vertex set, its removals, next removal to try, best so far]
+    frames: list[list] = [[root, removals(root), 0, None]]
+    while frames:
+        frame = frames[-1]
+        verts, moves, pos, best = frame
+        if pos == len(moves) or best == 0:
+            memo[verts] = best
+            frames.pop()
+            continue
+        w, cost = moves[pos]
+        sub = verts - {w}
+        if len(sub) == 2:
+            sub_open: Optional[int] = 0
+        elif sub in memo:
+            sub_open = memo[sub]
+        else:
+            frames.append([sub, removals(sub), 0, None])
+            continue  # this move is scored once the child is memoised
+        if sub_open is not None and (best is None or cost + sub_open < best):
+            frame[3] = cost + sub_open
+        frame[2] = pos + 1
+    result = memo[root]
     return (result is not None, result)

@@ -30,3 +30,9 @@ def catalog7():
 def laman_keys():
     """graph6 keys of minimally rigid classes for n = 3..7."""
     return {n: minimally_rigid_graph6(n) for n in range(3, 8)}
+
+
+@pytest.fixture(scope="session")
+def laman8_keys():
+    """graph6 keys of the 608 minimally rigid classes for n = 8."""
+    return minimally_rigid_graph6(8)

@@ -409,6 +409,55 @@ def slow_gsc_decomposition(g: Graph) -> dict | None:
     }
 
 
+def slow_cycle_closing_edge_order(g: Graph) -> list[int]:
+    """The edge order by a full scan per step: most visited endpoints, then
+    smallest index (the quadratic original of the heap version)."""
+    visited: set[int] = set(g.edges[0]) if g.m else set()
+    order = [0] if g.m else []
+    remaining = set(range(1, g.m))
+    while remaining:
+        i = min(remaining, key=lambda j: (-((g.edges[j][0] in visited) + (g.edges[j][1] in visited)), j))
+        order.append(i)
+        remaining.remove(i)
+        visited.update(g.edges[i])
+    return order
+
+
+def slow_0extension(g: Graph) -> tuple[bool, int | None]:
+    """Recursive memoised 0-extension search: (buildable, min open steps).
+
+    Recurses once per removed vertex, so only for small graphs.
+    """
+    from rignac.graph import is_connected
+
+    if g.n < 2:
+        return (False, None)
+    if g.n == 2:
+        return (g.m == 1, 0 if g.m == 1 else None)
+    if g.m != 2 * g.n - 3 or not is_connected(g):
+        return (False, None)
+    memo: dict[frozenset[int], int | None] = {}
+
+    def search(verts: frozenset[int]) -> int | None:
+        if len(verts) == 2:
+            return 0
+        if verts not in memo:
+            best = None
+            for w in verts:
+                nbrs = g.adjacency[w] & verts
+                if len(nbrs) == 2:
+                    a, b = nbrs
+                    sub = search(verts - {w})
+                    if sub is not None:
+                        cost = (0 if g.has_edge(a, b) else 1) + sub
+                        best = cost if best is None else min(best, cost)
+            memo[verts] = best
+        return memo[verts]
+
+    result = search(frozenset(range(g.n)))
+    return (result is not None, result)
+
+
 # ---------------------------------------------------------------------------
 # corpora
 

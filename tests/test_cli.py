@@ -69,6 +69,11 @@ class TestAnalyze:
         assert report["gsc"] == {"member": True, "prisms": 0}
         assert report["stable_cut"] is None and report["stable_cut_method"] == "gsc"
 
+    def test_deep_2tree_count(self, monkeypatch, capsys):
+        g = make_2tree(55, 1500)
+        code, out, _ = run_cli(monkeypatch, capsys, ["analyze", "--count"], edge_text(g))
+        assert code == 0 and json.loads(out)["nnac"] == "0"
+
     def test_small_non_member_keeps_exhaustive_cut(self, monkeypatch, capsys):
         code, out, _ = run_cli(monkeypatch, capsys, ["analyze"], NON_MEMBER_EDGES)
         report = json.loads(out)
@@ -113,6 +118,16 @@ class TestNac:
     def test_construct_refuses_large_non_member(self, monkeypatch, capsys):
         code, out, err = run_cli(monkeypatch, capsys, ["nac", "construct"], EARED_NON_MEMBER_EDGES)
         assert code == 3 and out == "" and "exhaustive search limited" in err
+
+    def test_count_is_the_same_at_every_worker_count(self, monkeypatch, capsys):
+        h18 = edge_text(fixtures()["h18"].graph)
+        payloads = []
+        for threads in ("1", "2"):
+            code, out, _ = run_cli(monkeypatch, capsys, ["nac", "count", "--threads", threads], h18)
+            assert code == 0
+            payloads.append(json.loads(out))
+        assert payloads[0]["nnac"] == payloads[1]["nnac"] == "180607"
+        assert payloads[0]["nodes"] == payloads[1]["nodes"] > 0
 
     def test_threads_flag(self, monkeypatch, capsys):
         code, out, _ = run_cli(
@@ -164,8 +179,16 @@ class TestStableCut:
         assert payload["cut"] == [2, 5] and payload["components_after_removal"] == 2
 
     def test_large_non_member_is_skipped(self, monkeypatch, capsys):
+        # nothing is proven, so this is a refusal (exit 3), not a negative answer
         code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut"], EARED_NON_MEMBER_EDGES)
-        assert code == 1 and json.loads(out) == {"cut": None, "method": "skipped"}
+        payload = json.loads(out)
+        assert code == 3 and payload.pop("reason")
+        assert payload == {"cut": None, "method": "skipped"}
+
+    def test_analyze_keeps_exit_0_when_skipped(self, monkeypatch, capsys):
+        code, out, _ = run_cli(monkeypatch, capsys, ["analyze"], EARED_NON_MEMBER_EDGES)
+        report = json.loads(out)
+        assert code == 0 and report["stable_cut"] is None and report["stable_cut_method"] == "skipped"
 
     def test_peel_is_checked_against_exhaustive_search(self, monkeypatch, capsys):
         # a peel that misses a member contradicts Le and Pfender: exhaustive

@@ -7,6 +7,7 @@ import pytest
 
 from rignac.colouring import (
     BLUE,
+    _frontier_count,
     RED,
     EdgeColouring,
     PartialNacState,
@@ -25,12 +26,14 @@ from rignac.colouring import (
     nnac_upper_bound,
     separation_from_nap,
     separation_from_stable_cut,
+    triangle_classes,
 )
 from rignac.graph import (
     Graph,
     PreconditionError,
     Separation,
     blocks,
+    connected_components,
     parse_graph6,
 )
 from rignac.rigidity import rigidity_report
@@ -57,6 +60,7 @@ from oracles import (
     random_connected_graph,
     random_flexible_connected,
     random_prism_chain,
+    slow_cycle_closing_edge_order,
 )
 
 
@@ -517,3 +521,105 @@ class TestLocallyNac:
             for c in found:
                 sub_red = [i for i in range(gp.m) if c.is_red(mapping[i])]
                 assert locally_nac_check(gp, EdgeColouring.from_red_edges(gp.m, sub_red), k)
+
+
+def random_graph(rnd: random.Random, n: int, m: int) -> Graph:
+    """Any simple graph: may be disconnected or have isolated vertices."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, rnd.sample(pairs, min(m, len(pairs))))
+
+
+class TestEdgeOrder:
+    def test_matches_full_scan_on_h18(self, fix):
+        g = fix["h18"].graph
+        assert cycle_closing_edge_order(g) == slow_cycle_closing_edge_order(g)
+
+    def test_matches_full_scan_on_catalogs_up_to_8(self, laman_keys, laman8_keys):
+        for key in [k for n in laman_keys for k in laman_keys[n]] + laman8_keys:
+            g = parse_graph6(key)
+            assert cycle_closing_edge_order(g) == slow_cycle_closing_edge_order(g), key
+
+    def test_matches_full_scan_on_random_graphs(self):
+        rnd = random.Random(4100)
+        for _ in range(200):
+            n = rnd.randrange(2, 30)
+            g = random_graph(rnd, n, rnd.randrange(1, 3 * n))
+            assert cycle_closing_edge_order(g) == slow_cycle_closing_edge_order(g), g.edges
+
+    def test_is_a_permutation_starting_at_edge_0(self):
+        g = make_2tree(41, 1500)
+        order = cycle_closing_edge_order(g)
+        assert order[0] == 0 and sorted(order) == list(range(g.m))
+        assert cycle_closing_edge_order(Graph.from_edges(3, [])) == []
+
+
+class TestTriangleClasses:
+    def test_examples(self):
+        assert triangle_classes(bowtie()) == [[0, 1, 2], [3, 4, 5]]
+        assert triangle_classes(make_2tree(3, 12)) == [list(range(21))]
+        assert triangle_classes(make_cycle(5)) == [[i] for i in range(5)]
+
+    def test_nac_colourings_are_constant_on_classes(self, laman_keys):
+        for key in laman_keys[6] + laman_keys[7]:
+            g = parse_graph6(key)
+            found: list[EdgeColouring] = []
+            enumerate_nac(g, on_found=found.append)
+            for c in found:
+                for unit in triangle_classes(g):
+                    assert len({c.is_red(i) for i in unit}) == 1
+
+
+class TestFrontierCounter:
+    """count_nac (the block product over the frontier counter) against the DFS."""
+
+    def test_catalog_classes_up_to_8(self, laman_keys, laman8_keys):
+        keys = [k for n in laman_keys for k in laman_keys[n]] + laman8_keys
+        assert len(keys) == 696
+        for key in keys:
+            g = parse_graph6(key)
+            assert count_nac(g) == enumerate_nac(g), key
+
+    def test_seeded_random_graphs(self):
+        # disconnected graphs, isolated vertices and cut vertices all occur;
+        # the counter is also run on the whole graph, without the block product
+        rnd = random.Random(4200)
+        kinds = {"disconnected": 0, "isolated": 0, "cut vertex": 0}
+        for _ in range(200):
+            n = rnd.randrange(2, 10)
+            g = random_graph(rnd, n, rnd.randrange(1, 2 * n))
+            want = enumerate_nac(g)
+            assert count_nac(g) == want, g.edges
+            assert _frontier_count(g)[0] == want, g.edges
+            core = [v for v in range(g.n) if g.adjacency[v]]
+            kinds["isolated"] += len(core) < g.n
+            kinds["disconnected"] += len(connected_components(g)) > 1
+            kinds["cut vertex"] += len(core) == g.n and len(blocks(g)) > len(connected_components(g))
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_complete_bipartite_formula(self):
+        for a in range(1, 6):
+            for b in range(a, 6):
+                if a + b > 2:
+                    assert count_nac(make_complete_bipartite(a, b)) == 2 ** (a + b - 2) - 1, (a, b)
+        assert count_nac(make_complete_bipartite(6, 10)) == 2 ** 14 - 1
+
+    def test_flagship_and_deterministic_states(self, fix):
+        first: dict = {}
+        second: dict = {}
+        assert count_nac(fix["h18"].graph, first) == 180607
+        assert count_nac(fix["h18"].graph, second) == 180607
+        assert first["states"] == second["states"] > 0
+
+    def test_long_cycle_needs_no_recursion(self):
+        # one level per edge: 3000 levels, far past Python's recursion limit
+        n = 3000
+        assert count_nac(make_cycle(n)) == 2 ** (n - 1) - (n + 1)
+
+    def test_2tree_is_one_unit(self):
+        stats: dict = {}
+        assert count_nac(make_2tree(42, 1500), stats) == 0
+        assert stats["states"] == 1
+
+    def test_requires_an_edge(self):
+        with pytest.raises(PreconditionError):
+            count_nac(Graph.from_edges(3, []))

@@ -34,6 +34,7 @@ from oracles import (
     random_gsc_member,
     random_prism_chain,
     random_two_body,
+    slow_0extension,
     slow_gsc_decomposition,
 )
 
@@ -437,6 +438,14 @@ class TestZeroExtensionRecognition:
         assert recognize_0extension_graph(g1) == (True, 0)
         g2, _ = make_gk(2)
         assert recognize_0extension_graph(g2) == (True, 2)
+
+    def test_deep_2tree_needs_no_recursion(self):
+        assert recognize_0extension_graph(make_2tree(1, 1200)) == (True, 0)
+
+    def test_matches_recursive_search_on_catalogs_up_to_8(self, laman_keys, laman8_keys):
+        for key in [k for n in laman_keys for k in laman_keys[n]] + laman8_keys:
+            g = parse_graph6(key)
+            assert recognize_0extension_graph(g) == slow_0extension(g), key
 
     def test_open_step_count_oracle(self, laman_keys):
         # independent unmemoised search on the 5- and 6-vertex classes
