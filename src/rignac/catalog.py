@@ -10,7 +10,14 @@ from itertools import combinations
 from typing import Optional
 
 from .colouring import count_nac
-from .graph import Graph, PreconditionError, canonical_form, parse_graph6
+from .graph import (
+    Graph,
+    PreconditionError,
+    canonical_form,
+    canonical_search,
+    certificate_graph6,
+    parse_graph6,
+)
 from .rigidity import (
     GscDecomposition,
     count_prism_subgraphs,
@@ -60,21 +67,66 @@ def _classify(g6: str) -> CatalogEntry:
     )
 
 
+def _orbit_representatives(items: list, gens: list[list[int]], image) -> list:
+    """The first item of each orbit of the group generated by gens;
+    ``image(gen, item)`` is the item that gen maps item to."""
+    seen: set = set()
+    reps = []
+    for item in items:
+        if item in seen:
+            continue
+        reps.append(item)
+        seen.add(item)
+        stack = [item]
+        while stack:
+            x = stack.pop()
+            for gen in gens:
+                y = image(gen, x)
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return reps
+
+
+def _pair(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a < b else (b, a)
+
+
+def _extension_choices(g: Graph, gens: list[list[int]]) -> tuple[list, list]:
+    """One vertex pair (0-extension) and one (edge, vertex) triple
+    (1-extension) per orbit of the group generated by gens."""
+    pairs = list(combinations(range(g.n), 2))
+    triples = [(x, y, z) for x, y in g.edges for z in range(g.n) if z != x and z != y]
+    return (
+        _orbit_representatives(pairs, gens, lambda s, p: _pair(s[p[0]], s[p[1]])),
+        _orbit_representatives(triples, gens, lambda s, t: (*_pair(s[t[0]], s[t[1]]), s[t[2]])),
+    )
+
+
 def _henneberg_children(g: Graph) -> set[str]:
-    """Canonical graph6 keys of all one-vertex extensions of a tight graph."""
-    out: set[str] = set()
+    """Canonical graph6 keys of all one-vertex extensions of a tight graph.
+
+    Automorphic extensions give isomorphic children, so one choice per orbit
+    of the parent's automorphism group is extended.  Children are keyed by
+    their certificate; graph6 is emitted once per distinct key.
+    """
     n = g.n
-    for u, v in combinations(range(n), 2):
-        child = Graph.from_edges(n + 1, list(g.edges) + [(u, n), (v, n)])
-        out.add(canonical_form(child).decode("ascii"))
-    for i, (x, y) in enumerate(g.edges):
-        kept = g.edges[:i] + g.edges[i + 1 :]
-        for z in range(n):
-            if z == x or z == y:
-                continue
-            child = Graph.from_edges(n + 1, list(kept) + [(x, n), (y, n), (z, n)])
-            out.add(canonical_form(child).decode("ascii"))
-    return out
+    adj = [list(a) for a in g.adjacency]
+    pairs, triples = _extension_choices(g, canonical_search(adj)[1])
+    certs: set[int] = set()
+    for u, v in pairs:
+        child = [list(a) for a in adj] + [[u, v]]
+        child[u].append(n)
+        child[v].append(n)
+        certs.add(canonical_search(child)[0])
+    for x, y, z in triples:
+        child = [list(a) for a in adj] + [[x, y, z]]
+        child[x].remove(y)
+        child[y].remove(x)
+        for w in (x, y, z):
+            child[w].append(n)
+        certs.add(canonical_search(child)[0])
+    return {certificate_graph6(n + 1, c) for c in certs}
 
 
 def _children_job(g6: str) -> set[str]:

@@ -415,18 +415,15 @@ def enumerate_nac(
     *,
     first_only: bool = False,
     workers: int = 1,
-    heuristic_order: bool = False,
 ) -> int:
     """Exact count of NAC colour classes; optionally emits one witness per class.
 
     Edge 0 is pinned blue, so every class is seen exactly once and the
     returned count is already the half-count.  Emission order is the DFS
-    (red-before-blue) order over the processing sequence; the count is
-    invariant under edge order and worker count.
+    (red-before-blue) order over the edge indices; the count is invariant
+    under relabelling and worker count.
     """
-    count, _nodes, _ms = enumerate_nac_detailed(
-        g, on_found, first_only=first_only, workers=workers, heuristic_order=heuristic_order
-    )
+    count, _nodes, _ms = enumerate_nac_detailed(g, on_found, first_only=first_only, workers=workers)
     return count
 
 
@@ -436,13 +433,12 @@ def enumerate_nac_detailed(
     *,
     first_only: bool = False,
     workers: int = 1,
-    heuristic_order: bool = False,
 ) -> tuple[int, int, float]:
     """enumerate_nac plus (search nodes, elapsed milliseconds)."""
     if g.m < 1:
         raise PreconditionError("enumeration requires at least one edge")
     start = time.perf_counter()
-    order = cycle_closing_edge_order(g) if heuristic_order else list(range(g.m))
+    order = list(range(g.m))
     if workers <= 1 or first_only or g.m < 6:
         state = PartialNacState(g)
         count, nodes = _dfs(g, order, 0, state, on_found, first_only)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .colouring import EdgeColouring
+from .colouring import EdgeColouring, ladder_edges
 from .graph import Graph, PreconditionError
 from .rigidity import GscDecomposition, GscStep
 
@@ -104,11 +104,7 @@ def make_gk_prime(k: int) -> Graph:
     """The ladder part of make_gk: roles a_i=2i-2, b_i=2i-1."""
     if k < 1:
         raise PreconditionError("k must be positive")
-    edges = []
-    for i in range(k - 1):
-        a, b, a2, b2 = 2 * i, 2 * i + 1, 2 * i + 2, 2 * i + 3
-        edges += [(a, a2), (b, b2), (a, b2), (b, a2)]
-    return Graph.from_edges(2 * k, edges)
+    return Graph.from_edges(2 * k, ladder_edges(k))
 
 
 # ---------------------------------------------------------------------------

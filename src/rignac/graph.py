@@ -202,24 +202,33 @@ def parse_graph6(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _pair_shifts(n: int) -> list[list[int]]:
+    """shifts[p][q] for q < p: the bit of pair {q, p} in a graph6 certificate.
+
+    graph6 lists the pairs column by column (p = 1..n-1, q = 0..p-1), first
+    pair in the most significant bit.
+    """
+    top = n * (n - 1) // 2 - 1
+    return [[top - p * (p - 1) // 2 - q for q in range(p)] for p in range(n)]
+
+
+def certificate_graph6(n: int, cert: int) -> str:
+    """The graph6 string of n vertices whose bit string, read as one integer, is cert.
+
+    For equal n these strings compare as their certificates do.
+    """
+    nbits = n * (n - 1) // 2
+    chunks = (nbits + 5) // 6
+    cert <<= 6 * chunks - nbits
+    return chr(n + 63) + "".join(chr((cert >> 6 * k & 63) + 63) for k in range(chunks - 1, -1, -1))
+
+
 def emit_graph6(g: Graph) -> str:
     """Encode as a standard graph6 string (n <= 62), bit-exact."""
     if g.n > 62:
         raise ValueError("graph6 emission limited to 62 vertices")
-    bits = []
-    for j in range(1, g.n):
-        adj_j = g.adjacency[j]
-        for i in range(j):
-            bits.append(1 if i in adj_j else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    shifts = _pair_shifts(g.n)
+    return certificate_graph6(g.n, sum(1 << shifts[v][u] for u, v in g.edges))
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -427,64 +436,106 @@ def contract_edge(g: Graph, e: int) -> tuple[Graph, int]:
 # canonical forms (small graphs)
 
 
-def _refine(adj: Sequence[frozenset[int]], colours: list[int]) -> list[int]:
-    n = len(colours)
+def _refine(nbrs: Sequence[Iterable[int]], colours: list[int], cells: int) -> tuple[list[int], int]:
+    """Colour refinement to an equitable partition.
+
+    Each pass ranks the signatures (colour, sorted neighbour colours); the
+    first pass that leaves the number of cells (``cells`` on entry) unchanged
+    ends the refinement.  Returns that pass's colours 0..k-1 and k.
+    """
     while True:
-        sigs = [
-            (colours[v], tuple(sorted(colours[u] for u in adj[v]))) for v in range(n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colours:
-            return colours
-        colours = new
+        sigs = [(c, tuple(sorted([colours[u] for u in nb]))) for c, nb in zip(colours, nbrs)]
+        distinct = sorted(set(sigs))
+        rank = {s: i for i, s in enumerate(distinct)}
+        colours = [rank[s] for s in sigs]
+        if len(distinct) == cells:
+            return colours, cells
+        cells = len(distinct)
 
 
-def _form_bytes(g: Graph, order: Sequence[int]) -> bytes:
-    pos = {v: i for i, v in enumerate(order)}
-    relabelled = Graph.from_edges(g.n, [(pos[u], pos[v]) for u, v in g.edges])
-    return emit_graph6(relabelled).encode("ascii")
+def canonical_search(nbrs: Sequence[Iterable[int]]) -> tuple[int, list[list[int]]]:
+    """Canonical certificate of a graph and generators of its automorphism group.
+
+    ``nbrs[v]`` holds the neighbours of vertex v.  After each refinement the
+    search individualises, in vertex order, each vertex of the smallest colour
+    with more than one vertex.  A leaf's certificate is the graph6 bit string
+    of its labelling read as one integer, so the smallest certificate is the
+    graph6 minimum.  A leaf whose certificate equals the first or the best
+    leaf's gives an automorphism; a child is skipped when its vertex lies in
+    the orbit of an explored sibling under the automorphisms found so far that
+    fix the individualised prefix, because its subtree is an image of the
+    sibling's with the same certificates (McKay and Piperno, J. Symb. Comput.
+    2014).  The generators returned generate the whole automorphism group;
+    each maps vertex v to ``gen[v]``.  The search recurses once per
+    individualised vertex, so n <= 12.
+    """
+    n = len(nbrs)
+    if n > CANONICAL_FORM_MAX_VERTICES:
+        raise PreconditionError(
+            f"canonical_form limited to {CANONICAL_FORM_MAX_VERTICES} vertices, got {n}"
+        )
+    shifts = _pair_shifts(n)
+    gens: list[list[int]] = []
+    first: tuple[int, list[int]] | None = None
+    best: tuple[int, list[int]] | None = None
+
+    def visit(colours: list[int], cells: int, prefix: list[int]) -> None:
+        nonlocal first, best
+        colours, cells = _refine(nbrs, colours, cells)
+        if cells == n:
+            cert = 0
+            for v, p in enumerate(colours):
+                row = shifts[p]
+                for w in nbrs[v]:
+                    q = colours[w]
+                    if q < p:
+                        cert |= 1 << row[q]
+            if first is None:
+                first = best = (cert, colours)
+                return
+            ref = first if cert == first[0] else best if cert == best[0] else None
+            if ref is not None:
+                at = [0] * n
+                for v, p in enumerate(colours):
+                    at[p] = v
+                gens.append([at[p] for p in ref[1]])
+            elif cert < best[0]:
+                best = (cert, colours)
+            return
+        size = [0] * cells
+        for c in colours:
+            size[c] += 1
+        target = next(c for c in range(cells) if size[c] > 1)
+        orbit = list(range(n))  # orbit labels under the generators fixing prefix
+        used = 0
+        explored: list[int] = []
+        for w in [v for v in range(n) if colours[v] == target]:
+            if explored:
+                for gen in gens[used:]:
+                    if all(gen[p] == p for p in prefix):
+                        for v in range(n):
+                            a, b = orbit[v], orbit[gen[v]]
+                            if a != b:
+                                orbit = [a if o == b else o for o in orbit]
+                used = len(gens)
+                if any(orbit[w] == orbit[x] for x in explored):
+                    continue
+            explored.append(w)
+            visit([2 * c + (u != w) for u, c in enumerate(colours)], cells + 1, prefix + [w])
+
+    visit([0] * n, 1, [])
+    assert best is not None
+    return best[0], gens
 
 
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: equal iff isomorphic (n <= 12).
 
-    Colour refinement plus individualisation search; the result is the graph6
-    encoding of the canonical labelling, so it doubles as a catalog key.
+    The graph6 encoding of the canonical labelling found by
+    ``canonical_search``, so it doubles as a catalog key.
     """
-    if g.n > CANONICAL_FORM_MAX_VERTICES:
-        raise PreconditionError(
-            f"canonical_form limited to {CANONICAL_FORM_MAX_VERTICES} vertices, got {g.n}"
-        )
-    if g.m == 0 or g.m == g.n * (g.n - 1) // 2:
-        # empty/complete: every labelling yields the same form
-        return _form_bytes(g, range(g.n))
-    adj = g.adjacency
-    best: list[bytes | None] = [None]
-
-    def search(colours: list[int]) -> None:
-        colours = _refine(adj, colours)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colours):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = c
-                break
-        if target is None:
-            order = [v for _, v in sorted((c, v) for v, c in enumerate(colours))]
-            form = _form_bytes(g, order)
-            if best[0] is None or form < best[0]:
-                best[0] = form
-            return
-        for v in cells[target]:
-            branched = [c * 2 + (0 if u == v else 1) for u, c in enumerate(colours)]
-            search(branched)
-
-    search([0] * g.n)
-    assert best[0] is not None
-    return best[0]
+    cert, _ = canonical_search(g.adjacency)
+    return certificate_graph6(g.n, cert).encode("ascii")
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from rignac.graph import Graph
+from rignac.graph import Graph, parse_graph6
 
 _GFP = 2_147_483_647
 
@@ -273,6 +273,91 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
         if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in hedges for u, v in g.edges):
             return True
     return False
+
+
+def _slow_graph6(g: Graph, order: list[int]) -> bytes:
+    """graph6 bytes of g relabelled so that order[i] becomes vertex i, bit by bit."""
+    pos = {v: i for i, v in enumerate(order)}
+    edges = {(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in g.edges}
+    bits = [1 if (i, j) in edges else 0 for j in range(1, g.n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    out = [g.n + 63]
+    for k in range(0, len(bits), 6):
+        val = 0
+        for b in bits[k : k + 6]:
+            val = (val << 1) | b
+        out.append(val + 63)
+    return bytes(out)
+
+
+def slow_canonical_form(g: Graph) -> bytes:
+    """The canonical form by the unpruned individualisation search.
+
+    Refinement runs until a pass changes no colour; every leaf of the search
+    tree is relabelled and encoded, and the smallest graph6 string wins.
+    Exponential on symmetric graphs, so only for small inputs.
+    """
+    adj = g.adjacency
+
+    def refine(colours: list[int]) -> list[int]:
+        while True:
+            sigs = [(colours[v], tuple(sorted(colours[u] for u in adj[v]))) for v in range(g.n)]
+            rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            new = [rank[s] for s in sigs]
+            if new == colours:
+                return colours
+            colours = new
+
+    best: list[bytes] = []
+
+    def search(colours: list[int]) -> None:
+        colours = refine(colours)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colours):
+            cells.setdefault(c, []).append(v)
+        target = min((c for c in cells if len(cells[c]) > 1), default=None)
+        if target is None:
+            form = _slow_graph6(g, sorted(range(g.n), key=colours.__getitem__))
+            if not best or form < best[0]:
+                best[:] = [form]
+            return
+        for v in cells[target]:
+            search([c * 2 + (0 if u == v else 1) for u, c in enumerate(colours)])
+
+    search([0] * g.n)
+    return best[0]
+
+
+def henneberg_extensions(g: Graph) -> list[Graph]:
+    """Every 0-extension (new vertex n on a vertex pair) and 1-extension
+    (edge xy replaced by new vertex n on x, y and a third vertex z) of g."""
+    n = g.n
+    children = [list(g.edges) + [(u, n), (v, n)] for u, v in combinations(range(n), 2)]
+    for i, (x, y) in enumerate(g.edges):
+        kept = list(g.edges[:i] + g.edges[i + 1 :])
+        children += [kept + [(x, n), (y, n), (z, n)] for z in range(n) if z not in (x, y)]
+    return [Graph.from_edges(n + 1, es) for es in children]
+
+
+def slow_henneberg_children(g: Graph) -> set[str]:
+    """Keys of every Henneberg extension of g, each put through slow_canonical_form."""
+    return {slow_canonical_form(h).decode("ascii") for h in henneberg_extensions(g)}
+
+
+def relabelled(g: Graph, rnd: random.Random) -> Graph:
+    """g with its vertices permuted at random."""
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def slow_minimally_rigid_graph6(n: int) -> list[str]:
+    """Sorted canonical keys of the minimally rigid classes on n vertices,
+    grown from the triangle with slow_henneberg_children (n <= 8)."""
+    level = {slow_canonical_form(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])).decode("ascii")}
+    for _ in range(3, n):
+        level = set().union(*(slow_henneberg_children(parse_graph6(k)) for k in level))
+    return sorted(level)
 
 
 def brute_is_biconnected(g: Graph) -> bool:

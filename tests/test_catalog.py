@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import io
+import json
 import os
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from rignac.catalog import (
     CatalogEntry,
+    _extension_choices,
+    _henneberg_children,
     check_conjecture_61,
     enumerate_minimally_rigid,
     histogram_report,
@@ -15,10 +19,13 @@ from rignac.catalog import (
     nnac_histogram,
     save_catalog,
 )
-from rignac.graph import Graph, PreconditionError, canonical_form
+from rignac.cli import main
+from rignac.graph import Graph, PreconditionError, canonical_form, canonical_search, parse_graph6
 from rignac.rigidity import rank
 from rignac.constructions import make_complete_bipartite
 from rignac.stable_cut import exhaustive_stable_cut
+
+from oracles import slow_henneberg_children, slow_minimally_rigid_graph6
 
 PUBLISHED_HISTOGRAM_7 = {0: 12, 1: 25, 2: 4, 3: 18, 4: 1, 6: 2, 7: 5, 12: 1, 15: 1, 31: 1}
 
@@ -67,6 +74,41 @@ class TestGeneration:
     def test_deterministic_order(self, laman_keys):
         assert laman_keys[6] == sorted(laman_keys[6])
         assert laman_keys[6] == minimally_rigid_graph6(6)
+
+    def test_orbit_pruned_children_match_oracle(self, laman_keys):
+        # one extension per orbit of the parent's automorphisms loses no class
+        for n in range(3, 8):
+            for key in laman_keys[n]:
+                g = parse_graph6(key)
+                assert _henneberg_children(g) == slow_henneberg_children(g), key
+
+    def test_extension_choices_are_one_per_orbit(self, laman_keys):
+        # against orbits under every automorphism, found by brute force
+        for n in range(3, 7):
+            for key in laman_keys[n]:
+                g = parse_graph6(key)
+                edges = set(g.edges)
+                auts = [
+                    p
+                    for p in permutations(range(n))
+                    if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in g.edges)
+                ]
+                pairs, triples = _extension_choices(g, canonical_search(g.adjacency)[1])
+                pair_orbits = [frozenset(frozenset((a[u], a[v])) for a in auts) for u, v in pairs]
+                all_pairs = {frozenset(p) for p in combinations(range(n), 2)}
+                assert len(set(pair_orbits)) == len(pairs) and set().union(*pair_orbits) == all_pairs
+                triple_orbits = [frozenset((frozenset((a[x], a[y])), a[z]) for a in auts) for x, y, z in triples]
+                all_triples = {(frozenset(e), z) for e in edges for z in range(n) if z not in e}
+                assert len(set(triple_orbits)) == len(triples) and set().union(*triple_orbits) == all_triples
+
+    def test_generation_worker_invariance_n8(self, laman8_keys):
+        assert minimally_rigid_graph6(8, workers=2) == laman8_keys
+
+    def test_catalog_json_matches_oracle_generation(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main(["catalog", "--n", "7", "--threads", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps({"classes": slow_minimally_rigid_graph6(7), "n": 7}) + "\n"
 
 
 class TestHistograms:

@@ -60,6 +60,7 @@ from oracles import (
     random_connected_graph,
     random_flexible_connected,
     random_prism_chain,
+    relabelled,
     slow_cycle_closing_edge_order,
 )
 
@@ -227,8 +228,9 @@ class TestEnumerationEngine:
         assert is_nac(fix["k33"].graph, got[0])
 
     def test_order_invariance(self, laman_keys):
+        rnd = random.Random(17)
         for g in small_corpus(laman_keys):
-            assert enumerate_nac(g) == enumerate_nac(g, heuristic_order=True)
+            assert enumerate_nac(g) == enumerate_nac(relabelled(g, rnd))
 
     def test_worker_invariance(self, fix):
         for g in (fix["k33"].graph, make_cycle(9), make_gk(3)[0]):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from rignac.graph import (
     are_isomorphic,
     blocks,
     canonical_form,
+    canonical_search,
     connected_components,
     contract_edge,
     emit_edge_list,
@@ -26,7 +28,14 @@ from rignac.graph import (
     parse_graph6,
 )
 
-from oracles import brute_is_biconnected, brute_isomorphic, random_connected_graph
+from oracles import (
+    brute_is_biconnected,
+    brute_isomorphic,
+    henneberg_extensions,
+    random_connected_graph,
+    relabelled,
+    slow_canonical_form,
+)
 
 
 def triangle():
@@ -264,6 +273,129 @@ class TestCanonicalForm:
                 g = parse_graph6(key)
                 assert emit_graph6(g) == key
                 assert parse_graph(emit_edge_list(g)) == g
+
+
+def _few_automorphisms(g: Graph, limit: int = 120) -> bool:
+    """At most `limit` automorphisms, counted by networkx."""
+    matcher = nx.algorithms.isomorphism.GraphMatcher(_to_nx(g), _to_nx(g))
+    return sum(1 for _ in itertools.islice(matcher.isomorphisms_iter(), limit + 1)) <= limit
+
+
+def _random_graphs(seed: int, count: int) -> list[Graph]:
+    """Seeded graphs with n <= 9: sparse, dense, disconnected and any density.
+
+    The slow oracle visits every leaf of its search tree, at least one per
+    automorphism, so graphs with more than 120 automorphisms are drawn again;
+    TestCanonicalSearch covers symmetric graphs on their own.
+    """
+    rnd = random.Random(seed)
+    out: list[Graph] = []
+    while len(out) < count:
+        kind = len(out) % 4
+        n = rnd.randrange(1, 10)
+        pairs = list(combinations(range(n), 2))
+        if kind == 0:  # sparse
+            m = rnd.randrange(n - 1, n + 3)
+        elif kind == 1:  # dense
+            m = len(pairs) - rnd.randrange(n - 1, n + 3)
+        elif kind == 2:  # no edge between vertices below and above a cut
+            cut = rnd.randrange(1, n) if n > 1 else 1
+            pairs = [(u, v) for u, v in pairs if (u < cut) == (v < cut)]
+            m = rnd.randrange(0, len(pairs) + 1)
+        else:
+            m = rnd.randrange(0, len(pairs) + 1)
+        g = Graph.from_edges(n, rnd.sample(pairs, max(0, min(m, len(pairs)))))
+        if _few_automorphisms(g):
+            out.append(g)
+    return out
+
+
+def _automorphisms(g: Graph) -> set[tuple[int, ...]]:
+    edges = set(g.edges)
+    return {
+        p
+        for p in itertools.permutations(range(g.n))
+        if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in g.edges)
+    }
+
+
+def _group(gens: list[list[int]], n: int) -> set[tuple[int, ...]]:
+    """Closure of the generators under composition."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        new = []
+        for a in frontier:
+            for gen in gens:
+                c = tuple(gen[a[v]] for v in range(n))
+                if c not in group:
+                    group.add(c)
+                    new.append(c)
+        frontier = new
+    return group
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+class TestCanonicalSearch:
+    """The pruned search against the unpruned slow path in tests/oracles.py."""
+
+    def test_generation_inputs_match_oracle(self, laman_keys):
+        inputs = [triangle()]
+        for n in range(3, 8):
+            for key in laman_keys[n]:
+                inputs += henneberg_extensions(parse_graph6(key))
+        assert len(inputs) == 6099
+        for g in inputs:
+            assert canonical_form(g) == slow_canonical_form(g), g.edges
+
+    def test_random_graphs_and_relabellings_match_oracle(self):
+        rnd = random.Random(5)
+        graphs = _random_graphs(41, 2000)
+        assert sum(1 for g in graphs if not is_connected(g)) >= 500
+        for g in graphs:
+            want = slow_canonical_form(g)
+            assert canonical_form(g) == want, (g.n, g.edges)
+            assert canonical_form(relabelled(g, rnd)) == want, (g.n, g.edges)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph.from_edges(12, [(0, i) for i in range(1, 12)]),  # K_{1,11}
+            Graph.from_edges(12, [(i, j) for i in range(6) for j in range(6, 12)]),  # K_{6,6}
+            Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)]),  # C_12
+            Graph.from_edges(12, [(3 * t + a, 3 * t + b) for t in range(4) for a, b in ((0, 1), (0, 2), (1, 2))]),
+            _petersen(),
+        ],
+        ids=["K1_11", "K6_6", "C12", "4K3", "petersen"],
+    )
+    def test_symmetric_inputs_are_polynomial(self, g):
+        # the unpruned search visits 11! leaves on K_{1,11}; finishing is the guard
+        rnd = random.Random(g.n * 1000 + g.m)
+        assert canonical_form(relabelled(g, rnd)) == canonical_form(g)
+        _, gens = canonical_search(g.adjacency)
+        edges = set(g.edges)
+        for gen in gens:
+            assert {(min(gen[u], gen[v]), max(gen[u], gen[v])) for u, v in g.edges} == edges
+
+    def test_generators_generate_the_automorphism_group(self, laman_keys):
+        graphs = [parse_graph6(k) for k in laman_keys[6]] + _random_graphs(7, 40)
+        graphs += [
+            Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]),
+            Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+            Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+            Graph(5, ()),
+        ]
+        for g in graphs:
+            if g.n > 7:
+                continue
+            _, gens = canonical_search(g.adjacency)
+            assert _group(gens, g.n) == _automorphisms(g), g.edges
 
 
 class TestInvariantsMisc:
