@@ -19,12 +19,11 @@ from .graph import (
     parse_graph6,
 )
 from .rigidity import (
-    GscDecomposition,
     count_prism_subgraphs,
+    gsc_decomposition,
     is_2tree,
     rank,
     recognize_0extension_graph,
-    recognize_gsc,
 )
 
 CATALOG_VERSION = 1
@@ -53,8 +52,8 @@ def _classify(g6: str) -> CatalogEntry:
     g = parse_graph6(g6)
     nnac = count_nac(g)
     two_tree = is_2tree(g)
-    dec = recognize_gsc(g)
-    member = isinstance(dec, GscDecomposition)
+    dec = gsc_decomposition(g)
+    member = dec is not None
     zext, opens = recognize_0extension_graph(g)
     return CatalogEntry(
         graph6=g6,

@@ -74,11 +74,6 @@ def _emit(obj, args) -> None:
         print(text)
 
 
-def _workers(args) -> int:
-    t = getattr(args, "threads", None)
-    return t if t else col.default_workers()
-
-
 def _stable_cut_payload(g: Graph, result: Optional[sc.StableCutResult], method: Optional[str]) -> dict:
     if result is None:
         return {"cut": None, "method": method}
@@ -181,7 +176,6 @@ def cmd_components(args) -> int:
 
 def cmd_nac(args) -> int:
     g = _load_graph(args)
-    workers = _workers(args)
     if args.action == "count":
         start = time.perf_counter()
         stats: dict = {}
@@ -193,12 +187,12 @@ def cmd_nac(args) -> int:
             _emit({"nnac": str(count), "nodes": stats["states"], "millis": int(ms)}, args)
         return EXIT_OK
     if args.action == "exists":
-        count = col.enumerate_nac(g, first_only=True)
-        _emit("true" if count else "false", args)
-        return EXIT_OK if count else EXIT_NEGATIVE
+        found = col.count_nac(g) > 0
+        _emit("true" if found else "false", args)
+        return EXIT_OK if found else EXIT_NEGATIVE
     if args.action == "list":
         lines: list[str] = []
-        col.enumerate_nac(g, on_found=lambda c: lines.append(json.dumps(c.to_json())), workers=workers)
+        col.enumerate_nac_detailed(g, on_found=lambda c: lines.append(json.dumps(c.to_json())))
         _emit("\n".join(lines) if lines else "", args)
         return EXIT_OK
     # construct
@@ -290,7 +284,7 @@ def cmd_construct(args) -> int:
 
 def cmd_catalog(args) -> int:
     entries = cat.enumerate_minimally_rigid(
-        args.n, allow_large=args.allow_large, workers=_workers(args)
+        args.n, allow_large=args.allow_large, workers=args.threads
     )
     if args.out:
         cat.save_catalog(entries, args.n, args.out)
@@ -354,12 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="rignac", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_io(p, with_threads=False):
+    def add_io(p):
         p.add_argument("--file", default="-", help="input path or - for stdin")
         p.add_argument("--format", choices=["auto", "edgelist", "graph6"], default="auto")
         p.add_argument("--out", default=None, help="write output to a file")
-        if with_threads:
-            p.add_argument("--threads", type=int, default=None, help="worker count (default: RIGNAC_THREADS or cores)")
 
     p = sub.add_parser("analyze", help="one-object JSON report")
     add_io(p)
@@ -376,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nac", help="NAC-colouring operations")
     p.add_argument("action", choices=["count", "list", "exists", "construct"])
-    add_io(p, with_threads=True)
+    add_io(p)
     p.add_argument("--raw", action="store_true", help="bare decimal count")
+    p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_nac)
 
     p = sub.add_parser("nap", help="NAP-colouring operations")

@@ -9,7 +9,6 @@ colour-swap involution.
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from dataclasses import dataclass
 from math import comb
@@ -171,306 +170,7 @@ def connected_components_without(g: Graph, removed: frozenset[int]) -> list[froz
 
 
 # ---------------------------------------------------------------------------
-# the incremental partial-colouring state
-
-
-class PartialNacState:
-    """Two union-find forests (red and blue components) with trail-based undo.
-
-    Union by size, iterative find, no path compression, so a rollback
-    restores the exact prior forest.  Per colour and per component root a
-    list of other-coloured edge indices incident to that component is kept;
-    it is what makes the almost-monochromatic-cycle test O(small) under
-    unions.  Component counts never reach the component count of the graph
-    itself (that would force a monochromatic spanning forest); equality
-    triggers rejection.
-    """
-
-    __slots__ = ("g", "base", "parent", "size", "cross", "counts", "colours", "trail")
-
-    def __init__(self, g: Graph) -> None:
-        self.g = g
-        self.base = len(connected_components(g))
-        self.parent = (list(range(g.n)), list(range(g.n)))
-        self.size = ([1] * g.n, [1] * g.n)
-        self.cross: tuple[list[list[int]], list[list[int]]] = (
-            [[] for _ in range(g.n)],
-            [[] for _ in range(g.n)],
-        )
-        self.counts = [g.n, g.n]
-        self.colours = [-1] * g.m
-        self.trail: list[tuple] = []
-
-    def find(self, colour: int, x: int) -> int:
-        p = self.parent[colour]
-        while p[x] != x:
-            x = p[x]
-        return x
-
-    def red_component_count(self) -> int:
-        return self.counts[RED]
-
-    def blue_component_count(self) -> int:
-        return self.counts[BLUE]
-
-    def try_colour(self, i: int, red: bool) -> bool:
-        """Colour edge i; reject (committing nothing) if an invariant breaks."""
-        mine = RED if red else BLUE
-        other = 1 - mine
-        u, v = self.g.edges[i]
-        ou, ov = self.find(other, u), self.find(other, v)
-        if ou == ov:
-            return False  # almost cycle in the other colour through edge i
-        mu, mv = self.find(mine, u), self.find(mine, v)
-        union_rec = None
-        if mu != mv:
-            la, lb = self.cross[mine][mu], self.cross[mine][mv]
-            scan = la if len(la) <= len(lb) else lb
-            for j in scan:
-                a, b = self.g.edges[j]
-                ra, rb = self.find(mine, a), self.find(mine, b)
-                if (ra == mu and rb == mv) or (ra == mv and rb == mu):
-                    return False  # merging would trap an other-coloured edge
-            if self.counts[mine] - 1 == self.base:
-                return False  # monochromatic spanning forest
-            if self.size[mine][mu] < self.size[mine][mv]:
-                mu, mv = mv, mu
-            self.parent[mine][mv] = mu
-            self.size[mine][mu] += self.size[mine][mv]
-            old_len = len(self.cross[mine][mu])
-            self.cross[mine][mu].extend(self.cross[mine][mv])
-            self.counts[mine] -= 1
-            union_rec = (mine, mu, mv, old_len)
-        self.cross[other][ou].append(i)
-        self.cross[other][ov].append(i)
-        self.colours[i] = mine
-        self.trail.append((i, other, ou, ov, union_rec))
-        return True
-
-    def undo_last(self) -> None:
-        i, other, ou, ov, union_rec = self.trail.pop()
-        self.colours[i] = -1
-        self.cross[other][ov].pop()
-        self.cross[other][ou].pop()
-        if union_rec is not None:
-            colour, win, lose, old_len = union_rec
-            del self.cross[colour][win][old_len:]
-            self.size[colour][win] -= self.size[colour][lose]
-            self.parent[colour][lose] = lose
-            self.counts[colour] += 1
-
-    def checkpoint(self) -> int:
-        return len(self.trail)
-
-    def rollback(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            self.undo_last()
-
-    def mask(self) -> int:
-        out = 0
-        for i, c in enumerate(self.colours):
-            if c == RED:
-                out |= 1 << i
-        return out
-
-
-# ---------------------------------------------------------------------------
-# enumeration engine
-
-
-def cycle_closing_edge_order(g: Graph) -> list[int]:
-    """Heuristic order: starts at edge 0, prefers edges closing cycles early.
-
-    Each step takes the remaining edge with the most visited endpoints,
-    smallest index first.  A heap holds (-visited endpoints, edge) and gets
-    a new entry whenever an edge's count grows; the fresh entry always
-    surfaces before the older ones, which are then skipped, so the whole
-    order costs O(m log m).
-    """
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edges):
-        incident[u].append(i)
-        incident[v].append(i)
-    visited = [False] * g.n
-    taken = [False] * g.m
-    heap = [(0, i) for i in range(g.m)]  # sorted, so already a heap
-    order: list[int] = []
-    while heap:
-        _, i = heapq.heappop(heap)
-        if taken[i]:
-            continue
-        taken[i] = True
-        order.append(i)
-        for x in g.edges[i]:
-            if not visited[x]:
-                visited[x] = True
-                for j in incident[x]:
-                    if not taken[j]:
-                        u, v = g.edges[j]
-                        heapq.heappush(heap, (-visited[u] - visited[v], j))
-    return order
-
-
-def _dfs(
-    g: Graph,
-    order: list[int],
-    start_depth: int,
-    state: PartialNacState,
-    sink: Optional[Callable[[EdgeColouring], None]],
-    first_only: bool,
-    stop_depth: Optional[int] = None,
-    prefix_sink: Optional[Callable[[tuple[int, ...]], None]] = None,
-) -> tuple[int, int]:
-    """Iterative DFS from `start_depth`; returns (leaves, nodes).
-
-    Colours are tried red first, then blue; depth 0 is pinned blue.  When
-    `stop_depth` is set, paths are cut there and handed to `prefix_sink`
-    instead of being counted.
-    """
-    m = len(order)
-    limit = m if stop_depth is None else stop_depth
-    count = 0
-    nodes = 0
-    tried = [0] * (limit + 1)
-    marks = [0] * (limit + 1)
-    chosen = [BLUE] * (limit + 1)
-    d = start_depth
-    if d >= limit:
-        raise ValueError("start depth beyond stop depth")
-    tried[d] = 0
-    marks[d] = state.checkpoint()
-    while d >= start_depth:
-        if d == limit:
-            if stop_depth is not None:
-                prefix_sink(tuple(chosen[start_depth:limit]))
-            else:
-                count += 1
-                if sink is not None:
-                    sink(EdgeColouring(g.m, state.mask()))
-                if first_only:
-                    state.rollback(marks[start_depth])
-                    return count, nodes
-            d -= 1
-            continue
-        t = tried[d]
-        if order[d] == 0:  # pinned edge: blue only
-            nxt = BLUE if not t & 2 else None
-        elif not t & 1:
-            nxt = RED
-        elif not t & 2:
-            nxt = BLUE
-        else:
-            nxt = None
-        if nxt is None:
-            state.rollback(marks[d])
-            d -= 1
-            continue
-        tried[d] = t | (2 if nxt == BLUE else 1)
-        state.rollback(marks[d])
-        nodes += 1
-        if state.try_colour(order[d], nxt == RED):
-            chosen[d] = nxt
-            d += 1
-            if d <= limit:
-                tried[d] = 0
-                marks[d] = state.checkpoint()
-    return count, nodes
-
-
-def _replay_prefix(state: PartialNacState, order: list[int], prefix: tuple[int, ...]) -> None:
-    for d, colour in enumerate(prefix):
-        ok = state.try_colour(order[d], colour == RED)
-        if not ok:
-            raise RuntimeError("prefix replay failed; split is inconsistent")
-
-
-def _subtree_job(args) -> tuple[int, int, list[int]]:
-    g, order, prefix, want_masks = args
-    state = PartialNacState(g)
-    _replay_prefix(state, order, prefix)
-    masks: list[int] = []
-    sink = (lambda c: masks.append(c.mask)) if want_masks else None
-    count, nodes = _dfs(g, order, len(prefix), state, sink, False)
-    return count, nodes, masks
-
-
-def _split_prefixes(g: Graph, order: list[int], target: int) -> tuple[list[tuple[int, ...]], int]:
-    depth = 1
-    prefixes: list[tuple[int, ...]] = []
-    nodes = 0
-    while depth < g.m - 1:
-        prefixes = []
-        state = PartialNacState(g)
-        _, spent = _dfs(g, order, 0, state, None, False, stop_depth=depth, prefix_sink=prefixes.append)
-        nodes += spent
-        if len(prefixes) >= target or depth >= g.m - 2:
-            break
-        depth += 1
-    return prefixes, nodes
-
-
-def enumerate_nac(
-    g: Graph,
-    on_found: Optional[Callable[[EdgeColouring], None]] = None,
-    *,
-    first_only: bool = False,
-    workers: int = 1,
-) -> int:
-    """Exact count of NAC colour classes; optionally emits one witness per class.
-
-    Edge 0 is pinned blue, so every class is seen exactly once and the
-    returned count is already the half-count.  Emission order is the DFS
-    (red-before-blue) order over the edge indices; the count is invariant
-    under relabelling and worker count.
-    """
-    count, _nodes, _ms = enumerate_nac_detailed(g, on_found, first_only=first_only, workers=workers)
-    return count
-
-
-def enumerate_nac_detailed(
-    g: Graph,
-    on_found: Optional[Callable[[EdgeColouring], None]] = None,
-    *,
-    first_only: bool = False,
-    workers: int = 1,
-) -> tuple[int, int, float]:
-    """enumerate_nac plus (search nodes, elapsed milliseconds)."""
-    if g.m < 1:
-        raise PreconditionError("enumeration requires at least one edge")
-    start = time.perf_counter()
-    order = list(range(g.m))
-    if workers <= 1 or first_only or g.m < 6:
-        state = PartialNacState(g)
-        count, nodes = _dfs(g, order, 0, state, on_found, first_only)
-        return count, nodes, (time.perf_counter() - start) * 1000.0
-    from concurrent.futures import ProcessPoolExecutor
-
-    prefixes, nodes = _split_prefixes(g, order, 8 * workers)
-    want_masks = on_found is not None
-    jobs = [(g, order, p, want_masks) for p in prefixes]
-    total = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for cnt, nds, masks in pool.map(_subtree_job, jobs, chunksize=max(1, len(jobs) // (4 * workers))):
-            total += cnt
-            nodes += nds
-            if on_found is not None:
-                for mask in masks:
-                    on_found(EdgeColouring(g.m, mask))
-    return total, nodes, (time.perf_counter() - start) * 1000.0
-
-
-def default_workers() -> int:
-    env = os.environ.get("RIGNAC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-# ---------------------------------------------------------------------------
-# counting
+# the frontier programme: counting, listing and existence
 
 
 def triangle_classes(g: Graph) -> list[list[int]]:
@@ -503,18 +203,85 @@ def triangle_classes(g: Graph) -> list[list[int]]:
     return list(classes.values())
 
 
-def _frontier_levels(g: Graph) -> list[tuple[int, tuple[int, ...], list[tuple[int, int]], list[int]]]:
-    """The counter's levels: one per triangle class, in cycle-closing order.
+def _vertex_order(g: Graph) -> list[int]:
+    """A greedy vertex order that keeps the frontier small.
 
-    Level k colours unit k.  Its vertices are numbered locally: first the
-    frontier (vertices with edges both before and in or after unit k, in
-    increasing order), then the vertices unit k reaches first.  A level is
-    (the frontier size, the local numbers of the new vertices, the unit's
-    edges as local pairs, the local numbers of the next frontier in
-    increasing vertex order).
+    The frontier is the set of visited vertices with an unvisited
+    neighbour.  The order starts at the first endpoint of edge 0, then
+    repeatedly takes the unvisited vertex whose arrival grows the frontier
+    least, ties going to more visited neighbours and then to the smaller
+    index: the vertex-separation heuristic of frontier-based search
+    (Kawahara, Inoue, Iwashita and Minato, IEICE Trans. Fundamentals 2017).
+    A heap holds each vertex's key and gets a fresh entry whenever the key
+    changes; stale entries are skipped, so the order costs O(m log m).
     """
-    rank = {i: pos for pos, i in enumerate(cycle_closing_edge_order(g))}
-    units = sorted(triangle_classes(g), key=lambda unit: min(rank[i] for i in unit))
+    adj = g.adjacency
+    unseen = [len(adj[v]) for v in range(g.n)]  # unvisited neighbours
+    closing = [0] * g.n  # visited neighbours whose last unvisited neighbour v is
+    visited = [False] * g.n
+    order: list[int] = []
+
+    def key(v: int) -> tuple[int, int, int]:
+        return ((unseen[v] > 0) - closing[v], unseen[v] - len(adj[v]), v)
+
+    def last_unvisited(w: int) -> int:
+        return next(x for x in adj[w] if not visited[x])
+
+    def visit(v: int) -> None:
+        visited[v] = True
+        order.append(v)
+        changed = []
+        for w in adj[v]:
+            unseen[w] -= 1
+            if not visited[w]:
+                changed.append(w)
+            elif unseen[w] == 1:
+                changed.append(last_unvisited(w))
+                closing[changed[-1]] += 1
+        if unseen[v] == 1:
+            changed.append(last_unvisited(v))
+            closing[changed[-1]] += 1
+        for w in changed:
+            heapq.heappush(heap, key(w))
+
+    heap = [key(v) for v in range(g.n)]
+    heapq.heapify(heap)
+    if g.m:
+        visit(g.edges[0][0])
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry[2]
+        if not visited[v] and entry == key(v):
+            visit(v)
+    return order
+
+
+def _frontier_levels(g: Graph) -> tuple[list[list[int]], list[tuple]]:
+    """The units (triangle classes) in programme order, and one level per unit.
+
+    A unit is placed when the last of its vertices arrives in
+    `_vertex_order`; units completed by the same vertex follow their
+    smallest edges.  Level k colours unit k.  Its vertices are numbered
+    locally: first the frontier (vertices with edges both before and in or
+    after unit k, in increasing order), then the vertices unit k reaches
+    first.  A level is (the frontier size, the local numbers of the new
+    vertices, the unit's edges as local pairs, the local numbers of the
+    next frontier in increasing vertex order).
+    """
+    classes = triangle_classes(g)
+    at_vertex: list[list[int]] = [[] for _ in range(g.n)]
+    missing = []
+    for k, unit in enumerate(classes):
+        verts = {x for i in unit for x in g.edges[i]}
+        missing.append(len(verts))
+        for x in verts:
+            at_vertex[x].append(k)
+    units = []
+    for v in _vertex_order(g):
+        for k in at_vertex[v]:
+            missing[k] -= 1
+            if not missing[k]:
+                units.append(classes[k])
     first = [-1] * g.n
     last = [-1] * g.n
     for k, unit in enumerate(units):
@@ -532,7 +299,7 @@ def _frontier_levels(g: Graph) -> list[tuple[int, tuple[int, ...], list[tuple[in
         size = len(frontier)
         frontier = sorted(x for x in local if last[x] > k)
         levels.append((size, tuple(range(size, len(local))), edges, [local[x] for x in frontier]))
-    return levels
+    return units, levels
 
 
 # A counter state is one flat tuple, which keeps a level's memory small:
@@ -606,29 +373,121 @@ def _project(labels, pairs, keep: list[int]) -> tuple[tuple[int, ...], tuple[int
     return tuple(kept), tuple(x for pair in sorted(out) for x in pair)
 
 
-def _frontier_count(g: Graph) -> tuple[int, int]:
-    """(NAC classes of g, states expanded), by dynamic programming over units.
+def _frontier_pass(
+    g: Graph, links: Optional[list] = None
+) -> tuple[list[list[int]], dict[tuple, int], int]:
+    """Colour the units level by level: (the units in level order, the
+    final states with their multiplicities, the states expanded).
 
-    The units are the triangle classes; the one holding edge 0 is coloured
-    blue, every other one red or blue.  A component with no frontier vertex
-    never changes again, so the number of ways to finish depends only on
-    the state, and states with equal keys are merged with their
-    multiplicities added.  The count is the multiplicity of the states that
-    used red once the last unit is coloured.
+    The unit holding edge 0 is coloured blue, every other one red or blue.
+    A component with no frontier vertex never changes again, so the number
+    of ways to finish depends only on the state, and states with equal
+    keys are merged with their multiplicities added.  A final state is
+    (used red, 0).  If `links` is a list, each level appends its
+    back-links to it: for each of the level's states, in order, the flat
+    ints 2 * parent + colour of the steps into it, where parent indexes
+    the previous level's states.
     """
+    units, levels = _frontier_levels(g)
     states: dict[tuple, int] = {(0, 0): 1}
     expanded = 0
-    for k, level in enumerate(_frontier_levels(g)):
-        colours = (BLUE,) if k == 0 else (BLUE, RED)
+    for unit, level in zip(units, levels):
+        colours = (BLUE,) if unit[0] == 0 else (BLUE, RED)
         nxt: dict[tuple, int] = {}
-        for key, mult in states.items():
+        back: dict[tuple, list[int]] = {}
+        for parent, (key, mult) in enumerate(states.items()):
             for colour in colours:
                 child = _colour_unit(key, colour, level)
                 if child is not None:
                     nxt[child] = nxt.get(child, 0) + mult
+                    if links is not None:
+                        back.setdefault(child, []).append(2 * parent + colour)
+        if links is not None:
+            links.append(list(back.values()))
         expanded += len(states)
         states = nxt
+    return units, states, expanded
+
+
+def _frontier_count(g: Graph) -> tuple[int, int]:
+    """(NAC classes of g, states expanded): the multiplicity of the final
+    state that used red."""
+    _, states, expanded = _frontier_pass(g)
     return states.get((1, 0), 0), expanded
+
+
+def _frontier_masks(g: Graph, first_only: bool) -> tuple[list[int], int]:
+    """(red-edge masks of the NAC-colourings with edge 0 blue, states expanded).
+
+    Each path of back-links from the accepting final state to the start
+    spells one colouring, and distinct paths spell distinct colourings.
+    The paths are walked backwards a level at a time, keeping for each
+    state the masks of the accepting path suffixes that start there, one
+    mask per path (only the first path with `first_only`); grouping by
+    state keeps no per-path record besides the mask.  The masks come out
+    in the order of an edge-by-edge search that tries red before blue:
+    descending by the mask read with edge 0 as its highest bit.
+    """
+    links: list[list[list[int]]] = []
+    units, states, expanded = _frontier_pass(g, links)
+    suffixes = {j: [0] for j, key in enumerate(states) if key == (1, 0)}
+    for unit in reversed(units):
+        if first_only:
+            suffixes = {j: tails[:1] for j, tails in list(suffixes.items())[:1]}
+        red = sum(1 << i for i in unit)
+        back = links.pop()
+        prev: dict[int, list[int]] = {}
+        for j, tails in suffixes.items():
+            for link in back[j]:
+                prev.setdefault(link >> 1, []).extend([mask | red for mask in tails] if link & 1 else tails)
+        suffixes = prev
+    masks = suffixes.get(0, [])[: 1 if first_only else None]
+    masks.sort(key=lambda mask: int(f"{mask:0{g.m}b}"[::-1], 2), reverse=True)
+    return masks, expanded
+
+
+def enumerate_nac(
+    g: Graph,
+    on_found: Optional[Callable[[EdgeColouring], None]] = None,
+    *,
+    first_only: bool = False,
+    workers: int = 1,
+) -> int:
+    """Exact count of NAC colour classes; optionally emits one witness per class.
+
+    Edge 0 is pinned blue, so every class is seen exactly once and the
+    returned count is already the half-count.  Without `on_found` the
+    frontier programme only counts; with it, every class is listed, in the
+    order of an edge-by-edge search that tries red before blue.
+    `first_only` stops at one class: the count is 0 or 1 and the witness
+    is some NAC-colouring, not necessarily the first in that order.
+    `workers` is accepted for compatibility and ignored.
+    """
+    count, _states, _ms = enumerate_nac_detailed(g, on_found, first_only=first_only, workers=workers)
+    return count
+
+
+def enumerate_nac_detailed(
+    g: Graph,
+    on_found: Optional[Callable[[EdgeColouring], None]] = None,
+    *,
+    first_only: bool = False,
+    workers: int = 1,
+) -> tuple[int, int, float]:
+    """enumerate_nac plus (states expanded, elapsed milliseconds)."""
+    if g.m < 1:
+        raise PreconditionError("enumeration requires at least one edge")
+    start = time.perf_counter()
+    if on_found is None:
+        count, expanded = _frontier_count(g)
+        if first_only:
+            count = min(count, 1)
+    else:
+        masks, expanded = _frontier_masks(g, first_only)
+        for mask in masks:
+            on_found(EdgeColouring(g.m, mask))
+        count = len(masks)
+    return count, expanded, (time.perf_counter() - start) * 1000.0
 
 
 def count_nac(g: Graph, stats: Optional[dict] = None) -> int:

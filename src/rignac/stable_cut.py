@@ -17,7 +17,7 @@ from .graph import (
     is_cut,
     is_stable_set,
 )
-from .rigidity import pebble_game, rigid_components, rigidity_report
+from .rigidity import pebble_game, rigid_components
 
 EXHAUSTIVE_MAX_VERTICES = 24
 
@@ -197,7 +197,6 @@ def exhaustive_stable_cut(
     g: Graph,
     separate: Optional[tuple[int, int]] = None,
     avoid: Optional[int] = None,
-    max_per_rigid_component: Optional[int] = None,
 ) -> Optional[StableCutResult]:
     """Minimum-cardinality stable cut meeting the constraints, or None.
 
@@ -208,9 +207,6 @@ def exhaustive_stable_cut(
         raise PreconditionError(
             f"exhaustive search limited to {EXHAUSTIVE_MAX_VERTICES} vertices, got {g.n}"
         )
-    comps_limit = None
-    if max_per_rigid_component is not None:
-        comps_limit = rigidity_report(g).rigid_components if g.n >= 2 else ()
     forbidden = set()
     if separate is not None:
         forbidden.update(separate)
@@ -222,10 +218,6 @@ def exhaustive_stable_cut(
             if s & forbidden:
                 continue
             if not is_stable_set(g, s):
-                continue
-            if comps_limit is not None and any(
-                len(s & comp) > max_per_rigid_component for comp in comps_limit
-            ):
                 continue
             comps = connected_components_without(g, s)
             if len(comps) < 2:

@@ -6,7 +6,10 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from rignac.graph import Graph, parse_graph6
+from rignac.graph import Graph, connected_components, parse_graph6
+
+RED = 1
+BLUE = 0
 
 _GFP = 2_147_483_647
 
@@ -494,18 +497,148 @@ def slow_gsc_decomposition(g: Graph) -> dict | None:
     }
 
 
-def slow_cycle_closing_edge_order(g: Graph) -> list[int]:
-    """The edge order by a full scan per step: most visited endpoints, then
-    smallest index (the quadratic original of the heap version)."""
-    visited: set[int] = set(g.edges[0]) if g.m else set()
-    order = [0] if g.m else []
-    remaining = set(range(1, g.m))
-    while remaining:
-        i = min(remaining, key=lambda j: (-((g.edges[j][0] in visited) + (g.edges[j][1] in visited)), j))
-        order.append(i)
-        remaining.remove(i)
-        visited.update(g.edges[i])
-    return order
+class PartialNacState:
+    """Two union-find forests (red and blue components) with trail-based undo.
+
+    Union by size, iterative find, no path compression, so a rollback
+    restores the exact prior forest.  Per colour and per component root a
+    list of other-coloured edge indices incident to that component is kept;
+    it is what makes the almost-monochromatic-cycle test O(small) under
+    unions.  Component counts never reach the component count of the graph
+    itself (that would force a monochromatic spanning forest); equality
+    triggers rejection.
+    """
+
+    __slots__ = ("g", "base", "parent", "size", "cross", "counts", "colours", "trail")
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+        self.base = len(connected_components(g))
+        self.parent = (list(range(g.n)), list(range(g.n)))
+        self.size = ([1] * g.n, [1] * g.n)
+        self.cross: tuple[list[list[int]], list[list[int]]] = (
+            [[] for _ in range(g.n)],
+            [[] for _ in range(g.n)],
+        )
+        self.counts = [g.n, g.n]
+        self.colours = [-1] * g.m
+        self.trail: list[tuple] = []
+
+    def find(self, colour: int, x: int) -> int:
+        p = self.parent[colour]
+        while p[x] != x:
+            x = p[x]
+        return x
+
+    def red_component_count(self) -> int:
+        return self.counts[RED]
+
+    def blue_component_count(self) -> int:
+        return self.counts[BLUE]
+
+    def try_colour(self, i: int, red: bool) -> bool:
+        """Colour edge i; reject (committing nothing) if an invariant breaks."""
+        mine = RED if red else BLUE
+        other = 1 - mine
+        u, v = self.g.edges[i]
+        ou, ov = self.find(other, u), self.find(other, v)
+        if ou == ov:
+            return False  # almost cycle in the other colour through edge i
+        mu, mv = self.find(mine, u), self.find(mine, v)
+        union_rec = None
+        if mu != mv:
+            la, lb = self.cross[mine][mu], self.cross[mine][mv]
+            scan = la if len(la) <= len(lb) else lb
+            for j in scan:
+                a, b = self.g.edges[j]
+                ra, rb = self.find(mine, a), self.find(mine, b)
+                if (ra == mu and rb == mv) or (ra == mv and rb == mu):
+                    return False  # merging would trap an other-coloured edge
+            if self.counts[mine] - 1 == self.base:
+                return False  # monochromatic spanning forest
+            if self.size[mine][mu] < self.size[mine][mv]:
+                mu, mv = mv, mu
+            self.parent[mine][mv] = mu
+            self.size[mine][mu] += self.size[mine][mv]
+            old_len = len(self.cross[mine][mu])
+            self.cross[mine][mu].extend(self.cross[mine][mv])
+            self.counts[mine] -= 1
+            union_rec = (mine, mu, mv, old_len)
+        self.cross[other][ou].append(i)
+        self.cross[other][ov].append(i)
+        self.colours[i] = mine
+        self.trail.append((i, other, ou, ov, union_rec))
+        return True
+
+    def undo_last(self) -> None:
+        i, other, ou, ov, union_rec = self.trail.pop()
+        self.colours[i] = -1
+        self.cross[other][ov].pop()
+        self.cross[other][ou].pop()
+        if union_rec is not None:
+            colour, win, lose, old_len = union_rec
+            del self.cross[colour][win][old_len:]
+            self.size[colour][win] -= self.size[colour][lose]
+            self.parent[colour][lose] = lose
+            self.counts[colour] += 1
+
+    def checkpoint(self) -> int:
+        return len(self.trail)
+
+    def rollback(self, mark: int) -> None:
+        while len(self.trail) > mark:
+            self.undo_last()
+
+    def mask(self) -> int:
+        out = 0
+        for i, c in enumerate(self.colours):
+            if c == RED:
+                out |= 1 << i
+        return out
+
+
+def dfs_nac_masks(g: Graph, first_only: bool = False) -> tuple[list[int], int]:
+    """(red-edge masks of the NAC-colourings with edge 0 blue, search nodes),
+    by the edge-by-edge search over edge indices that tries red first.
+
+    The slow path of the frontier programme: it shares no code with it, and
+    its emission order is the order `nac list` prints.
+    """
+    m = g.m
+    state = PartialNacState(g)
+    masks: list[int] = []
+    nodes = 0
+    tried = [0] * (m + 1)  # per depth: bit 1 red tried, bit 2 blue tried
+    marks = [0] * (m + 1)
+    d = 0
+    while d >= 0:
+        if d == m:
+            masks.append(state.mask())
+            if first_only:
+                break
+            d -= 1
+            continue
+        t = tried[d]
+        if d == 0:  # edge 0 is pinned blue
+            nxt = BLUE if not t & 2 else None
+        elif not t & 1:
+            nxt = RED
+        elif not t & 2:
+            nxt = BLUE
+        else:
+            nxt = None
+        if nxt is None:
+            state.rollback(marks[d])
+            d -= 1
+            continue
+        tried[d] = t | (2 if nxt == BLUE else 1)
+        state.rollback(marks[d])
+        nodes += 1
+        if state.try_colour(d, nxt == RED):
+            d += 1
+            tried[d] = 0
+            marks[d] = state.checkpoint()
+    return masks, nodes
 
 
 def slow_0extension(g: Graph) -> tuple[bool, int | None]:
@@ -545,6 +678,12 @@ def slow_0extension(g: Graph) -> tuple[bool, int | None]:
 
 # ---------------------------------------------------------------------------
 # corpora
+
+
+def random_graph(rnd: random.Random, n: int, m: int) -> Graph:
+    """Any simple graph: may be disconnected or have isolated vertices."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, rnd.sample(pairs, min(m, len(pairs))))
 
 
 def random_connected_graph(rnd: random.Random, n: int, m: int) -> Graph:

@@ -3,14 +3,17 @@ from __future__ import annotations
 import io
 import json
 import random
+import signal
+import time
+from contextlib import contextmanager
 
 import pytest
 
 from rignac.cli import main
-from rignac.graph import Graph, parse_graph
-from rignac.constructions import fixtures, make_2tree, make_gk
+from rignac.graph import Graph, connected_components, emit_graph6, parse_graph, parse_graph6
+from rignac.constructions import fixtures, make_2tree, make_complete_bipartite, make_gk
 
-from oracles import random_prism_chain
+from oracles import brute_is_nap, dfs_nac_masks, random_graph, random_prism_chain
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):
@@ -25,6 +28,32 @@ PRISM_EDGES = "\n".join(f"{u} {v}" for u, v in fixtures()["prism"].graph.edges)
 
 def edge_text(g: Graph) -> str:
     return "\n".join(f"{u} {v}" for u, v in g.edges)
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the block once `seconds` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def search_stdout(g: Graph, masks: list[int]) -> str:
+    """What `nac list` prints for these red-edge masks."""
+    lines = []
+    for mask in masks:
+        red = [i for i in range(g.m) if mask >> i & 1]
+        blue = [i for i in range(g.m) if not mask >> i & 1]
+        lines.append(json.dumps({"red": red, "blue": blue}))
+    return "\n".join(lines) + "\n"
 
 
 # minimally rigid, not in the gluing family, and no vertex has a stable
@@ -128,6 +157,39 @@ class TestNac:
             payloads.append(json.loads(out))
         assert payloads[0]["nnac"] == payloads[1]["nnac"] == "180607"
         assert payloads[0]["nodes"] == payloads[1]["nodes"] > 0
+
+    def test_exists_on_a_deep_2tree(self, monkeypatch, capsys):
+        # a 2-tree has no NAC-colouring, which an edge-by-edge search needs
+        # exponential time to find out
+        text = edge_text(make_2tree(1, 1500))
+        for argv in (["nac", "exists"], ["nap", "exists"]):
+            with deadline(20.0):
+                start = time.perf_counter()
+                code, out, _ = run_cli(monkeypatch, capsys, argv, text)
+                elapsed = time.perf_counter() - start
+            assert code == 1 and out == "false\n", argv
+            assert elapsed < 1.0, (argv, elapsed)
+
+    def test_nac_and_nap_list_match_the_search(self, monkeypatch, capsys, laman_keys):
+        # every class with n <= 7, K_{3,3}, K_{6,10} and seeded random graphs;
+        # graph6 input keeps isolated vertices and the edge indices
+        graphs = [Graph.from_edges(2, [(0, 1)])]
+        graphs += [parse_graph6(key) for n in laman_keys for key in laman_keys[n]]
+        graphs += [make_complete_bipartite(3, 3), make_complete_bipartite(6, 10)]
+        rnd = random.Random(4300)
+        for _ in range(150):
+            n = rnd.randrange(2, 10)
+            graphs.append(random_graph(rnd, n, rnd.randrange(1, 2 * n)))
+        assert sum(not all(g.adjacency) for g in graphs) >= 10
+        assert sum(len(connected_components(g)) > 1 for g in graphs) >= 10
+        for g in graphs:
+            masks, _ = dfs_nac_masks(g)
+            text = emit_graph6(g)
+            code, out, _ = run_cli(monkeypatch, capsys, ["nac", "list"], text)
+            assert code == 0 and out == search_stdout(g, masks), g.edges
+            naps = [mask for mask in masks if brute_is_nap(g, mask)]
+            code, out, _ = run_cli(monkeypatch, capsys, ["nap", "list"], text)
+            assert code == 0 and out == search_stdout(g, naps), g.edges
 
     def test_threads_flag(self, monkeypatch, capsys):
         code, out, _ = run_cli(
@@ -266,12 +328,6 @@ class TestMisc:
     def test_components_command(self, monkeypatch, capsys):
         code, out, _ = run_cli(monkeypatch, capsys, ["components"], "0 1\n2 3")
         assert json.loads(out)["components"] == [[0, 1], [2, 3]]
-
-    def test_env_threads(self, monkeypatch, capsys):
-        monkeypatch.setenv("RIGNAC_THREADS", "3")
-        from rignac.colouring import default_workers
-
-        assert default_workers() == 3
 
     def test_label_map_reported(self, monkeypatch, capsys):
         code, out, err = run_cli(
