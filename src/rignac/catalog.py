@@ -21,7 +21,6 @@ from .graph import (
 from .rigidity import (
     count_prism_subgraphs,
     gsc_decomposition,
-    is_2tree,
     rank,
     recognize_0extension_graph,
 )
@@ -51,14 +50,13 @@ class CatalogEntry:
 def _classify(g6: str) -> CatalogEntry:
     g = parse_graph6(g6)
     nnac = count_nac(g)
-    two_tree = is_2tree(g)
     dec = gsc_decomposition(g)
     member = dec is not None
     zext, opens = recognize_0extension_graph(g)
     return CatalogEntry(
         graph6=g6,
         nnac=nnac,
-        is_2tree=two_tree,
+        is_2tree=member and dec.prism_count == 0,
         is_gsc=member,
         prism_count=dec.prism_count if member else None,
         is_0ext_graph=zext,

@@ -7,6 +7,7 @@ Exit codes: 0 success or affirmative answer, 1 clean negative answer,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -22,6 +23,7 @@ from .graph import (
     PreconditionError,
     blocks,
     connected_components,
+    connected_components_without,
     emit_edge_list,
     emit_graph6,
     is_connected,
@@ -29,14 +31,7 @@ from .graph import (
     parse_graph,
     parse_graph6,
 )
-from .rigidity import (
-    RigidityReport,
-    gsc_decomposition,
-    is_2tree,
-    rank,
-    recognize_gsc,
-    rigidity_report,
-)
+from .rigidity import gsc_decomposition, rank, recognize_gsc, rigidity_report
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -64,20 +59,21 @@ def _load_graph(args) -> Graph:
     return parse_graph(text)
 
 
+def _output(args):
+    out = getattr(args, "out", None)
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(obj, args) -> None:
     text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _output(args) as fh:
+        fh.write(text + "\n")
 
 
 def _stable_cut_payload(g: Graph, result: Optional[sc.StableCutResult], method: Optional[str]) -> dict:
     if result is None:
         return {"cut": None, "method": method}
-    comps = col.connected_components_without(g, result.cut)
+    comps = connected_components_without(g, result.cut)
     return {
         "cut": sorted(result.cut),
         "separates": list(result.separated_pair) if result.separated_pair else None,
@@ -85,48 +81,6 @@ def _stable_cut_payload(g: Graph, result: Optional[sc.StableCutResult], method: 
         "components_after_removal": len(comps),
         "method": method,
     }
-
-
-def _find_stable_cut(
-    g: Graph, report: Optional[RigidityReport] = None, member: Optional[bool] = None
-) -> tuple[Optional[sc.StableCutResult], Optional[str]]:
-    """Neighbourhood heuristic, then the contraction algorithm, then the
-    gluing-family peel, then exhaustive.
-
-    `report` is g's rigidity report and `member` whether g is in the gluing
-    family, when the caller already has them.  A connected rigid graph
-    with m = 2n-3 has no stable cut exactly when the peel finds a
-    decomposition (Le and Pfender), so a member needs no search, and
-    exhaustive search must find a cut in a non-member.
-    """
-    from .graph import is_cut, is_stable_set
-
-    peeled_non_member = False
-    for u in range(g.n):
-        nbrs = g.adjacency[u]
-        if is_stable_set(g, nbrs) and is_cut(g, nbrs):
-            return sc.StableCutResult(cut=frozenset(nbrs)), "neighbourhood"
-    if g.n >= 2 and is_connected(g):
-        if report is None:
-            report = rigidity_report(g)
-        if report.is_flexible:
-            for u in range(g.n):
-                related = set().union(*(c for c in report.rigid_components if u in c))
-                v = next((v for v in range(u + 1, g.n) if v not in related), None)
-                if v is not None:
-                    return sc.algorithm1_stable_cut(g, u, v), "algorithm1"
-        elif report.is_minimally_rigid:
-            if member is None:
-                member = gsc_decomposition(g) is not None
-            if member:
-                return None, "gsc"
-            peeled_non_member = True
-    if g.n <= sc.EXHAUSTIVE_MAX_VERTICES:
-        result = sc.exhaustive_stable_cut(g)
-        if result is None and peeled_non_member:
-            raise RuntimeError("peel failed but no stable cut exists; recognizer is incomplete")
-        return result, "exhaustive"
-    return None, "skipped"
 
 
 def cmd_analyze(args) -> int:
@@ -140,7 +94,6 @@ def cmd_analyze(args) -> int:
         minimally_rigid=rig.is_minimally_rigid,
         flexible=rig.is_flexible,
         rigid_components=len(rig.rigid_components),
-        two_tree=is_2tree(g),
     )
     dec = None
     if g.m == 2 * g.n - 3 and is_connected(g):
@@ -152,7 +105,9 @@ def cmd_analyze(args) -> int:
             report["gsc"] = {"member": False, "reason": "stable cut"}
     else:
         report["gsc"] = {"member": False, "reason": "edge count"}
-    cut, method = _find_stable_cut(g, rig, dec is not None)
+    # a 2-tree is exactly a member built from triangles alone
+    report["two_tree"] = dec is not None and dec.prism_count == 0
+    cut, method = sc.find_stable_cut(g, rig, dec is not None)
     payload = _stable_cut_payload(g, cut, method)
     report["stable_cut"] = payload["cut"]
     report["stable_cut_method"] = method
@@ -191,9 +146,10 @@ def cmd_nac(args) -> int:
         _emit("true" if found else "false", args)
         return EXIT_OK if found else EXIT_NEGATIVE
     if args.action == "list":
-        lines: list[str] = []
-        col.enumerate_nac_detailed(g, on_found=lambda c: lines.append(json.dumps(c.to_json())))
-        _emit("\n".join(lines) if lines else "", args)
+        with _output(args) as fh:  # an empty listing is one blank line
+            found, _, _ = col.enumerate_nac_detailed(g, on_found=lambda c: fh.write(json.dumps(c.to_json()) + "\n"))
+            if not found:
+                fh.write("\n")
         return EXIT_OK
     # construct
     result = col.construct_nac_minimally_rigid(g)
@@ -217,7 +173,10 @@ def cmd_nap(args) -> int:
     if args.action == "exists":
         _emit("true" if found else "false", args)
         return EXIT_OK if found else EXIT_NEGATIVE
-    _emit("\n".join(json.dumps(c.to_json()) for c in found), args)
+    with _output(args) as fh:
+        fh.writelines(json.dumps(c.to_json()) + "\n" for c in found)
+        if not found:
+            fh.write("\n")
     return EXIT_OK
 
 
@@ -236,7 +195,7 @@ def cmd_stable_cut(args) -> int:
         result = sc.exhaustive_stable_cut(g)
         _emit(_stable_cut_payload(g, result, "exhaustive"), args)
         return EXIT_OK if result else EXIT_NEGATIVE
-    result, method = _find_stable_cut(g)
+    result, method = sc.find_stable_cut(g)
     payload = _stable_cut_payload(g, result, method)
     if method == "skipped":
         # nothing was proven either way: a refusal, not a negative answer

@@ -19,11 +19,13 @@ from .graph import (
     PreconditionError,
     Separation,
     blocks,
-    connected_components,
+    connected_components_without,
     induced_subgraph,
     is_cut,
     is_stable_set,
 )
+from .rigidity import gsc_decomposition, rigidity_report
+from .stable_cut import EXHAUSTIVE_MAX_VERTICES, find_stable_cut
 
 RED = 1
 BLUE = 0
@@ -162,11 +164,6 @@ def separation_from_stable_cut(g: Graph, cut: Iterable[int]) -> Separation:
     e1 = frozenset(i for i, (u, v) in enumerate(g.edges) if u in first or v in first)
     e2 = frozenset(range(g.m)) - e1
     return Separation(e1, e2)
-
-
-def connected_components_without(g: Graph, removed: frozenset[int]) -> list[frozenset[int]]:
-    sub, ids = induced_subgraph(g, (v for v in range(g.n) if v not in removed))
-    return [frozenset(ids[v] for v in comp) for comp in connected_components(sub)]
 
 
 # ---------------------------------------------------------------------------
@@ -609,29 +606,22 @@ def _colouring_from_decomposition(g: Graph, dec) -> EdgeColouring:
 def construct_nac_minimally_rigid(g: Graph):
     """A NAC-colouring of a minimally rigid graph, or a 2-tree certificate.
 
-    Tries stable-neighbourhood cuts first, then the gluing-family
-    decomposition; a failed recognition hands back a witness stable cut,
-    which also yields a colouring.  Only that witness search is limited in
-    size, so members of any size get a colouring.
+    One gluing-family peel: a member with no prism is a 2-tree, any other
+    member is coloured from its decomposition, whatever its size.  A
+    non-member's stable cut, from `find_stable_cut`, gives a NAP-colouring.
     """
-    from .rigidity import GscNonMembership, recognize_gsc, rigidity_report, two_tree_peel
-
     report = rigidity_report(g)
     if not report.is_minimally_rigid:
         raise PreconditionError("input graph is not minimally rigid")
-    peel = two_tree_peel(g)
-    if peel is not None:
-        return TwoTreeCertificate(tuple(peel))
-    for u in range(g.n):
-        nbrs = g.adjacency[u]
-        if is_stable_set(g, nbrs) and is_cut(g, nbrs):
-            return nap_from_separation(g, separation_from_stable_cut(g, nbrs))
-    dec = recognize_gsc(g)
-    if isinstance(dec, GscNonMembership):
-        if dec.stable_cut is None:
-            raise RuntimeError("non-membership without witness on a tight graph")
-        return nap_from_separation(g, separation_from_stable_cut(g, dec.stable_cut))
-    return _colouring_from_decomposition(g, dec)
+    dec = gsc_decomposition(g)
+    if dec is not None:
+        if dec.prism_count == 0:
+            return TwoTreeCertificate(dec.peel_order)
+        return _colouring_from_decomposition(g, dec)
+    result, _ = find_stable_cut(g, report, member=False)
+    if result is None:
+        raise PreconditionError(f"exhaustive search limited to {EXHAUSTIVE_MAX_VERTICES} vertices, got {g.n}")
+    return nap_from_separation(g, separation_from_stable_cut(g, result.cut))
 
 
 # ---------------------------------------------------------------------------

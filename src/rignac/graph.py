@@ -276,6 +276,12 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
     return comps
 
 
+def connected_components_without(g: Graph, removed: frozenset[int]) -> list[frozenset[int]]:
+    """Connected components of g after deleting `removed`, in g's vertex ids."""
+    sub, ids = induced_subgraph(g, (v for v in range(g.n) if v not in removed))
+    return [frozenset(ids[v] for v in comp) for comp in connected_components(sub)]
+
+
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) <= 1
 

@@ -182,33 +182,13 @@ def rigidity_report(g: Graph) -> RigidityReport:
 def two_tree_peel(g: Graph) -> Optional[list[int]]:
     """Peel order certifying g is a 2-tree, or None.
 
-    Greedily removes any degree-2 vertex with adjacent neighbours; greedy
-    order is complete for 2-tree recognition.
+    A 2-tree is a connected graph with m = 2n-3 whose gluing-family
+    decomposition has no prism; the order is that peel's, smallest ear first.
     """
-    if g.n < 2:
+    if g.n < 2 or not is_connected(g):
         return None
-    adj = [set(s) for s in g.adjacency]
-    alive = set(range(g.n))
-    order: list[int] = []
-    while len(alive) > 2:
-        pick = -1
-        for v in sorted(alive):
-            if len(adj[v]) == 2:
-                a, b = adj[v]
-                if b in adj[a]:
-                    pick = v
-                    break
-        if pick < 0:
-            return None
-        for w in adj[pick]:
-            adj[w].discard(pick)
-        adj[pick].clear()
-        alive.discard(pick)
-        order.append(pick)
-    a, b = sorted(alive)
-    if b in adj[a]:
-        return order
-    return None
+    dec = gsc_decomposition(g)
+    return list(dec.peel_order) if dec is not None and not dec.prism_count else None
 
 
 def is_2tree(g: Graph) -> bool:
@@ -284,6 +264,11 @@ class GscDecomposition:
     @property
     def depth(self) -> int:
         return len(self.steps)
+
+    @property
+    def peel_order(self) -> tuple[int, ...]:
+        """The new vertices in the order the peel removed them."""
+        return tuple(v for s in reversed(self.steps) for v in s.new_vertices)
 
     def to_json(self) -> dict:
         steps = []

@@ -8,16 +8,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .colouring import connected_components_without
 from .graph import (
     Graph,
     PreconditionError,
     blocks,
+    connected_components_without,
     is_connected,
     is_cut,
     is_stable_set,
 )
-from .rigidity import pebble_game, rigid_components
+from .rigidity import RigidityReport, gsc_decomposition, pebble_game, rigid_components, rigidity_report
 
 EXHAUSTIVE_MAX_VERTICES = 24
 
@@ -233,3 +233,44 @@ def exhaustive_stable_cut(
                 avoided_vertex=avoid,
             )
     return None
+
+
+def find_stable_cut(
+    g: Graph, report: Optional[RigidityReport] = None, member: Optional[bool] = None
+) -> tuple[Optional[StableCutResult], str]:
+    """(stable cut or None, method): a vertex neighbourhood, then Algorithm 1
+    on a flexible graph, then the gluing-family peel ("gsc"), then
+    exhaustive search; "skipped" above its size limit proves nothing.
+
+    `report` is g's rigidity report and `member` whether g is in the gluing
+    family, when the caller already has them.  A connected rigid graph
+    with m = 2n-3 has no stable cut exactly when the peel finds a
+    decomposition (Le and Pfender), so a member needs no search, and
+    exhaustive search must find a cut in a non-member.
+    """
+    peeled_non_member = False
+    for u in range(g.n):
+        nbrs = g.adjacency[u]
+        if is_stable_set(g, nbrs) and is_cut(g, nbrs):
+            return StableCutResult(cut=frozenset(nbrs)), "neighbourhood"
+    if g.n >= 2 and is_connected(g):
+        if report is None:
+            report = rigidity_report(g)
+        if report.is_flexible:
+            for u in range(g.n):
+                related = set().union(*(c for c in report.rigid_components if u in c))
+                v = next((v for v in range(u + 1, g.n) if v not in related), None)
+                if v is not None:
+                    return algorithm1_stable_cut(g, u, v), "algorithm1"
+        elif report.is_minimally_rigid:
+            if member is None:
+                member = gsc_decomposition(g) is not None
+            if member:
+                return None, "gsc"
+            peeled_non_member = True
+    if g.n <= EXHAUSTIVE_MAX_VERTICES:
+        result = exhaustive_stable_cut(g)
+        if result is None and peeled_non_member:
+            raise RuntimeError("peel failed but no stable cut exists; recognizer is incomplete")
+        return result, "exhaustive"
+    return None, "skipped"

@@ -395,6 +395,35 @@ def brute_stable_cuts(g: Graph) -> list[frozenset[int]]:
 # gluing-family oracle
 
 
+def slow_two_tree_peel(g: Graph) -> list[int] | None:
+    """Peel order certifying g is a 2-tree, or None: remove the smallest
+    degree-2 vertex with adjacent neighbours, rescanning every vertex after
+    each removal, until an edge is left."""
+    if g.n < 2:
+        return None
+    adj = [set(s) for s in g.adjacency]
+    alive = set(range(g.n))
+    order: list[int] = []
+    while len(alive) > 2:
+        pick = -1
+        for v in sorted(alive):
+            if len(adj[v]) == 2:
+                a, b = adj[v]
+                if b in adj[a]:
+                    pick = v
+                    break
+        if pick < 0:
+            return None
+        for w in adj[pick]:
+            adj[w].discard(pick)
+        adj[pick].clear()
+        alive.discard(pick)
+        order.append(pick)
+    a, b = sorted(alive)
+    return order if b in adj[a] else None
+
+
+
 def _live_triangles(adj: list[frozenset[int]], verts: set[int]) -> list[tuple[int, int, int]]:
     return [
         (a, b, c)

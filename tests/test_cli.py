@@ -255,7 +255,7 @@ class TestStableCut:
     def test_peel_is_checked_against_exhaustive_search(self, monkeypatch, capsys):
         # a peel that misses a member contradicts Le and Pfender: exhaustive
         # search finds no stable cut, and that must not pass silently
-        monkeypatch.setattr("rignac.cli.gsc_decomposition", lambda g: None)
+        monkeypatch.setattr("rignac.stable_cut.gsc_decomposition", lambda g: None)
         with pytest.raises(RuntimeError, match="recognizer is incomplete"):
             run_cli(monkeypatch, capsys, ["stable-cut"], edge_text(make_2tree(54, 10)))
 

@@ -11,6 +11,7 @@ from rignac.colouring import (
     _frontier_levels,
     _vertex_order,
     RED,
+    _colouring_from_decomposition,
     EdgeColouring,
     TwoTreeCertificate,
     construct_nac_minimally_rigid,
@@ -34,9 +35,11 @@ from rignac.graph import (
     Separation,
     blocks,
     connected_components,
+    is_cut,
+    is_stable_set,
     parse_graph6,
 )
-from rignac.rigidity import rigidity_report
+from rignac.rigidity import GscNonMembership, recognize_gsc, rigidity_report
 from rignac.constructions import (
     fixtures,
     glue_along_edge,
@@ -64,6 +67,7 @@ from oracles import (
     random_graph,
     random_prism_chain,
     relabelled,
+    slow_two_tree_peel,
 )
 
 
@@ -437,7 +441,45 @@ def _block_nnac(g: Graph, block: frozenset[int]) -> int:
     return enumerate_nac(sub)
 
 
+def stepwise_construct(g: Graph):
+    """The construction as separate steps: the greedy 2-tree peel, then a
+    stable vertex neighbourhood, then recognition with its exhaustive
+    witness search."""
+    if not rigidity_report(g).is_minimally_rigid:
+        raise PreconditionError("input graph is not minimally rigid")
+    peel = slow_two_tree_peel(g)
+    if peel is not None:
+        return TwoTreeCertificate(tuple(peel))
+    for u in range(g.n):
+        nbrs = g.adjacency[u]
+        if is_stable_set(g, nbrs) and is_cut(g, nbrs):
+            return nap_from_separation(g, separation_from_stable_cut(g, nbrs))
+    dec = recognize_gsc(g)
+    if isinstance(dec, GscNonMembership):
+        return nap_from_separation(g, separation_from_stable_cut(g, dec.stable_cut))
+    return _colouring_from_decomposition(g, dec)
+
+
 class TestConstructiveColouring:
+    def test_matches_the_stepwise_construction_on_every_class_up_to_8(self, laman_keys, laman8_keys):
+        graphs = [Graph.from_edges(2, [(0, 1)])]
+        graphs += [parse_graph6(key) for n in laman_keys for key in laman_keys[n]]
+        graphs += [parse_graph6(key) for key in laman8_keys]
+        kinds = set()
+        for g in graphs:
+            res = construct_nac_minimally_rigid(g)
+            assert res == stepwise_construct(g), g.edges
+            kinds.add(type(res))
+        assert kinds == {TwoTreeCertificate, EdgeColouring}
+
+    def test_matches_the_stepwise_construction_on_an_eared_non_member(self):
+        # no stable vertex neighbourhood, so the cut comes from exhaustive search
+        base = [(0, 1), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
+        for ears in (0, 1, 2, 3):
+            g = Graph.from_edges(6 + ears, base + [(x, 6 + i) for i in range(ears) for x in (0, 1)])
+            res = construct_nac_minimally_rigid(g)
+            assert res == stepwise_construct(g) and is_nap(g, res)
+
     def test_two_tree_certificate(self):
         g = make_2tree(3, 7)
         res = construct_nac_minimally_rigid(g)

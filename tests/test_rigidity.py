@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rignac.colouring import count_nac
-from rignac.graph import Graph, PreconditionError, are_isomorphic, canonical_form, parse_graph6
+from rignac.graph import Graph, PreconditionError, are_isomorphic, canonical_form, is_connected, parse_graph6
 from rignac.rigidity import (
     GscDecomposition,
     GscNonMembership,
@@ -33,9 +33,12 @@ from oracles import (
     random_connected_graph,
     random_gsc_member,
     random_prism_chain,
+    random_graph,
     random_two_body,
+    relabelled,
     slow_0extension,
     slow_gsc_decomposition,
+    slow_two_tree_peel,
 )
 
 
@@ -197,6 +200,42 @@ class TestTwoTrees:
             g = make_2tree(seed, 4 + seed % 6)
             peel = two_tree_peel(g)
             assert peel is not None and len(peel) == g.n - 2
+
+    def assert_same_peel(self, g: Graph) -> None:
+        want = slow_two_tree_peel(g)
+        assert two_tree_peel(g) == want, (g.n, g.edges)
+        assert is_2tree(g) == (want is not None)
+
+    def test_peel_matches_the_greedy_loop_on_every_class_up_to_8(self, laman_keys, laman8_keys):
+        graphs = [Graph.from_edges(2, [(0, 1)])]
+        graphs += [parse_graph6(key) for n in laman_keys for key in laman_keys[n]]
+        graphs += [parse_graph6(key) for key in laman8_keys]
+        assert len(graphs) == 697  # K2 and the 696 classes with n = 3..8
+        for g in graphs:
+            self.assert_same_peel(g)
+        assert sum(is_2tree(g) for g in graphs) == 61  # 1, 1, 1, 2, 5, 12, 39 for n = 2..8
+
+    def test_peel_matches_the_greedy_loop_on_seeded_2trees(self):
+        rnd = random.Random(7100)
+        for seed in range(300):
+            g = make_2tree(seed, rnd.randrange(2, 61))
+            for h in (g, relabelled(g, rnd)):
+                assert slow_two_tree_peel(h) is not None
+                self.assert_same_peel(h)
+
+    def test_peel_matches_the_greedy_loop_on_seeded_random_graphs(self):
+        rnd = random.Random(7200)
+        graphs = []
+        for _ in range(500):
+            n = rnd.randrange(0, 13)
+            m = 2 * n - 3 if rnd.random() < 0.6 else rnd.randrange(0, n * (n - 1) // 2 + 1)
+            graphs.append(random_graph(rnd, n, max(m, 0)))
+        assert sum(g.n < 2 for g in graphs) >= 10
+        assert sum(g.n >= 2 and not is_connected(g) for g in graphs) >= 10
+        assert sum(g.m != 2 * g.n - 3 for g in graphs) >= 100
+        assert sum(is_2tree(g) for g in graphs) >= 10
+        for g in graphs:
+            self.assert_same_peel(g)
 
     def test_catalog_link_no_nac_iff_2tree(self, catalog6):
         for entry in catalog6:
