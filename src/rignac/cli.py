@@ -146,8 +146,9 @@ def cmd_nac(args) -> int:
         _emit("true" if found else "false", args)
         return EXIT_OK if found else EXIT_NEGATIVE
     if args.action == "list":
+        line = col.json_line_writer(g.m)
         with _output(args) as fh:  # an empty listing is one blank line
-            found, _, _ = col.enumerate_nac_detailed(g, on_found=lambda c: fh.write(json.dumps(c.to_json()) + "\n"))
+            found, _, _ = col.enumerate_nac_detailed(g, on_found=lambda c: fh.write(line(c.mask)))
             if not found:
                 fh.write("\n")
         return EXIT_OK
@@ -162,19 +163,17 @@ def cmd_nac(args) -> int:
 
 def cmd_nap(args) -> int:
     g = _load_graph(args)
-    found: list[col.EdgeColouring] = []
-
-    def keep(c: col.EdgeColouring) -> None:
-        if col.is_nap(g, c):
-            found.append(c)
-
-    # every NAP-colouring is a NAC-colouring, so filtering the NAC stream is complete
-    col.enumerate_nac(g, on_found=keep)
+    masks = col.nap_masks(g)
     if args.action == "exists":
+        found = next(masks, None) is not None
         _emit("true" if found else "false", args)
         return EXIT_OK if found else EXIT_NEGATIVE
-    with _output(args) as fh:
-        fh.writelines(json.dumps(c.to_json()) + "\n" for c in found)
+    line = col.json_line_writer(g.m)
+    with _output(args) as fh:  # an empty listing is one blank line
+        found = False
+        for mask in masks:
+            fh.write(line(mask))
+            found = True
         if not found:
             fh.write("\n")
     return EXIT_OK

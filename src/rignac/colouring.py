@@ -12,7 +12,8 @@ import heapq
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Optional
+from operator import getitem
+from typing import Callable, Iterable, Iterator, Optional
 
 from .graph import (
     Graph,
@@ -70,6 +71,42 @@ class EdgeColouring:
         return {"red": self.red_edges(), "blue": self.blue_edges()}
 
 
+class _ChunkIds(dict):
+    """Byte value -> the ids, each followed by ", ", of the edges of one
+    8-edge chunk whose bit in the byte equals `bit`; filled on first use."""
+
+    def __init__(self, chunk: int, m: int, bit: int) -> None:
+        self.ids = range(8 * chunk, min(8 * chunk + 8, m))
+        self.bit = bit
+
+    def __missing__(self, byte: int) -> str:
+        text = "".join(f"{i}, " for j, i in enumerate(self.ids) if (byte >> j & 1) == self.bit)
+        self[byte] = text
+        return text
+
+
+def json_line_writer(m: int) -> Callable[[int], str]:
+    """A function from a red-edge mask on m edges to its listing line.
+
+    The line is `json.dumps(EdgeColouring(m, mask).to_json()) + "\n"`,
+    byte for byte.  The mask is cut into 8-edge chunks by `to_bytes`, and
+    each chunk's red and blue id texts are looked up by its byte value, so
+    a line costs about m/8 lookups and no per-edge work.  A (chunk, byte)
+    entry is built the first time it is seen.
+    """
+    size = (m + 7) // 8
+    red = [_ChunkIds(k, m, RED) for k in range(size)]
+    blue = [_ChunkIds(k, m, BLUE) for k in range(size)]
+
+    def line(mask: int) -> str:
+        data = mask.to_bytes(size, "little")
+        reds = "".join(map(getitem, red, data))[:-2]
+        blues = "".join(map(getitem, blue, data))[:-2]
+        return '{"red": [' + reds + '], "blue": [' + blues + "]}\n"
+
+    return line
+
+
 def _check_length(g: Graph, c: EdgeColouring) -> None:
     if c.m != g.m:
         raise ValueError(f"colouring length {c.m} does not match edge count {g.m}")
@@ -117,20 +154,38 @@ def is_nap(g: Graph, c: EdgeColouring) -> bool:
     """Surjective, all triangles monochromatic, no alternating 3-edge path.
 
     Equivalent endvertex criterion: every edge has an endpoint all of whose
-    incident edges share one colour.
+    incident edges share one colour.  Tested on the red-edge mask by the
+    predicate that `nap_masks` filters with.
     """
     _check_length(g, c)
-    if not c.is_surjective():
-        return False
-    sees = [0] * g.n  # bit 1: incident red, bit 2: incident blue
+    return _nap_predicate(g)(c.mask)
+
+
+def _nap_predicate(g: Graph) -> Callable[[int], bool]:
+    """Whether a red-edge mask of g is a NAP-colouring.
+
+    `inc[v]` is the mask of the edges at v, so v is mixed (sees both
+    colours) exactly when `0 < mask & inc[v] < inc[v]`; a surjective mask
+    is NAP when no edge joins two mixed vertices.  The masks are built
+    once, and each test costs O(n + m) with no per-edge bit test.
+    """
+    inc = [0] * g.n
     for i, (u, v) in enumerate(g.edges):
-        b = 1 if c.is_red(i) else 2
-        sees[u] |= b
-        sees[v] |= b
-    for u, v in g.edges:
-        if sees[u] == 3 and sees[v] == 3:
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    full = (1 << g.m) - 1
+    edges = g.edges
+
+    def nap(mask: int) -> bool:
+        if not 0 < mask < full:
             return False
-    return True
+        mixed = [0 < mask & x < x for x in inc]
+        for u, v in edges:
+            if mixed[u] and mixed[v]:
+                return False
+        return True
+
+    return nap
 
 
 def nap_from_separation(g: Graph, sep: Separation) -> EdgeColouring:
@@ -485,6 +540,19 @@ def enumerate_nac_detailed(
             on_found(EdgeColouring(g.m, mask))
         count = len(masks)
     return count, expanded, (time.perf_counter() - start) * 1000.0
+
+
+def nap_masks(g: Graph) -> Iterator[int]:
+    """Red-edge masks of the NAP-colourings with edge 0 blue, lazily, in
+    the order of `enumerate_nac`.
+
+    Every NAP-colouring is a NAC-colouring, so filtering the listed NAC
+    masks is complete; the filter stops where the caller stops reading.
+    """
+    if g.m < 1:
+        raise PreconditionError("enumeration requires at least one edge")
+    masks, _ = _frontier_masks(g, False)
+    return filter(_nap_predicate(g), masks)
 
 
 def count_nac(g: Graph, stats: Optional[dict] = None) -> int:

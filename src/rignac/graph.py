@@ -353,7 +353,7 @@ def is_stable_set(g: Graph, vertices: Iterable[int]) -> bool:
     for v in s:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    return all(not (u in s and v in s) for u, v in g.edges)
+    return all(s.isdisjoint(g.adjacency[v]) for v in s)
 
 
 def is_cut(g: Graph, vertices: Iterable[int]) -> bool:

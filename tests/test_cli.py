@@ -191,6 +191,15 @@ class TestNac:
             code, out, _ = run_cli(monkeypatch, capsys, ["nap", "list"], text)
             assert code == 0 and out == search_stdout(g, naps), g.edges
 
+    def test_list_out_matches_stdout(self, monkeypatch, capsys, tmp_path):
+        text = edge_text(make_complete_bipartite(6, 10))
+        for action in ("nac", "nap"):
+            code, out, _ = run_cli(monkeypatch, capsys, [action, "list"], text)
+            assert code == 0 and out.count("\n") == (2 ** 14 - 1 if action == "nac" else 542)
+            path = tmp_path / f"{action}.txt"
+            code, printed, _ = run_cli(monkeypatch, capsys, [action, "list", "--out", str(path)], text)
+            assert code == 0 and printed == "" and path.read_bytes() == out.encode()
+
     def test_threads_flag(self, monkeypatch, capsys):
         code, out, _ = run_cli(
             monkeypatch, capsys, ["nac", "count", "--raw", "--threads", "2"], PRISM_EDGES

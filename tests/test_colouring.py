@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -21,9 +22,11 @@ from rignac.colouring import (
     enumerate_nac_detailed,
     is_nac,
     is_nap,
+    json_line_writer,
     ladder_edges,
     locally_nac_check,
     nap_from_separation,
+    nap_masks,
     nnac_upper_bound,
     separation_from_nap,
     separation_from_stable_cut,
@@ -161,6 +164,39 @@ class TestIsNap:
                 c = EdgeColouring(g.m, mask)
                 if is_nap(g, c):
                     assert is_nac(g, c)
+
+    def test_matches_definition_scan_on_seeded_random_graphs(self):
+        rnd = random.Random(8200)
+        graphs = []
+        for _ in range(200):
+            n = rnd.randrange(1, 10)
+            graphs.append(random_graph(rnd, n, rnd.randrange(1, 2 * n + 1)))
+        assert sum(not all(g.adjacency) for g in graphs) >= 20
+        for g in graphs:
+            if g.m < 1:
+                continue
+            full = (1 << g.m) - 1
+            masks = range(1 << g.m) if g.m <= 8 else [0, full] + [rnd.getrandbits(g.m) for _ in range(200)]
+            for mask in masks:
+                assert is_nap(g, EdgeColouring(g.m, mask)) == brute_is_nap(g, mask), (g.edges, mask)
+            nac_masks, _ = dfs_nac_masks(g)
+            assert list(nap_masks(g)) == [mask for mask in nac_masks if brute_is_nap(g, mask)], g.edges
+
+    def test_nap_masks_needs_an_edge(self):
+        with pytest.raises(PreconditionError, match="at least one edge"):
+            nap_masks(Graph.from_edges(3, []))
+
+
+class TestJsonLineWriter:
+    def test_matches_json_dumps(self):
+        rnd = random.Random(8300)
+        for m in (1, 7, 8, 9, 15, 16, 17, 60, 64, 65, 130):
+            full = (1 << m) - 1
+            masks = [0, full] + [full ^ (1 << i) for i in range(m)]
+            masks += [rnd.getrandbits(m) for _ in range(300)]
+            line = json_line_writer(m)
+            for mask in masks + masks[::-1]:  # the second pass reads filled entries
+                assert line(mask) == json.dumps(EdgeColouring(m, mask).to_json()) + "\n", (m, mask)
 
 
 class TestSeparations:

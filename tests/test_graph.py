@@ -196,6 +196,19 @@ class TestPredicates:
         with pytest.raises(ValueError):
             is_stable_set(triangle(), {5})
 
+    def test_stable_set_matches_an_edge_scan(self):
+        rnd = random.Random(8400)
+        for _ in range(300):
+            n = rnd.randrange(1, 12)
+            pairs = list(combinations(range(n), 2))
+            g = Graph.from_edges(n, rnd.sample(pairs, rnd.randrange(len(pairs) + 1)))
+            for _ in range(10):
+                s = set(rnd.sample(range(n), rnd.randrange(n + 1)))
+                assert is_stable_set(g, s) == all(not (u in s and v in s) for u, v in g.edges)
+            for bad in (-1, n):
+                with pytest.raises(ValueError, match="out of range"):
+                    is_stable_set(g, {0, bad})
+
 
 class TestContraction:
     def test_triangle_to_edge(self):
