@@ -30,6 +30,7 @@ from .stable_cut import EXHAUSTIVE_MAX_VERTICES, find_stable_cut
 
 RED = 1
 BLUE = 0
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -494,7 +495,14 @@ def _frontier_masks(g: Graph, first_only: bool) -> tuple[list[int], int]:
                 prev.setdefault(link >> 1, []).extend([mask | red for mask in tails] if link & 1 else tails)
         suffixes = prev
     masks = suffixes.get(0, [])[: 1 if first_only else None]
-    masks.sort(key=lambda mask: int(f"{mask:0{g.m}b}"[::-1], 2), reverse=True)
+    size = (g.m + 7) // 8
+
+    def reversed_bits(mask: int) -> int:
+        # reversed over whole bytes: the m-bit reversal shifted left by a
+        # constant, so it sorts the same way
+        return int.from_bytes(mask.to_bytes(size, "little").translate(_BIT_REVERSED), "big")
+
+    masks.sort(key=reversed_bits, reverse=True)
     return masks, expanded
 
 

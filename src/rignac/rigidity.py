@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graph import Graph, PreconditionError, is_connected
 
@@ -182,13 +182,18 @@ def rigidity_report(g: Graph) -> RigidityReport:
 def two_tree_peel(g: Graph) -> Optional[list[int]]:
     """Peel order certifying g is a 2-tree, or None.
 
-    A 2-tree is a connected graph with m = 2n-3 whose gluing-family
-    decomposition has no prism; the order is that peel's, smallest ear first.
+    A 2-tree is a connected graph with m = 2n-3 whose gluing-family peel
+    takes no prism; the order is that peel's, smallest ear first.  The peel
+    stops at its first prism step.
     """
-    if g.n < 2 or not is_connected(g):
+    if g.n < 2 or not is_connected(g) or g.m != 2 * g.n - 3:
         return None
-    dec = gsc_decomposition(g)
-    return list(dec.peel_order) if dec is not None and not dec.prism_count else None
+    order = []
+    for step in _peel(g):
+        if step.piece == "prism":
+            return None
+        order.append(step.new_vertices[0])
+    return order if len(order) == g.n - 2 else None
 
 
 def is_2tree(g: Graph) -> bool:
@@ -442,46 +447,26 @@ def _live_prisms(adj: list[set[int]], deg3: Iterable[int]) -> list[tuple[tuple[i
     return sorted(found, key=lambda p: (p[0], sorted(p[1]), p[1]))
 
 
-def _peel(g: Graph) -> Optional[GscDecomposition]:
-    """Depth-first peel of gluing moves down to an edge, or None.
+def _peel(g: Graph) -> Iterator[GscStep]:
+    """Gluing moves peeled off g greedily, in peel order, until an edge is
+    left or no move applies.
 
-    One live adjacency is updated in place by each move and restored on
-    backtrack; the prism choices sit on an explicit stack, so depth is not
-    bounded by Python's recursion limit.  Ears (degree-2 vertices with
-    adjacent neighbours) are peeled greedily, smallest first: for such a
-    vertex w, G has a stable cut exactly when G - w has one, so by Le and
-    Pfender's characterisation G is a member exactly when G - w is, and a
-    failed ear needs no retry with another.  Only a graph without ears
-    branches, over its prism moves.  Ear-free live vertex sets that failed
-    are remembered exactly.
+    Each step takes the smallest ear (a degree-2 vertex with adjacent
+    neighbours) if there is one, else the first move of the first live
+    prism that has one, and removes the move's new vertices from one live
+    adjacency.  No move is ever retried, and none needs to be.  Let the move
+    take piece P, an ear or a prism glued along an edge or a triangle K,
+    and let H = G - (V(P) - K).  A stable set S holds at most one vertex
+    of the clique K; P has no stable cut, so P - S is connected and meets
+    K - S.  Hence S is a stable cut of G iff S n V(H) is one of H.  H is
+    connected with 2|V(H)| - 3 edges, so by Le and Pfender's
+    characterisation G is a member iff H is: any applicable move may be
+    taken, and a peel that gets stuck above two vertices proves that g is
+    not a member.
     """
     adj = [set(s) for s in g.adjacency]
-    live = set(range(g.n))
-    deg2 = {v for v in live if len(adj[v]) == 2}
-    deg3 = {v for v in live if len(adj[v]) == 3}
-
-    def retag(v: int) -> None:
-        d = len(adj[v])
-        (deg2.add if d == 2 else deg2.discard)(v)
-        (deg3.add if d == 3 else deg3.discard)(v)
-
-    def remove(vs: tuple[int, ...]) -> None:
-        for v in vs:
-            live.remove(v)
-            deg2.discard(v)
-            deg3.discard(v)
-            for u in adj[v]:
-                adj[u].remove(v)
-                retag(u)
-
-    def restore(vs: tuple[int, ...]) -> None:
-        # reverse order: a vertex removed later is back before the ones it touched
-        for v in reversed(vs):
-            for u in adj[v]:
-                adj[u].add(v)
-                retag(u)
-            live.add(v)
-            retag(v)
+    deg2 = {v for v in range(g.n) if len(adj[v]) == 2}
+    deg3 = {v for v in range(g.n) if len(adj[v]) == 3}
 
     def smallest_ear() -> Optional[int]:
         best = None
@@ -492,56 +477,34 @@ def _peel(g: Graph) -> Optional[GscDecomposition]:
                     best = w
         return best
 
-    def prism_moves() -> list[GscStep]:
-        moves, seen = [], set()
-        for t1, t2 in _live_prisms(adj, deg3):
-            for mv in _prism_moves(adj, t1, t2):
-                key = (mv.glue_type, mv.glue_at, tuple(sorted(mv.new_vertices)), mv.layout)
-                if key not in seen:
-                    seen.add(key)
-                    moves.append(mv)
-        return moves
-
-    failed: set[frozenset[int]] = set()
-    path: list[GscStep] = []
-    # ear-free levels with prism moves left: [len(path) there, live set, moves, next move]
-    branches: list[list] = []
-    while True:
-        while len(live) > 2:
-            w = smallest_ear()
-            if w is None:
-                break
+    left = g.n
+    while left > 2:
+        w = smallest_ear()
+        if w is not None:
             mv = GscStep("triangle", "edge", tuple(sorted(adj[w])), (w,))
-            remove(mv.new_vertices)
-            path.append(mv)
-        if len(live) == 2:
-            a, b = sorted(live)
-            return GscDecomposition((a, b), tuple(reversed(path)))
-        key = frozenset(live)
-        if key not in failed:
-            branches.append([len(path), key, prism_moves(), 0])
-        while branches:
-            branch = branches[-1]
-            while len(path) > branch[0]:
-                restore(path.pop().new_vertices)
-            if branch[3] < len(branch[2]):
-                mv = branch[2][branch[3]]
-                branch[3] += 1
-                remove(mv.new_vertices)
-                path.append(mv)
-                break
-            failed.add(branch[1])
-            branches.pop()
         else:
-            return None
+            moves = (mv for t1, t2 in _live_prisms(adj, deg3) for mv in _prism_moves(adj, t1, t2))
+            mv = next(moves, None)
+            if mv is None:
+                return
+        for v in mv.new_vertices:
+            deg2.discard(v)
+            deg3.discard(v)
+            for u in adj[v]:
+                adj[u].remove(v)
+                d = len(adj[u])
+                (deg2.add if d == 2 else deg2.discard)(u)
+                (deg3.add if d == 3 else deg3.discard)(u)
+        left -= len(mv.new_vertices)
+        yield mv
 
 
 def gsc_decomposition(g: Graph) -> Optional[GscDecomposition]:
     """The gluing-family build script of g, or None when g is not a member.
 
-    The peel alone: no witness is searched for.  By Le and Pfender's
-    characterisation a connected graph with m = 2n-3 has no stable cut
-    exactly when it is a member.
+    The greedy peel alone: no witness is searched for.  By Le and
+    Pfender's characterisation a connected graph with m = 2n-3 has no
+    stable cut exactly when it is a member.
     """
     if g.n < 2:
         raise PreconditionError("gluing-family recognition requires at least two vertices")
@@ -549,7 +512,12 @@ def gsc_decomposition(g: Graph) -> Optional[GscDecomposition]:
         raise PreconditionError("gluing-family recognition requires a connected graph")
     if g.m != 2 * g.n - 3:
         return None
-    return _peel(g)
+    steps = list(_peel(g))
+    base = set(range(g.n)).difference(*(s.new_vertices for s in steps))
+    if len(base) != 2:
+        return None
+    a, b = sorted(base)
+    return GscDecomposition((a, b), tuple(reversed(steps)))
 
 
 def recognize_gsc(g: Graph):
@@ -578,10 +546,20 @@ def recognize_gsc(g: Graph):
 
 def recognize_0extension_graph(g: Graph) -> tuple[bool, Optional[int]]:
     """Is g buildable from an edge by 0-extensions; if so, the minimum number
-    of open steps over all construction orders (memoised full search).
+    of open steps over all construction orders (memoised search).
 
     The search removes degree-2 vertices one at a time, depth first on an
     explicit stack, so input size is not bounded by the recursion limit.
+    Where the live set has an ear (a degree-2 vertex e with adjacent
+    neighbours a, b, a closed removal), only the smallest ear is removed.
+    That loses nothing, by exchange on any removal order.  A vertex is
+    removed at degree 2 and degrees only fall, so if e is removed at all,
+    neither a nor b goes before it; moving e's removal to the front then
+    keeps every other step's neighbourhood and cost.  If e instead stays in
+    the final pair, with a say, then b was removed while its neighbours were
+    exactly {a, e}.  Swapping b and e is then an automorphism of that live
+    graph that fixes every other vertex, so removing e at b's step costs
+    the same, and e can then be moved to the front as before.
     """
     if g.n < 2:
         return (False, None)
@@ -594,13 +572,16 @@ def recognize_0extension_graph(g: Graph) -> tuple[bool, Optional[int]]:
     memo: dict[frozenset[int], Optional[int]] = {}
 
     def removals(verts: frozenset[int]) -> list[tuple[int, int]]:
-        """(w, 1 if removing w undoes an open step else 0) per degree-2 vertex w."""
+        """(w, 1 if removing w undoes an open step else 0) per degree-2 vertex
+        w, or only the smallest ear if there is one."""
         out = []
         for w in sorted(verts):
             nbrs = adj_full[w] & verts
             if len(nbrs) == 2:
                 a, b = nbrs
-                out.append((w, 0 if b in adj_full[a] else 1))
+                if b in adj_full[a]:
+                    return [(w, 0)]
+                out.append((w, 1))
         return out
 
     root = frozenset(range(g.n))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from typing import Iterator
 
 from rignac.graph import Graph, connected_components, parse_graph6
 
@@ -379,16 +380,19 @@ def brute_is_biconnected(g: Graph) -> bool:
 # stable cut oracles
 
 
-def brute_stable_cuts(g: Graph) -> list[frozenset[int]]:
+def iter_brute_stable_cuts(g: Graph) -> Iterator[frozenset[int]]:
+    """Every stable cut of g, smallest first, then lexicographically."""
     from rignac.graph import is_cut, is_stable_set
 
-    out = []
     for k in range(0, g.n - 1):
         for cand in combinations(range(g.n), k):
             s = frozenset(cand)
             if is_stable_set(g, s) and is_cut(g, s):
-                out.append(s)
-    return out
+                yield s
+
+
+def brute_stable_cuts(g: Graph) -> list[frozenset[int]]:
+    return list(iter_brute_stable_cuts(g))
 
 
 # ---------------------------------------------------------------------------
@@ -785,6 +789,47 @@ def random_prism_chain(rnd: random.Random, prisms: int) -> Graph:
         x, y = rnd.choice(inner[layout])
         glue = (2 + 4 * i + x, 2 + 4 * i + y)
     return make_gsc(steps)
+
+
+def glue_random_pieces(rnd: random.Random, g: Graph, pieces: int) -> Graph:
+    """g with `pieces` gluing-family pieces glued on one after another, each
+    on a random edge or triangle of the graph so far: an ear, a prism along
+    an edge in either layout, or a prism along a triangle.  New vertices take
+    the next ids.  A piece has no stable cut, so gluing one on keeps g's
+    membership in the gluing family."""
+    edges = set(g.edges)
+    n = g.n
+    for _ in range(pieces):
+        h = Graph.from_edges(n, edges)
+        tris = _live_triangles(list(h.adjacency), set(range(n)))
+        kind = rnd.choice(["ear", "triangle", "matching", "face"] if tris else ["ear", "triangle", "matching"])
+        if kind == "face":
+            a, b, c = rnd.choice(tris)
+            p, q, r = n, n + 1, n + 2
+            new = [(p, q), (q, r), (p, r), (a, p), (b, q), (c, r)]
+        else:
+            a, b = rnd.choice(h.edges)
+            p, q, r, t = n, n + 1, n + 2, n + 3
+            new = {
+                "ear": [(a, p), (b, p)],
+                "triangle": [(a, p), (b, p), (q, r), (r, t), (q, t), (a, q), (b, r), (p, t)],
+                "matching": [(a, p), (a, q), (p, q), (b, r), (b, t), (r, t), (p, r), (q, t)],
+            }[kind]
+        edges.update(new)
+        n = max(map(max, new)) + 1
+    return Graph.from_edges(n, edges)
+
+
+def random_0extension_graph(rnd: random.Random, n: int) -> Graph:
+    """An edge grown by n - 2 random 0-extensions, open or closed, with its
+    vertices relabelled at random."""
+    edges = {(0, 1)}
+    for w in range(2, n):
+        a, b = rnd.sample(range(w), 2)
+        edges.update([(a, w), (b, w)])
+    label = list(range(n))
+    rnd.shuffle(label)
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
 
 
 def random_gsc_member(rnd: random.Random, pieces: int) -> Graph:

@@ -64,6 +64,13 @@ NON_MEMBER_EDGES = "0 1\n0 5\n1 2\n1 5\n2 3\n2 4\n3 4\n3 5\n4 5"
 # neighbourhood, and above the exhaustive search limit
 EARED_NON_MEMBER_EDGES = NON_MEMBER_EDGES + "".join(f"\n0 {w}\n1 {w}" for w in range(6, 36))
 
+# the same graph with 40 prisms glued along edge 0-1 (166 vertices): a peel
+# that branched over prism moves took seconds here already with 12 prisms
+PRISM_GLUED_NON_MEMBER_EDGES = NON_MEMBER_EDGES + "".join(
+    f"\n0 {p}\n1 {p}\n{q} {r}\n{r} {t}\n{q} {t}\n0 {q}\n1 {r}\n{p} {t}"
+    for p, q, r, t in ((w, w + 1, w + 2, w + 3) for w in range(6, 166, 4))
+)
+
 
 class TestAnalyze:
     def test_prism_report(self, monkeypatch, capsys):
@@ -260,6 +267,18 @@ class TestStableCut:
         code, out, _ = run_cli(monkeypatch, capsys, ["analyze"], EARED_NON_MEMBER_EDGES)
         report = json.loads(out)
         assert code == 0 and report["stable_cut"] is None and report["stable_cut_method"] == "skipped"
+
+    def test_prism_glued_non_member_is_refused_quickly(self, monkeypatch, capsys):
+        with deadline(0.5):
+            code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut"], PRISM_GLUED_NON_MEMBER_EDGES)
+        payload = json.loads(out)
+        assert code == 3 and payload.pop("reason")
+        assert payload == {"cut": None, "method": "skipped"}
+        with deadline(0.5):
+            code, out, _ = run_cli(monkeypatch, capsys, ["analyze"], PRISM_GLUED_NON_MEMBER_EDGES)
+        report = json.loads(out)
+        assert code == 0 and report["n"] == 166
+        assert report["gsc"] == {"member": False, "reason": "stable cut"}
 
     def test_peel_is_checked_against_exhaustive_search(self, monkeypatch, capsys):
         # a peel that misses a member contradicts Le and Pfender: exhaustive

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -30,6 +31,9 @@ from oracles import (
     brute_stable_cuts,
     generic_matrix_rank,
     generic_related_pairs,
+    glue_random_pieces,
+    iter_brute_stable_cuts,
+    random_0extension_graph,
     random_connected_graph,
     random_gsc_member,
     random_prism_chain,
@@ -236,6 +240,20 @@ class TestTwoTrees:
         assert sum(is_2tree(g) for g in graphs) >= 10
         for g in graphs:
             self.assert_same_peel(g)
+
+    def test_peel_matches_the_greedy_loop_on_seeded_prism_chains(self):
+        rnd = random.Random(7400)
+        for prisms in range(1, 13):
+            g = random_prism_chain(rnd, prisms)
+            for h in (g, relabelled(g, rnd), glue_random_pieces(rnd, g, 3)):
+                self.assert_same_peel(h)
+            self.assert_same_peel(glue_random_pieces(rnd, make_2tree(prisms, 3 + prisms), 2))
+
+    def test_deep_prism_chain_stops_at_its_first_prism(self):
+        g = random_prism_chain(random.Random(41), 100)
+        start = time.perf_counter()
+        assert two_tree_peel(g) is None and not is_2tree(g)
+        assert time.perf_counter() - start < 0.1
 
     def test_catalog_link_no_nac_iff_2tree(self, catalog6):
         for entry in catalog6:
@@ -450,6 +468,31 @@ class TestGscPeelAgainstSlowPath:
         edges = base + [(x, 6 + i) for i in range(30) for x in (0, 1)]
         assert gsc_decomposition(Graph.from_edges(36, edges)) is None
 
+    def test_glued_pieces_keep_non_members_out(self, laman_keys):
+        # a glued piece neither makes nor breaks a stable cut, so the greedy
+        # peel must get stuck on every non-member with pieces glued on
+        rnd = random.Random(7300)
+        bases = [parse_graph6(key) for n in laman_keys for key in laman_keys[n]]
+        bases = [g for g in bases if slow_gsc_decomposition(g) is None]
+        assert len(bases) == 64  # 1, 7, 56 for n = 5, 6, 7
+        for i, base in enumerate(bases * 2):
+            g = glue_random_pieces(rnd, base, 1 + i % 3)
+            assert g.m == 2 * g.n - 3
+            assert gsc_decomposition(g) is None and slow_gsc_decomposition(g) is None
+            assert next(iter_brute_stable_cuts(g), None) is not None
+
+    def test_prism_glued_non_member_is_rejected_quickly(self):
+        # 40 prisms glued along edge 0-1 of a non-member (166 vertices): a
+        # peel that branched over prism moves took seconds with 12 of them
+        edges = [(0, 1), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
+        for p in range(6, 166, 4):
+            q, r, t = p + 1, p + 2, p + 3
+            edges += [(0, p), (1, p), (q, r), (r, t), (q, t), (0, q), (1, r), (p, t)]
+        g = Graph.from_edges(166, edges)
+        start = time.perf_counter()
+        assert gsc_decomposition(g) is None
+        assert time.perf_counter() - start < 0.5
+
     def test_too_few_edges_is_not_a_member(self):
         assert gsc_decomposition(c4()) is None
         with pytest.raises(PreconditionError):
@@ -485,6 +528,12 @@ class TestZeroExtensionRecognition:
         for key in [k for n in laman_keys for k in laman_keys[n]] + laman8_keys:
             g = parse_graph6(key)
             assert recognize_0extension_graph(g) == slow_0extension(g), key
+
+    def test_matches_recursive_search_on_seeded_0extension_graphs(self):
+        rnd = random.Random(7500)
+        for _ in range(300):
+            g = random_0extension_graph(rnd, rnd.randrange(3, 17))
+            assert recognize_0extension_graph(g) == slow_0extension(g), g.edges
 
     def test_open_step_count_oracle(self, laman_keys):
         # independent unmemoised search on the 5- and 6-vertex classes
