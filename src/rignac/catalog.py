@@ -101,15 +101,23 @@ def _extension_choices(g: Graph, gens: list[list[int]]) -> tuple[list, list]:
 
 
 def _henneberg_children(g: Graph) -> set[str]:
-    """Canonical graph6 keys of all one-vertex extensions of a tight graph.
+    """Canonical graph6 keys of one-vertex extensions of a tight graph: every
+    0-extension, and every 1-extension whose child has no degree-2 vertex.
 
     Automorphic extensions give isomorphic children, so one choice per orbit
-    of the parent's automorphism group is extended.  Children are keyed by
-    their certificate; graph6 is emitted once per distinct key.
+    of the parent's automorphism group is extended.  A 1-extension on
+    (x, y, z) keeps the degrees of x and y and raises only z's, so its child
+    has a degree-2 vertex exactly when g has one other than z.  Deleting
+    that vertex leaves a tight graph on g.n vertices, whose 0-extensions
+    give the child, so a triple is extended only if every degree-2 vertex
+    of g is z.  The kept triples are still closed under g's automorphisms:
+    a unique degree-2 vertex is fixed by all of them.  Children are keyed
+    by their certificate; graph6 is emitted once per distinct key.
     """
     n = g.n
     adj = [list(a) for a in g.adjacency]
     pairs, triples = _extension_choices(g, canonical_search(adj)[1])
+    low = {v for v in range(n) if len(adj[v]) == 2}
     certs: set[int] = set()
     for u, v in pairs:
         child = [list(a) for a in adj] + [[u, v]]
@@ -117,6 +125,8 @@ def _henneberg_children(g: Graph) -> set[str]:
         child[v].append(n)
         certs.add(canonical_search(child)[0])
     for x, y, z in triples:
+        if not low <= {z}:
+            continue
         child = [list(a) for a in adj] + [[x, y, z]]
         child[x].remove(y)
         child[y].remove(x)
@@ -134,7 +144,11 @@ def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) 
     """Canonical graph6 keys of all minimally rigid isomorphism classes.
 
     Grown from the triangle by vertex additions of degree 2 and edge splits,
-    with canonical-form dedup; every class is rank-checked.  Generation can
+    with canonical-form dedup; every class is rank-checked.  Each level is
+    the complete set of classes on its vertex count, so an edge split whose
+    child has a degree-2 vertex w is skipped: child - w is tight, its class
+    is in the level being extended, and one of its vertex additions gives
+    the child (`_henneberg_children`).  Generation can
     fan out over parent graphs; per-worker key sets are merged, and the
     sorted output is identical for every worker count.
     """

@@ -567,20 +567,25 @@ def count_nac(g: Graph, stats: Optional[dict] = None) -> int:
     """nnac via block decomposition: half the product of (2*nnac(block)+2), minus 1.
 
     Isolated vertices do not affect the count and are dropped before the
-    block decomposition; each block is counted by `_frontier_count`.
-    `stats`, if given, receives "states" (counter states expanded, summed
-    over the blocks).
+    block decomposition; each block is counted by `_frontier_count`.  A
+    graph without isolated vertices is its own core, and a block holding
+    every edge is the core itself, so a 2-connected graph is counted
+    without a copy.  `stats`, if given, receives "states" (counter states
+    expanded, summed over the blocks).
     """
     if g.m < 1:
         raise PreconditionError("count requires at least one edge")
     if stats is None:
         stats = {}
     stats.setdefault("states", 0)
-    core, _ = induced_subgraph(g, (v for v in range(g.n) if g.adjacency[v]))
+    core = g
+    if not all(g.adjacency):
+        core, _ = induced_subgraph(g, (v for v in range(g.n) if g.adjacency[v]))
     product = 1
     for block in blocks(core):
-        verts = {v for i in block for v in core.edges[i]}
-        sub, _ = induced_subgraph(core, verts)
+        sub = core
+        if len(block) < core.m:
+            sub, _ = induced_subgraph(core, {v for i in block for v in core.edges[i]})
         count, states = _frontier_count(sub)
         stats["states"] += states
         product *= 2 * count + 2

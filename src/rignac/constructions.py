@@ -154,8 +154,7 @@ def make_gsc(steps: Sequence[Sequence]) -> Graph:
                 raise PreconditionError(f"unknown prism layout {layout!r}")
         step = GscStep(piece, glue_type, site, new, layout if piece == "prism" and glue_type == "edge" else None)
         built.append(step)
-        partial = GscDecomposition((0, 1), tuple(built)).replay()
-        edges = set(partial.edges)
+        edges.update(step.edges())
     return GscDecomposition((0, 1), tuple(built)).replay()
 
 

@@ -254,6 +254,25 @@ class GscStep:
     new_vertices: tuple[int, ...]
     layout: Optional[str] = None
 
+    def edges(self) -> list[tuple[int, int]]:
+        """The edges this step adds, each as (smaller id, larger id)."""
+        if self.piece == "triangle":
+            (a, b), (w,) = self.glue_at, self.new_vertices
+            pairs = ((a, w), (b, w))
+        elif self.glue_type == "triangle":
+            a, b, c = self.glue_at
+            p, q, r = self.new_vertices
+            pairs = ((p, q), (q, r), (p, r), (a, p), (b, q), (c, r))
+        elif self.layout == "matching":
+            a, b = self.glue_at
+            x, y, xx, yy = self.new_vertices
+            pairs = ((a, x), (a, y), (x, y), (b, xx), (b, yy), (xx, yy), (x, xx), (y, yy), (a, b))
+        else:
+            a, b = self.glue_at
+            p, q, r, t = self.new_vertices
+            pairs = ((a, b), (a, p), (b, p), (q, r), (r, t), (q, t), (a, q), (b, r), (p, t))
+        return [(x, y) if x < y else (y, x) for x, y in pairs]
+
 
 @dataclass(frozen=True)
 class GscDecomposition:
@@ -297,34 +316,12 @@ class GscDecomposition:
         """Rebuild the graph described by the script."""
         verts = set(self.base_vertices)
         edges = {tuple(sorted(self.base_vertices))}
-
-        def add(a: int, b: int) -> None:
-            edges.add((min(a, b), max(a, b)))
-
         for s in self.steps:
             if any(w in verts for w in s.new_vertices):
                 raise ValueError("step reuses an existing vertex id")
             if not all(w in verts for w in s.glue_at):
                 raise ValueError(f"glue site {s.glue_at} not present yet")
-            if s.piece == "triangle":
-                (a, b), (w,) = s.glue_at, s.new_vertices
-                add(a, w)
-                add(b, w)
-            elif s.glue_type == "triangle":
-                a, b, c = s.glue_at
-                p, q, r = s.new_vertices
-                for x, y in ((p, q), (q, r), (p, r), (a, p), (b, q), (c, r)):
-                    add(x, y)
-            elif s.layout == "matching":
-                a, b = s.glue_at
-                x, y, xx, yy = s.new_vertices
-                for p, q in ((a, x), (a, y), (x, y), (b, xx), (b, yy), (xx, yy), (x, xx), (y, yy), (a, b)):
-                    add(p, q)
-            else:
-                a, b = s.glue_at
-                p, q, r, t = s.new_vertices
-                for x, y in ((a, b), (a, p), (b, p), (q, r), (r, t), (q, t), (a, q), (b, r), (p, t)):
-                    add(x, y)
+            edges.update(s.edges())
             verts.update(s.new_vertices)
         ids = sorted(verts)
         pos = {v: i for i, v in enumerate(ids)}

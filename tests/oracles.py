@@ -774,6 +774,58 @@ def random_two_body(rnd: random.Random, n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def slow_make_gsc(steps: list) -> Graph:
+    """make_gsc with every glue site checked against a full replay of the
+    script so far (quadratic in the script length)."""
+    from rignac.graph import PreconditionError
+    from rignac.rigidity import GscDecomposition, GscStep
+
+    built: list[GscStep] = []
+    for raw in steps:
+        edges = set(GscDecomposition((0, 1), tuple(built)).replay().edges)
+        next_id = 2 + sum(len(s.new_vertices) for s in built)
+        piece, glue_type, glue_at = raw[0], raw[1], tuple(raw[2])
+        layout = raw[3] if len(raw) > 3 else None
+        if piece not in ("triangle", "prism") or glue_type not in ("edge", "triangle"):
+            raise PreconditionError(f"unknown step {raw!r}")
+        site = tuple(sorted(glue_at))
+        if glue_type == "edge" and site not in edges:
+            raise PreconditionError(f"glue edge ({site[0]},{site[1]}) not present")
+        if glue_type == "triangle" and not set(combinations(site, 2)) <= edges:
+            raise PreconditionError(f"glue triangle {site} not present")
+        if piece == "triangle" and glue_type == "triangle":
+            continue
+        size = 1 if piece == "triangle" else 3 if glue_type == "triangle" else 4
+        if size == 4:
+            layout = layout or "triangle"
+            if layout not in ("triangle", "matching"):
+                raise PreconditionError(f"unknown prism layout {layout!r}")
+        built.append(GscStep(piece, glue_type, site, tuple(range(next_id, next_id + size)), layout if size == 4 else None))
+    return GscDecomposition((0, 1), tuple(built)).replay()
+
+
+def random_gsc_script(rnd: random.Random, length: int) -> list[list]:
+    """A script of up to `length` random steps of every kind, each glued on
+    an edge or triangle of the graph built so far; now and then the script
+    ends early in a step glued on a vertex pair or triple that need not be
+    one."""
+    steps: list[list] = []
+    for _ in range(length):
+        g = slow_make_gsc(steps)
+        tris = _live_triangles(list(g.adjacency), set(range(g.n)))
+        piece = rnd.choice(["triangle", "prism"])
+        if tris and rnd.random() < 0.3:
+            site = list(rnd.choice(tris))
+            steps.append([piece, "triangle", site])
+        else:
+            site = list(rnd.choice(g.edges))
+            steps.append([piece, "edge", site] + ([rnd.choice(["triangle", "matching"])] if rnd.random() < 0.7 else []))
+        if rnd.random() < 0.05:
+            steps[-1][2] = rnd.sample(range(g.n), len(site))
+            break
+    return steps
+
+
 def random_prism_chain(rnd: random.Random, prisms: int) -> Graph:
     """Prisms glued edge to edge, each onto an edge between two of the
     previous prism's new vertices, with a random layout (n = 4 * prisms + 2)."""

@@ -76,11 +76,32 @@ class TestGeneration:
         assert laman_keys[6] == minimally_rigid_graph6(6)
 
     def test_orbit_pruned_children_match_oracle(self, laman_keys):
-        # one extension per orbit of the parent's automorphisms loses no class
+        # one extension per orbit of the parent's automorphisms, and no edge
+        # split whose child has a degree-2 vertex, loses no class of the level
         for n in range(3, 8):
+            union, slow_union = set(), set()
             for key in laman_keys[n]:
                 g = parse_graph6(key)
-                assert _henneberg_children(g) == slow_henneberg_children(g), key
+                children, slow = _henneberg_children(g), slow_henneberg_children(g)
+                assert children <= slow, key
+                union |= children
+                slow_union |= slow
+            assert union == slow_union, n
+
+    def test_generation_canonical_search_count_n8(self, monkeypatch):
+        # deterministic; extending every edge-split orbit would take 3 815
+        import rignac.catalog as catalog
+
+        calls = []
+        search = catalog.canonical_search
+
+        def counted(nbrs):
+            calls.append(nbrs)
+            return search(nbrs)
+
+        monkeypatch.setattr(catalog, "canonical_search", counted)
+        assert len(minimally_rigid_graph6(8)) == 608
+        assert len(calls) == 1446
 
     def test_extension_choices_are_one_per_orbit(self, laman_keys):
         # against orbits under every automorphism, found by brute force
@@ -157,7 +178,7 @@ class TestHistograms:
 
     @pytest.mark.skipif(
         not os.environ.get("RIGNAC_LARGE_TESTS"),
-        reason="opt-in: ~1 minute with workers (set RIGNAC_LARGE_TESTS=1)",
+        reason="opt-in: ~10 s with workers (set RIGNAC_LARGE_TESTS=1)",
     )
     def test_n9_exact_published_data(self):
         entries = enumerate_minimally_rigid(9, allow_large=True, workers=8)

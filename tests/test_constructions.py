@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import permutations
 
 import pytest
@@ -21,6 +22,8 @@ from rignac.constructions import (
     make_gsc,
     make_path,
 )
+
+from oracles import random_gsc_script, random_prism_chain, slow_make_gsc
 
 
 class TestBasicFamilies:
@@ -123,6 +126,30 @@ class TestGscScripts:
         )
         assert g.m == 2 * g.n - 3
         assert isinstance(recognize_gsc(g), type(recognize_gsc(make_gsc([["prism", "edge", [0, 1]]]))))
+
+    def test_seeded_scripts_match_full_replay(self):
+        # make_gsc checks each glue site on its running edge set; the oracle
+        # replays the whole partial script before every step
+        for seed in range(60):
+            rnd = random.Random(seed)
+            steps = random_gsc_script(rnd, rnd.randint(1, 12))
+            try:
+                want = slow_make_gsc(steps)
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError) as got:
+                    make_gsc(steps)
+                assert str(got.value) == str(exc), steps
+                continue
+            assert make_gsc(steps) == want, steps
+
+    def test_long_script_is_linear(self):
+        # 400 prisms; checking each glue site on a full replay takes seconds here
+        import time
+
+        start = time.perf_counter()
+        g = random_prism_chain(random.Random(5), 400)
+        assert time.perf_counter() - start < 0.5
+        assert g.n == 1602 and g.m == 2 * g.n - 3
 
 
 class TestGluing:
