@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .colouring import count_nac
 from .graph import (
@@ -89,35 +89,41 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _extension_choices(g: Graph, gens: list[list[int]]) -> tuple[list, list]:
+def _extension_choices(g: Graph, gens: list[list[int]], apexes: Iterable[int]) -> tuple[list, list]:
     """One vertex pair (0-extension) and one (edge, vertex) triple
-    (1-extension) per orbit of the group generated by gens."""
+    (1-extension) per orbit of the group generated by gens.  A triple's
+    vertex is taken from `apexes`, an ascending set closed under the group."""
     pairs = list(combinations(range(g.n), 2))
-    triples = [(x, y, z) for x, y in g.edges for z in range(g.n) if z != x and z != y]
+    triples = [(x, y, z) for x, y in g.edges for z in apexes if z != x and z != y]
     return (
         _orbit_representatives(pairs, gens, lambda s, p: _pair(s[p[0]], s[p[1]])),
         _orbit_representatives(triples, gens, lambda s, t: (*_pair(s[t[0]], s[t[1]]), s[t[2]])),
     )
 
 
-def _henneberg_children(g: Graph) -> set[str]:
-    """Canonical graph6 keys of one-vertex extensions of a tight graph: every
-    0-extension, and every 1-extension whose child has no degree-2 vertex.
+def _henneberg_children(g6: str) -> set[str]:
+    """Canonical graph6 keys of one-vertex extensions of the tight graph
+    with key g6: every 0-extension, and every 1-extension whose child has
+    no degree-2 vertex.
 
     Automorphic extensions give isomorphic children, so one choice per orbit
     of the parent's automorphism group is extended.  A 1-extension on
     (x, y, z) keeps the degrees of x and y and raises only z's, so its child
     has a degree-2 vertex exactly when g has one other than z.  Deleting
     that vertex leaves a tight graph on g.n vertices, whose 0-extensions
-    give the child, so a triple is extended only if every degree-2 vertex
-    of g is z.  The kept triples are still closed under g's automorphisms:
-    a unique degree-2 vertex is fixed by all of them.  Children are keyed
-    by their certificate; graph6 is emitted once per distinct key.
+    give the child, so a triple is formed only if every degree-2 vertex
+    of g is z: z is any vertex when g has none, the one when g has one,
+    and there is no triple when g has two or more.  These apexes are
+    closed under g's automorphisms: a unique degree-2 vertex is fixed by
+    all of them.  Children are keyed by their certificate; graph6 is
+    emitted once per distinct key.
     """
+    g = parse_graph6(g6)
     n = g.n
     adj = [list(a) for a in g.adjacency]
-    pairs, triples = _extension_choices(g, canonical_search(adj)[1])
-    low = {v for v in range(n) if len(adj[v]) == 2}
+    low = [v for v in range(n) if len(adj[v]) == 2]
+    apexes = range(n) if not low else low if len(low) == 1 else []
+    pairs, triples = _extension_choices(g, canonical_search(adj)[1], apexes)
     certs: set[int] = set()
     for u, v in pairs:
         child = [list(a) for a in adj] + [[u, v]]
@@ -125,8 +131,6 @@ def _henneberg_children(g: Graph) -> set[str]:
         child[v].append(n)
         certs.add(canonical_search(child)[0])
     for x, y, z in triples:
-        if not low <= {z}:
-            continue
         child = [list(a) for a in adj] + [[x, y, z]]
         child[x].remove(y)
         child[y].remove(x)
@@ -136,8 +140,16 @@ def _henneberg_children(g: Graph) -> set[str]:
     return {certificate_graph6(n + 1, c) for c in certs}
 
 
-def _children_job(g6: str) -> set[str]:
-    return _henneberg_children(parse_graph6(g6))
+def _fan_out(fn: Callable[[str], object], keys: list[str], workers: int) -> Iterator:
+    """fn(key) for each key, in order, yielded as each result arrives; over
+    a pool of `workers` processes when there are at least 4 keys per worker."""
+    if workers > 1 and len(keys) >= 4 * workers:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, keys, chunksize=8)
+    else:
+        yield from map(fn, keys)
 
 
 def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) -> list[str]:
@@ -162,15 +174,8 @@ def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) 
     size = 3
     while size < n:
         nxt: set[str] = set()
-        if workers > 1 and len(level) >= 4 * workers:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_children_job, sorted(level), chunksize=8):
-                    nxt |= part
-        else:
-            for g6 in sorted(level):
-                nxt |= _henneberg_children(parse_graph6(g6))
+        for children in _fan_out(_henneberg_children, sorted(level), workers):
+            nxt |= children
         level = nxt
         size += 1
     for g6 in level:
@@ -184,12 +189,7 @@ def enumerate_minimally_rigid(
     n: int, allow_large: bool = False, workers: int = 1
 ) -> list[CatalogEntry]:
     keys = minimally_rigid_graph6(n, allow_large, workers)
-    if workers > 1 and len(keys) >= 4 * workers:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_classify, keys, chunksize=8))
-    return [_classify(g6) for g6 in keys]
+    return list(_fan_out(_classify, keys, workers))
 
 
 def nnac_histogram(entries: list[CatalogEntry]) -> tuple[dict[int, int], int]:

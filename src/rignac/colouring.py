@@ -131,24 +131,21 @@ def _colour_components(g: Graph, edge_ids: Iterable[int]) -> list[int]:
     return [find(v) for v in range(g.n)]
 
 
+def _no_almost_cycle(g: Graph, red: list[int], blue: list[int]) -> bool:
+    """No edge of one colour joins two vertices of one component of the other."""
+    for mine, theirs in ((red, blue), (blue, red)):
+        comp = _colour_components(g, mine)
+        for i in theirs:
+            u, v = g.edges[i]
+            if comp[u] == comp[v]:
+                return False
+    return True
+
+
 def is_nac(g: Graph, c: EdgeColouring) -> bool:
     """Surjective and no edge of one colour joins one component of the other."""
     _check_length(g, c)
-    if not c.is_surjective():
-        return False
-    red = c.red_edges()
-    blue = c.blue_edges()
-    red_comp = _colour_components(g, red)
-    for i in blue:
-        u, v = g.edges[i]
-        if red_comp[u] == red_comp[v]:
-            return False
-    blue_comp = _colour_components(g, blue)
-    for i in red:
-        u, v = g.edges[i]
-        if blue_comp[u] == blue_comp[v]:
-            return False
-    return True
+    return c.is_surjective() and _no_almost_cycle(g, c.red_edges(), c.blue_edges())
 
 
 def is_nap(g: Graph, c: EdgeColouring) -> bool:
@@ -616,72 +613,28 @@ class TwoTreeCertificate:
     peel_order: tuple[int, ...]
 
 
-def _prism_step_coloured_edges(step) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int]:
-    """(blue edges, red edges, glue-site colour) for a prism gluing step.
-
-    Both prism triangles are blue and the matching is red; the glue site's
-    colour follows from where it sits in the prism.
-    """
-
-    def e(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
-    if step.glue_type == "triangle":
-        a, b, c = step.glue_at
-        p, q, r = step.new_vertices
-        blue = [e(a, b), e(b, c), e(a, c), e(p, q), e(q, r), e(p, r)]
-        red = [e(a, p), e(b, q), e(c, r)]
-        return blue, red, BLUE
-    a, b = step.glue_at
-    if step.layout == "matching":
-        x, y, xx, yy = step.new_vertices
-        blue = [e(a, x), e(a, y), e(x, y), e(b, xx), e(b, yy), e(xx, yy)]
-        red = [e(a, b), e(x, xx), e(y, yy)]
-        return blue, red, RED
-    p, q, r, t = step.new_vertices
-    blue = [e(a, b), e(a, p), e(b, p), e(q, r), e(r, t), e(q, t)]
-    red = [e(a, q), e(b, r), e(p, t)]
-    return blue, red, BLUE
-
-
 def _colouring_from_decomposition(g: Graph, dec) -> EdgeColouring:
-    """Replay a gluing certificate into a NAC-colouring.
+    """A NAC-colouring of a gluing-family member from its build script.
 
-    Triangle gluings copy the glue edge's colour; a prism gluing paints the
-    whole existing graph in its glue site's colour and contributes its own
-    two-triangles-blue, matching-red pattern.
+    Only the last prism step L decides it.  L's triangles are blue and its
+    matching red, so its glue site has one colour: red exactly when it is a
+    matching edge.  Everything built before L, the base edge included,
+    takes that colour, and each later triangle step copies the colour of
+    its glue edge.  One pass over the script.
     """
-    colour: dict[tuple[int, int], int] = {}
-    painted = False
-    present: set[tuple[int, int]] = {tuple(sorted(dec.base_vertices))}
-
-    def e(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
-    for step in dec.steps:
-        if step.piece == "triangle":
-            a, b = step.glue_at
-            (w,) = step.new_vertices
-            if painted:
-                col = colour[e(a, b)]
-                colour[e(a, w)] = col
-                colour[e(b, w)] = col
-            present.update((e(a, w), e(b, w)))
-        else:
-            blue, red, glue_colour = _prism_step_coloured_edges(step)
-            for edge in present:
-                colour[edge] = glue_colour
-            for edge in blue:
-                colour[edge] = BLUE
-            for edge in red:
-                colour[edge] = RED
-            present.update(blue)
-            present.update(red)
-            painted = True
-    if not painted:
+    steps = dec.steps
+    last = max((i for i, s in enumerate(steps) if s.piece == "prism"), default=None)
+    if last is None:
         raise RuntimeError("decomposition has no prism step; graph is a 2-tree")
-    red_ids = [g.edge_index[edge] for edge, col in colour.items() if col == RED]
-    return EdgeColouring.from_red_edges(g.m, red_ids)
+    red: set[tuple[int, int]] = set()
+    if steps[last].layout == "matching":
+        red.add(tuple(sorted(dec.base_vertices)))
+        red.update(e for s in steps[:last] for e in s.edges())
+    red.update(steps[last].edges()[-3:])
+    for s in steps[last + 1 :]:
+        if s.glue_at in red:
+            red.update(s.edges())
+    return EdgeColouring.from_red_edges(g.m, (g.edge_index[e] for e in red))
 
 
 def construct_nac_minimally_rigid(g: Graph):
@@ -731,10 +684,6 @@ def locally_nac_check(gk_prime: Graph, c: EdgeColouring, k: int) -> bool:
         ids = [j for j, (u, v) in enumerate(gk_prime.edges) if u in window and v in window]
         red = [j for j in ids if c.is_red(j)]
         blue = [j for j in ids if not c.is_red(j)]
-        red_comp = _colour_components(gk_prime, red)
-        if any(red_comp[gk_prime.edges[j][0]] == red_comp[gk_prime.edges[j][1]] for j in blue):
-            return False
-        blue_comp = _colour_components(gk_prime, blue)
-        if any(blue_comp[gk_prime.edges[j][0]] == blue_comp[gk_prime.edges[j][1]] for j in red):
+        if not _no_almost_cycle(gk_prime, red, blue):
             return False
     return True

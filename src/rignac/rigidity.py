@@ -16,7 +16,7 @@ where a probe per vertex pair used to cost O(n^2) pebble searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .graph import Graph, PreconditionError, is_connected
@@ -255,7 +255,14 @@ class GscStep:
     layout: Optional[str] = None
 
     def edges(self) -> list[tuple[int, int]]:
-        """The edges this step adds, each as (smaller id, larger id)."""
+        """The edges this step adds, each as (smaller id, larger id).
+
+        For a prism the three matching edges come last, after the triangle
+        edges; a matching-layout prism lists its glue edge among them.  In
+        the prism's NAC-colouring (both triangles blue, the matching red)
+        the step's blue edges are `edges()[:-3]` and its red ones
+        `edges()[-3:]`.
+        """
         if self.piece == "triangle":
             (a, b), (w,) = self.glue_at, self.new_vertices
             pairs = ((a, w), (b, w))
@@ -334,47 +341,9 @@ class GscNonMembership:
     stable_cut: Optional[frozenset[int]] = None
 
 
-def _triangles(adj: list[frozenset[int]], verts: Iterable[int]) -> list[tuple[int, int, int]]:
-    vs = sorted(verts)
-    out = []
-    for a in vs:
-        for b in sorted(adj[a]):
-            if b <= a:
-                continue
-            for c in sorted(adj[a] & adj[b]):
-                if c > b:
-                    out.append((a, b, c))
-    return out
-
-
-def _prisms_in(adj: list[frozenset[int]], verts: set[int]) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
-    """Prism subgraphs as (triangle1, matched triangle2): vertex i of t1 matched to i of t2."""
-    tris = _triangles(adj, verts)
-    out = []
-    for i, t1 in enumerate(tris):
-        for t2 in tris[i + 1 :]:
-            if set(t1) & set(t2):
-                continue
-            for perm in permutations(t2):
-                if all(perm[k] in adj[t1[k]] for k in range(3)):
-                    out.append((t1, perm))
-    return out
-
-
 def count_prism_subgraphs(g: Graph) -> int:
     """Number of distinct 3-prism subgraphs (as 9-edge sets) of g."""
-    seen = set()
-    for t1, t2 in _prisms_in(list(g.adjacency), set(range(g.n))):
-        edges = set()
-        for k in range(3):
-            a, b = t1[k], t1[(k + 1) % 3]
-            edges.add((min(a, b), max(a, b)))
-            a, b = t2[k], t2[(k + 1) % 3]
-            edges.add((min(a, b), max(a, b)))
-            a, b = t1[k], t2[k]
-            edges.add((min(a, b), max(a, b)))
-        seen.add(frozenset(edges))
-    return len(seen)
+    return len(_live_prisms(list(g.adjacency), range(g.n)))
 
 
 def _prism_moves(adj: list[set[int]], t1: tuple[int, ...], t2: tuple[int, ...]) -> list[GscStep]:
@@ -416,31 +385,34 @@ def _prism_moves(adj: list[set[int]], t1: tuple[int, ...], t2: tuple[int, ...]) 
     return out
 
 
-def _live_prisms(adj: list[set[int]], deg3: Iterable[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Prisms (t1, t2) of the live graph through a vertex of degree 3.
+def _live_prisms(adj: list, verts: Iterable[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Prisms (t1, t2) of the graph `adj` through a vertex of `verts`.
 
-    Every prism move has a new vertex of degree 3, so these are all the
-    prisms that can be peeled.  A degree-3 vertex x lies on a prism as one
-    of its triangles {x, y, z} with its third neighbour as x's partner.
+    A vertex x lies on a prism as one of its triangles {x, y, z} with one
+    of its other neighbours as x's partner.  Each prism is keyed once: t1
+    is the smaller of its triangles as a sorted triple, and t2 lists the
+    matched images of t1's vertices, so the key fixes the prism's 9 edges.
+    The peel passes its live degree-3 vertices: every prism move has a new
+    vertex of degree 3, so these are all the prisms that can be peeled.
     Ordered as the triangle pairs of the whole graph would be: t1 < t2 as
     sorted triples, then t2's matched order lexicographically.
     """
     found: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for x in deg3:
+    for x in verts:
         for y, z in combinations(sorted(adj[x]), 2):
             if z not in adj[y]:
                 continue
-            (xp,) = adj[x] - {y, z}
             tri = (x, y, z)
-            for yp in adj[y] & adj[xp]:
-                if yp in tri:
-                    continue
-                for zp in adj[z] & adj[xp] & adj[yp]:
-                    if zp in tri:
+            for xp in adj[x] - {y, z}:
+                for yp in adj[y] & adj[xp]:
+                    if yp in tri:
                         continue
-                    partner = {x: xp, y: yp, z: zp, xp: x, yp: y, zp: z}
-                    t1 = min(tuple(sorted(tri)), tuple(sorted((xp, yp, zp))))
-                    found.add((t1, tuple(partner[v] for v in t1)))
+                    for zp in adj[z] & adj[xp] & adj[yp]:
+                        if zp in tri:
+                            continue
+                        partner = {x: xp, y: yp, z: zp, xp: x, yp: y, zp: z}
+                        t1 = min(tuple(sorted(tri)), tuple(sorted((xp, yp, zp))))
+                        found.add((t1, tuple(partner[v] for v in t1)))
     return sorted(found, key=lambda p: (p[0], sorted(p[1]), p[1]))
 
 

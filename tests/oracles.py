@@ -453,6 +453,78 @@ def _all_prisms(adj: list[frozenset[int]], verts: set[int]) -> list[tuple[tuple[
     return out
 
 
+def _prism_step_coloured_edges(step) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int]:
+    """(blue edges, red edges, glue-site colour, 1 for red) of a prism
+    gluing step, from its own table of the three prism layouts.
+
+    Both prism triangles are blue and the matching is red; the glue site's
+    colour follows from where it sits in the prism.
+    """
+
+    def e(a: int, b: int) -> tuple[int, int]:
+        return (a, b) if a < b else (b, a)
+
+    if step.glue_type == "triangle":
+        a, b, c = step.glue_at
+        p, q, r = step.new_vertices
+        blue = [e(a, b), e(b, c), e(a, c), e(p, q), e(q, r), e(p, r)]
+        return blue, [e(a, p), e(b, q), e(c, r)], 0
+    a, b = step.glue_at
+    if step.layout == "matching":
+        x, y, xx, yy = step.new_vertices
+        blue = [e(a, x), e(a, y), e(x, y), e(b, xx), e(b, yy), e(xx, yy)]
+        return blue, [e(a, b), e(x, xx), e(y, yy)], 1
+    p, q, r, t = step.new_vertices
+    blue = [e(a, b), e(a, p), e(b, p), e(q, r), e(r, t), e(q, t)]
+    return blue, [e(a, q), e(b, r), e(p, t)], 0
+
+
+def slow_colouring_from_decomposition(g: Graph, dec) -> int:
+    """The red-edge mask of a gluing-family member's NAC-colouring, by
+    replaying its build script step by step (quadratic).
+
+    A triangle gluing copies its glue edge's colour; a prism gluing
+    repaints the whole graph built so far in its glue site's colour and
+    adds its own two-triangles-blue, matching-red pattern.
+    """
+    colour: dict[tuple[int, int], int] = {}
+    painted = False
+    present: set[tuple[int, int]] = {tuple(sorted(dec.base_vertices))}
+    for step in dec.steps:
+        if step.piece == "triangle":
+            a, b = step.glue_at
+            (w,) = step.new_vertices
+            new = [tuple(sorted((a, w))), tuple(sorted((b, w)))]
+            if painted:
+                for edge in new:
+                    colour[edge] = colour[(a, b)]
+            present.update(new)
+        else:
+            blue, red, glue_colour = _prism_step_coloured_edges(step)
+            for edge in present:
+                colour[edge] = glue_colour
+            colour.update(dict.fromkeys(blue, 0))
+            colour.update(dict.fromkeys(red, 1))
+            present.update(blue + red)
+            painted = True
+    if not painted:
+        raise RuntimeError("decomposition has no prism step; graph is a 2-tree")
+    return sum(1 << g.edge_index[edge] for edge, col in colour.items() if col)
+
+
+def slow_count_prism_subgraphs(g: Graph) -> int:
+    """Distinct 3-prism subgraphs of g: every triangle pair with a matching,
+    deduplicated by its 9-edge set."""
+    seen = set()
+    for t1, t2 in _all_prisms(list(g.adjacency), set(range(g.n))):
+        edges = set()
+        for k in range(3):
+            for a, b in ((t1[k], t1[k - 1]), (t2[k], t2[k - 1]), (t1[k], t2[k])):
+                edges.add((min(a, b), max(a, b)))
+        seen.add(frozenset(edges))
+    return len(seen)
+
+
 def slow_gsc_decomposition(g: Graph) -> dict | None:
     """The gluing-family peel by plain recursion over vertex subsets, no memo.
 

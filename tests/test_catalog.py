@@ -82,7 +82,7 @@ class TestGeneration:
             union, slow_union = set(), set()
             for key in laman_keys[n]:
                 g = parse_graph6(key)
-                children, slow = _henneberg_children(g), slow_henneberg_children(g)
+                children, slow = _henneberg_children(key), slow_henneberg_children(g)
                 assert children <= slow, key
                 union |= children
                 slow_union |= slow
@@ -114,13 +114,18 @@ class TestGeneration:
                     for p in permutations(range(n))
                     if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in g.edges)
                 ]
-                pairs, triples = _extension_choices(g, canonical_search(g.adjacency)[1])
+                pairs, triples = _extension_choices(g, canonical_search(g.adjacency)[1], range(n))
                 pair_orbits = [frozenset(frozenset((a[u], a[v])) for a in auts) for u, v in pairs]
                 all_pairs = {frozenset(p) for p in combinations(range(n), 2)}
                 assert len(set(pair_orbits)) == len(pairs) and set().union(*pair_orbits) == all_pairs
                 triple_orbits = [frozenset((frozenset((a[x], a[y])), a[z]) for a in auts) for x, y, z in triples]
                 all_triples = {(frozenset(e), z) for e in edges for z in range(n) if z not in e}
                 assert len(set(triple_orbits)) == len(triples) and set().union(*triple_orbits) == all_triples
+                # an apex set closed under the automorphisms keeps the same representatives
+                low = [v for v in range(n) if g.degree(v) == 2]
+                if len(low) == 1:
+                    _, kept = _extension_choices(g, canonical_search(g.adjacency)[1], low)
+                    assert kept == [t for t in triples if t[2] == low[0]]
 
     def test_generation_worker_invariance_n8(self, laman8_keys):
         assert minimally_rigid_graph6(8, workers=2) == laman8_keys

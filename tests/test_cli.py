@@ -347,6 +347,18 @@ class TestCatalogCommand:
         n, entries = load_catalog(str(out_path))
         assert n == 6 and len(entries) == 13
 
+    def test_out_keeps_the_catalog_and_reports_go_to_stdout(self, monkeypatch, capsys, tmp_path):
+        out_path = tmp_path / "c6.jsonl"
+        argv = ["catalog", "--n", "6", "--out", str(out_path), "--histogram", "--check-conjecture"]
+        code, out, _ = run_cli(monkeypatch, capsys, argv)
+        from rignac.catalog import load_catalog
+
+        n, entries = load_catalog(str(out_path))
+        assert code == 0 and n == 6 and len(entries) == 13
+        histogram, conjecture = map(json.loads, out.splitlines())
+        assert histogram["classes"] == 13 and histogram["histogram"] == {"0": 5, "1": 5, "3": 2, "15": 1}
+        assert conjecture["n"] == 6 and conjecture["violations_construction_reading"] == []
+
 
 class TestMisc:
     def test_rank_command(self, monkeypatch, capsys):

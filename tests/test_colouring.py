@@ -42,7 +42,7 @@ from rignac.graph import (
     is_stable_set,
     parse_graph6,
 )
-from rignac.rigidity import GscNonMembership, recognize_gsc, rigidity_report
+from rignac.rigidity import GscNonMembership, gsc_decomposition, recognize_gsc, rigidity_report
 from rignac.constructions import (
     fixtures,
     glue_along_edge,
@@ -69,7 +69,9 @@ from oracles import (
     random_flexible_connected,
     random_graph,
     random_prism_chain,
+    random_gsc_member,
     relabelled,
+    slow_colouring_from_decomposition,
     slow_two_tree_peel,
 )
 
@@ -493,7 +495,7 @@ def stepwise_construct(g: Graph):
     dec = recognize_gsc(g)
     if isinstance(dec, GscNonMembership):
         return nap_from_separation(g, separation_from_stable_cut(g, dec.stable_cut))
-    return _colouring_from_decomposition(g, dec)
+    return EdgeColouring(g.m, slow_colouring_from_decomposition(g, dec))
 
 
 class TestConstructiveColouring:
@@ -562,6 +564,18 @@ class TestConstructiveColouring:
             assert g.n == 4 * prisms + 2
             res = construct_nac_minimally_rigid(g)
             assert isinstance(res, EdgeColouring) and is_nac(g, res)
+
+    def test_one_pass_colouring_matches_stepwise_repaint(self):
+        rnd = random.Random(1107)
+        graphs = [random_prism_chain(rnd, k) for k in range(1, 41)]
+        graphs += [random_gsc_member(rnd, pieces) for pieces in range(1, 31) for _ in range(3)]
+        prisms = 0
+        for g in graphs:
+            dec = gsc_decomposition(g)
+            if dec.prism_count:
+                prisms += 1
+                assert _colouring_from_decomposition(g, dec).mask == slow_colouring_from_decomposition(g, dec)
+        assert prisms >= 100
 
 
 class TestLocallyNac:

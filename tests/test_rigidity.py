@@ -23,7 +23,7 @@ from rignac.rigidity import (
     zero_extend,
 )
 from rignac.stable_cut import exhaustive_stable_cut
-from rignac.constructions import make_2tree, make_complete_bipartite, make_gk, make_gsc
+from rignac.constructions import make_2tree, make_complete, make_complete_bipartite, make_gk, make_gsc
 
 from oracles import (
     brute_max_sparse_subset,
@@ -41,6 +41,7 @@ from oracles import (
     random_two_body,
     relabelled,
     slow_0extension,
+    slow_count_prism_subgraphs,
     slow_gsc_decomposition,
     slow_two_tree_peel,
 )
@@ -570,3 +571,14 @@ class TestPrismSubgraphCount:
 
     def test_triangle_free_has_none(self):
         assert count_prism_subgraphs(c4()) == 0
+
+    def test_matches_triangle_pair_oracle(self, laman_keys, laman8_keys):
+        # every triangle pair with a matching, deduplicated by 9-edge set
+        graphs = [parse_graph6(key) for n in laman_keys for key in laman_keys[n]]
+        graphs += [parse_graph6(key) for key in laman8_keys]
+        rnd = random.Random(1106)
+        graphs += [random_graph(rnd, n, rnd.randint(n, n * (n - 1) // 2)) for n in (6, 8, 9, 10) for _ in range(15)]
+        for g in graphs:
+            assert count_prism_subgraphs(g) == slow_count_prism_subgraphs(g), g.edges
+        assert count_prism_subgraphs(make_complete(6)) == slow_count_prism_subgraphs(make_complete(6)) == 60
+        assert count_prism_subgraphs(make_complete(8)) == slow_count_prism_subgraphs(make_complete(8)) == 1680
