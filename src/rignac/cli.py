@@ -31,7 +31,7 @@ from .graph import (
     parse_graph,
     parse_graph6,
 )
-from .rigidity import gsc_decomposition, rank, recognize_gsc, rigidity_report
+from .rigidity import gsc_decomposition, rank, recognize_0extension_graph, recognize_gsc, rigidity_report
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -39,10 +39,17 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
 
+class InputError(Exception):
+    """Input the command cannot use: an unreadable file or a vertex out of range."""
+
+
 def _read_input(args) -> str:
     if args.file and args.file != "-":
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read {args.file}: {exc.strerror}") from exc
     return sys.stdin.read()
 
 
@@ -181,6 +188,10 @@ def cmd_nap(args) -> int:
 
 def cmd_stable_cut(args) -> int:
     g = _load_graph(args)
+    named = args.separate or ([] if args.avoid is None else [args.avoid])
+    for v in named:
+        if not 0 <= v < g.n:
+            raise InputError(f"vertex {v} out of range for a graph on {g.n} vertices")
     if args.separate:
         u, v = args.separate
         result = sc.algorithm1_stable_cut(g, u, v)
@@ -280,6 +291,7 @@ def _selftest_rows() -> list[tuple[str, object, object]]:
     rows.append(("k23-count", 7, col.count_nac(cons.make_complete_bipartite(2, 3))))
     gk2, _ = cons.make_gk(2)
     rows.append(("gk2-count", 3, col.count_nac(gk2)))
+    rows.append(("gk2-open-steps", 2, recognize_0extension_graph(gk2)[1]))
     rows.append(("two-triangles-blocks", 1, col.count_nac(_two_triangles())))
     rows.append(("upper-bound-n6", 35, col.nnac_upper_bound(6)))
     rows.append(("prism-gsc-prisms", 1, recognize_gsc(prism).prism_count))
@@ -372,6 +384,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except GraphParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)

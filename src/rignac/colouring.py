@@ -513,8 +513,8 @@ def enumerate_nac(
     """Exact count of NAC colour classes; optionally emits one witness per class.
 
     Edge 0 is pinned blue, so every class is seen exactly once and the
-    returned count is already the half-count.  Without `on_found` the
-    frontier programme only counts; with it, every class is listed, in the
+    returned count is already the half-count.  Without `on_found` it counts
+    as `count_nac` does, block by block; with it, every class is listed, in the
     order of an edge-by-edge search that tries red before blue.
     `first_only` stops at one class: the count is 0 or 1 and the witness
     is some NAC-colouring, not necessarily the first in that order.
@@ -536,7 +536,9 @@ def enumerate_nac_detailed(
         raise PreconditionError("enumeration requires at least one edge")
     start = time.perf_counter()
     if on_found is None:
-        count, expanded = _frontier_count(g)
+        stats: dict = {}
+        count = count_nac(g, stats)
+        expanded = stats["states"]
         if first_only:
             count = min(count, 1)
     else:

@@ -515,65 +515,39 @@ def recognize_gsc(g: Graph):
 
 def recognize_0extension_graph(g: Graph) -> tuple[bool, Optional[int]]:
     """Is g buildable from an edge by 0-extensions; if so, the minimum number
-    of open steps over all construction orders (memoised search).
+    of open steps over all construction orders.  One O(n + m) pass removes
+    degree-2 vertices in any order, counting a removal as open when the two
+    live neighbours are not adjacent, until two vertices are left (a member)
+    or no degree-2 vertex is (a non-member); each removal keeps m = 2n - 3.
 
-    The search removes degree-2 vertices one at a time, depth first on an
-    explicit stack, so input size is not bounded by the recursion limit.
-    Where the live set has an ear (a degree-2 vertex e with adjacent
-    neighbours a, b, a closed removal), only the smallest ear is removed.
-    That loses nothing, by exchange on any removal order.  A vertex is
-    removed at degree 2 and degrees only fall, so if e is removed at all,
-    neither a nor b goes before it; moving e's removal to the front then
-    keeps every other step's neighbourhood and cost.  If e instead stays in
-    the final pair, with a say, then b was removed while its neighbours were
-    exactly {a, e}.  Swapping b and e is then an automorphism of that live
-    graph that fixes every other vertex, so removing e at b's step costs
-    the same, and e can then be moved to the front as before.
+    Lemma: if m = 2n - 3, n >= 3 and w has degree 2 with neighbours a, b,
+    then g is a member iff g - w is, and minopen(g) = minopen(g - w) +
+    [ab not an edge]; by induction every maximal order is exact.  Proof: w
+    then a full order of g - w is a full order of g, so it remains to move w
+    to the front of any full order of g.  A vertex is removed at
+    degree 2 and degrees only fall, so if w is removed, a and b go after it
+    and no earlier step sees w; the move keeps every step's neighbours and
+    cost.  If ab is an edge and w stays in the final pair, with a say, b
+    was removed with neighbours exactly {a, w}, and swapping b and w (an
+    automorphism of that live graph) makes w removed at the same cost.  If
+    ab is not an edge, w is not among the last three live vertices, which
+    form a triangle, so w is removed, with neighbours a and b, at cost 1.
     """
-    if g.n < 2:
+    if g.m != 2 * g.n - 3:
         return (False, None)
-    if g.n == 2:
-        return (g.m == 1, 0 if g.m == 1 else None)
-    if g.m != 2 * g.n - 3 or not is_connected(g):
-        return (False, None)
-
-    adj_full = list(g.adjacency)
-    memo: dict[frozenset[int], Optional[int]] = {}
-
-    def removals(verts: frozenset[int]) -> list[tuple[int, int]]:
-        """(w, 1 if removing w undoes an open step else 0) per degree-2 vertex
-        w, or only the smallest ear if there is one."""
-        out = []
-        for w in sorted(verts):
-            nbrs = adj_full[w] & verts
-            if len(nbrs) == 2:
-                a, b = nbrs
-                if b in adj_full[a]:
-                    return [(w, 0)]
-                out.append((w, 1))
-        return out
-
-    root = frozenset(range(g.n))
-    # frame: [vertex set, its removals, next removal to try, best so far]
-    frames: list[list] = [[root, removals(root), 0, None]]
-    while frames:
-        frame = frames[-1]
-        verts, moves, pos, best = frame
-        if pos == len(moves) or best == 0:
-            memo[verts] = best
-            frames.pop()
+    adj = [set(nbrs) for nbrs in g.adjacency]
+    todo = [v for v in range(g.n) if len(adj[v]) == 2]
+    live, opens = g.n, 0
+    # a vertex reaches degree 2 at most once, so it is queued at most once
+    while live > 2 and todo:
+        w = todo.pop()
+        if len(adj[w]) != 2:
             continue
-        w, cost = moves[pos]
-        sub = verts - {w}
-        if len(sub) == 2:
-            sub_open: Optional[int] = 0
-        elif sub in memo:
-            sub_open = memo[sub]
-        else:
-            frames.append([sub, removals(sub), 0, None])
-            continue  # this move is scored once the child is memoised
-        if sub_open is not None and (best is None or cost + sub_open < best):
-            frame[3] = cost + sub_open
-        frame[2] = pos + 1
-    result = memo[root]
-    return (result is not None, result)
+        a, b = adj[w]
+        opens += b not in adj[a]
+        for x in (a, b):
+            adj[x].discard(w)
+            if len(adj[x]) == 2:
+                todo.append(x)
+        live -= 1
+    return (True, opens) if live == 2 else (False, None)

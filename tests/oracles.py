@@ -947,13 +947,26 @@ def glue_random_pieces(rnd: random.Random, g: Graph, pieces: int) -> Graph:
 def random_0extension_graph(rnd: random.Random, n: int) -> Graph:
     """An edge grown by n - 2 random 0-extensions, open or closed, with its
     vertices relabelled at random."""
-    edges = {(0, 1)}
-    for w in range(2, n):
+    return grow_by_0extensions(rnd, Graph.from_edges(2, [(0, 1)]), n)[0]
+
+
+def grow_by_0extensions(rnd: random.Random, g: Graph, n: int) -> tuple[Graph, int]:
+    """(g grown to n vertices by random 0-extensions, open or closed, with
+    its vertices relabelled at random; how many of those steps were open).
+
+    Read backwards, the steps are a removal order of degree-2 vertices with
+    the same open steps, so when g is an edge the count is the minimum
+    number of open steps by the lemma of `recognize_0extension_graph`.
+    """
+    edges = set(g.edges)
+    opens = 0
+    for w in range(g.n, n):
         a, b = rnd.sample(range(w), 2)
+        opens += (min(a, b), max(a, b)) not in edges
         edges.update([(a, w), (b, w)])
     label = list(range(n))
     rnd.shuffle(label)
-    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges]), opens
 
 
 def random_gsc_member(rnd: random.Random, pieces: int) -> Graph:

@@ -287,6 +287,13 @@ class TestStableCut:
         with pytest.raises(RuntimeError, match="recognizer is incomplete"):
             run_cli(monkeypatch, capsys, ["stable-cut"], edge_text(make_2tree(54, 10)))
 
+    def test_vertex_out_of_range_exit_2(self, monkeypatch, capsys):
+        c4 = "0 1\n1 2\n2 3\n0 3"
+        for flags in (["--separate", "0", "4"], ["--separate", "-1", "2"], ["--avoid", "4"], ["--avoid", "-1"]):
+            code, out, err = run_cli(monkeypatch, capsys, ["stable-cut", *flags], c4)
+            assert code == 2 and out == "", flags
+            assert err.startswith("input error: vertex") and err.count("\n") == 1, flags
+
     def test_exhaustive_none_exit_1(self, monkeypatch, capsys):
         k4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3"
         code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut", "--exhaustive"], k4)
@@ -379,6 +386,12 @@ class TestMisc:
         code, out, _ = run_cli(monkeypatch, capsys, ["selftest"])
         assert code == 0
         assert "FAIL" not in out and "PASS" in out
+
+    def test_missing_file_exit_2(self, monkeypatch, capsys, tmp_path):
+        for command in (["rank"], ["stable-cut"], ["nac", "count"]):
+            code, out, err = run_cli(monkeypatch, capsys, [*command, "--file", str(tmp_path / "missing")])
+            assert code == 2 and out == "", command
+            assert err.startswith("input error: cannot read") and err.count("\n") == 1, command
 
     def test_usage_error_exit_2(self, monkeypatch, capsys):
         with pytest.raises(SystemExit) as exc:

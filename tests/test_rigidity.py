@@ -32,6 +32,7 @@ from oracles import (
     generic_matrix_rank,
     generic_related_pairs,
     glue_random_pieces,
+    grow_by_0extensions,
     iter_brute_stable_cuts,
     random_0extension_graph,
     random_connected_graph,
@@ -517,10 +518,13 @@ class TestZeroExtensionRecognition:
         assert recognize_0extension_graph(c4()) == (False, None)
 
     def test_gk_min_open_steps(self):
-        g1, _ = make_gk(1)
-        assert recognize_0extension_graph(g1) == (True, 0)
-        g2, _ = make_gk(2)
-        assert recognize_0extension_graph(g2) == (True, 2)
+        # each level past the first is two open steps: a_i and b_i see
+        # a_(i-1) and b_(i-1), which are not adjacent
+        for k in range(1, 61):
+            g, _ = make_gk(k)
+            assert recognize_0extension_graph(g) == (True, 2 * (k - 1)), k
+            if k <= 6:
+                assert slow_0extension(g) == (True, 2 * (k - 1)), k
 
     def test_deep_2tree_needs_no_recursion(self):
         assert recognize_0extension_graph(make_2tree(1, 1200)) == (True, 0)
@@ -535,6 +539,28 @@ class TestZeroExtensionRecognition:
         for _ in range(300):
             g = random_0extension_graph(rnd, rnd.randrange(3, 17))
             assert recognize_0extension_graph(g) == slow_0extension(g), g.edges
+
+    def test_construction_open_steps_are_the_minimum(self):
+        # the lemma against the memoised search, on the generator's own count
+        rnd = random.Random(7501)
+        for _ in range(200):
+            g, opens = grow_by_0extensions(rnd, Graph.from_edges(2, [(0, 1)]), rnd.randrange(3, 15))
+            assert slow_0extension(g) == (True, opens), g.edges
+
+    def test_seeded_0extension_graphs_up_to_1000_vertices(self):
+        rnd = random.Random(7502)
+        sizes = [rnd.randrange(3, 1001) for _ in range(30)] + [1000]
+        grown = [grow_by_0extensions(rnd, Graph.from_edges(2, [(0, 1)]), n) for n in sizes]
+        start = time.perf_counter()
+        for g, opens in grown:
+            assert recognize_0extension_graph(g) == (True, opens), g.n
+        assert time.perf_counter() - start < 1.0
+
+    def test_k33_grown_to_1006_vertices_is_refused_quickly(self):
+        g, _ = grow_by_0extensions(random.Random(7503), make_complete_bipartite(3, 3), 1006)
+        start = time.perf_counter()
+        assert recognize_0extension_graph(g) == (False, None)
+        assert time.perf_counter() - start < 1.0
 
     def test_open_step_count_oracle(self, laman_keys):
         # independent unmemoised search on the 5- and 6-vertex classes
