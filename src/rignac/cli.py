@@ -40,17 +40,21 @@ EXIT_PRECONDITION = 3
 
 
 class InputError(Exception):
-    """Input the command cannot use: an unreadable file or a vertex out of range."""
+    """Input or output the command cannot use: an unreadable or non-UTF-8
+    input, an `--out` path that cannot be opened, or a vertex out of range."""
 
 
 def _read_input(args) -> str:
-    if args.file and args.file != "-":
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.file}: {exc.strerror}") from exc
-    return sys.stdin.read()
+    path = args.file if args.file and args.file != "-" else None
+    try:
+        if path is None:
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path or 'stdin'}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path or 'stdin'} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _load_graph(args) -> Graph:
@@ -68,7 +72,24 @@ def _load_graph(args) -> Graph:
 
 def _output(args):
     out = getattr(args, "out", None)
-    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+    if not out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror}") from exc
+
+
+def _write_listing(args, masks, m: int) -> None:
+    """One JSON line per red-edge mask; an empty listing is one blank line."""
+    line = col.json_line_writer(m)
+    with _output(args) as fh:
+        found = False
+        for mask in masks:
+            fh.write(line(mask))
+            found = True
+        if not found:
+            fh.write("\n")
 
 
 def _emit(obj, args) -> None:
@@ -153,11 +174,9 @@ def cmd_nac(args) -> int:
         _emit("true" if found else "false", args)
         return EXIT_OK if found else EXIT_NEGATIVE
     if args.action == "list":
-        line = col.json_line_writer(g.m)
-        with _output(args) as fh:  # an empty listing is one blank line
-            found, _, _ = col.enumerate_nac_detailed(g, on_found=lambda c: fh.write(line(c.mask)))
-            if not found:
-                fh.write("\n")
+        masks: list[int] = []
+        col.enumerate_nac_detailed(g, on_found=masks.append)
+        _write_listing(args, masks, g.m)
         return EXIT_OK
     # construct
     result = col.construct_nac_minimally_rigid(g)
@@ -175,14 +194,7 @@ def cmd_nap(args) -> int:
         found = next(masks, None) is not None
         _emit("true" if found else "false", args)
         return EXIT_OK if found else EXIT_NEGATIVE
-    line = col.json_line_writer(g.m)
-    with _output(args) as fh:  # an empty listing is one blank line
-        found = False
-        for mask in masks:
-            fh.write(line(mask))
-            found = True
-        if not found:
-            fh.write("\n")
+    _write_listing(args, masks, g.m)
     return EXIT_OK
 
 
@@ -257,7 +269,10 @@ def cmd_catalog(args) -> int:
         args.n, allow_large=args.allow_large, workers=args.threads
     )
     if args.out:
-        cat.save_catalog(entries, args.n, args.out)
+        try:
+            cat.save_catalog(entries, args.n, args.out)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror}") from exc
         print(f"wrote {len(entries)} entries", file=sys.stderr)
     if args.histogram:
         _emit(cat.histogram_report(args.n, entries=entries), None)

@@ -212,8 +212,7 @@ def separation_from_stable_cut(g: Graph, cut: Iterable[int]) -> Separation:
         raise PreconditionError("cut is not a stable set")
     if not is_cut(g, s):
         raise PreconditionError("set does not disconnect the graph")
-    comps = [comp for comp in connected_components_without(g, s)]
-    first = comps[0]
+    first = connected_components_without(g, s)[0]
     e1 = frozenset(i for i, (u, v) in enumerate(g.edges) if u in first or v in first)
     e2 = frozenset(range(g.m)) - e1
     return Separation(e1, e2)
@@ -352,75 +351,75 @@ def _frontier_levels(g: Graph) -> tuple[list[list[int]], list[tuple]]:
     return units, levels
 
 
-# A counter state is one flat tuple, which keeps a level's memory small:
-#   blue label and red label of each frontier vertex (2 * size entries),
-#   has_red (0 or 1), the length of the blue pair list, then the blue pair
-#   list and the red pair list, each pair as two consecutive labels.
-# A colour's labels number its components from 0 in order of first
-# appearance, so equal partitions give equal keys.  The pairs of a colour
-# are the pairs of its components that an edge of the other colour joins,
-# sorted.
+# A counter state is one flat tuple: the blue and the red label of each
+# frontier vertex (2 * size entries), has_red (0 or 1), then the blue and the
+# red pair mask.  A colour's labels number its components from 0 in order of
+# first appearance, so equal partitions give equal keys.  Its pairs are the
+# pairs of its components that an edge of the other colour joins; pair (a, b)
+# with a < b is bit a * stride + b.  A label in a mask is below the next
+# frontier's size, so the stride is the widest frontier of the graph, which
+# one large triangle class does not widen.
 
 
-def _colour_unit(key: tuple, colour: int, level: tuple) -> Optional[tuple]:
+def _colour_unit(key: tuple, colour: int, level: tuple, stride: int) -> Optional[tuple]:
     """The next state after colouring the level's unit, or None if it is rejected.
 
     A new vertex takes its local number as label, which no frontier label
-    reaches.
-    """
+    reaches; the unit's edges add pairs to a list, since they may hold such
+    labels, and every label is renamed through a list indexed by label."""
     size, new, edges, keep = level
-    split = 2 * size + 2 + key[2 * size + 1]
-    labels = (key[:size] + new, key[size : 2 * size] + new)
-    pairs = (key[2 * size + 2 : split], key[split:])
-    other = 1 - colour
-    mine, theirs = labels[colour], labels[other]
-    parent = list(range(len(mine)))  # union-find over the labels of `mine`
-    joined = list(pairs[other])
+    mine = (key[size : 2 * size] if colour else key[:size]) + new
+    theirs = (key[:size] if colour else key[size : 2 * size]) + new
+    width = len(mine)
+    root = list(range(width))  # union-find over the labels of `mine`
+    added = []
     for a, b in edges:
         ta, tb = theirs[a], theirs[b]
         if ta == tb:
             return None  # the edge closes an almost cycle of the other colour
-        joined += (ta, tb)
+        added.append((ta, tb))
         ra, rb = mine[a], mine[b]
-        while parent[ra] != ra:
-            ra = parent[ra]
-        while parent[rb] != rb:
-            rb = parent[rb]
-        if ra != rb:
-            parent[ra] = rb
-    root = []
-    for x in range(len(parent)):
-        while parent[x] != x:
-            x = parent[x]
-        root.append(x)
-    mine_pairs = pairs[colour]
-    for j in range(0, len(mine_pairs), 2):
-        if root[mine_pairs[j]] == root[mine_pairs[j + 1]]:
-            return None  # a merge traps an edge of the other colour
-    mine_kept, mine_pairs = _project([root[x] for x in mine], [root[x] for x in mine_pairs], keep)
-    theirs_kept, theirs_pairs = _project(theirs, joined, keep)
-    if colour == RED:
-        return theirs_kept + mine_kept + (1, len(theirs_pairs)) + theirs_pairs + mine_pairs
-    return mine_kept + theirs_kept + (key[2 * size], len(mine_pairs)) + mine_pairs + theirs_pairs
-
-
-def _project(labels, pairs, keep: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Canonical labels of the kept vertices, and the flat sorted pairs among
-    their components.
-
-    Components without a kept vertex are dropped with their pairs, since
-    nothing can reach them again.
-    """
-    rename: dict[int, int] = {}
-    kept = []
+        while root[ra] != ra:
+            ra = root[ra]
+        while root[rb] != rb:
+            rb = root[rb]
+        root[ra] = rb
+    for x in range(width if len(edges) > 1 else 0):  # one edge leaves each label a step from its root
+        while root[root[x]] != root[x]:
+            root[x] = root[root[x]]
+    mine_new, theirs_new = [-1] * width, [-1] * width  # label -> kept label
+    mine_kept, theirs_kept, mine_count, theirs_count = [], [], 0, 0
     for x in keep:
-        kept.append(rename.setdefault(labels[x], len(rename)))
-    out = set()
-    for j in range(0, len(pairs), 2):
-        a, b = rename.get(pairs[j]), rename.get(pairs[j + 1])
-        if a is not None and b is not None:
-            out.add((a, b) if a < b else (b, a))
-    return tuple(kept), tuple(x for pair in sorted(out) for x in pair)
+        r, t = root[mine[x]], theirs[x]
+        if mine_new[r] < 0:
+            mine_new[r], mine_count = mine_count, mine_count + 1
+        if theirs_new[t] < 0:
+            theirs_new[t], theirs_count = theirs_count, theirs_count + 1
+        mine_kept.append(mine_new[r])
+        theirs_kept.append(theirs_new[t])
+    pairs, mine_mask = key[-2 + colour], 0
+    while pairs:
+        low = pairs & -pairs
+        pairs ^= low
+        a, b = divmod(low.bit_length() - 1, stride)
+        a, b = root[a], root[b]
+        if a == b:
+            return None  # a merge traps an edge of the other colour
+        a, b = mine_new[a], mine_new[b]
+        if a >= 0 and b >= 0:
+            mine_mask |= 1 << (a * stride + b if a < b else b * stride + a)
+    pairs, theirs_mask = key[-1 - colour], 0
+    while pairs:
+        low = pairs & -pairs
+        pairs ^= low
+        added.append(divmod(low.bit_length() - 1, stride))
+    for a, b in added:
+        a, b = theirs_new[a], theirs_new[b]
+        if a >= 0 and b >= 0:
+            theirs_mask |= 1 << (a * stride + b if a < b else b * stride + a)
+    if colour == RED:
+        return (*theirs_kept, *mine_kept, 1, theirs_mask, mine_mask)
+    return (*mine_kept, *theirs_kept, key[-3], mine_mask, theirs_mask)
 
 
 def _frontier_pass(
@@ -433,13 +432,14 @@ def _frontier_pass(
     A component with no frontier vertex never changes again, so the number
     of ways to finish depends only on the state, and states with equal
     keys are merged with their multiplicities added.  A final state is
-    (used red, 0).  If `links` is a list, each level appends its
+    (has_red, 0, 0).  If `links` is a list, each level appends its
     back-links to it: for each of the level's states, in order, the flat
     ints 2 * parent + colour of the steps into it, where parent indexes
     the previous level's states.
     """
     units, levels = _frontier_levels(g)
-    states: dict[tuple, int] = {(0, 0): 1}
+    stride = max((len(level[3]) for level in levels), default=0)
+    states: dict[tuple, int] = {(0, 0, 0): 1}
     expanded = 0
     for unit, level in zip(units, levels):
         colours = (BLUE,) if unit[0] == 0 else (BLUE, RED)
@@ -447,7 +447,7 @@ def _frontier_pass(
         back: dict[tuple, list[int]] = {}
         for parent, (key, mult) in enumerate(states.items()):
             for colour in colours:
-                child = _colour_unit(key, colour, level)
+                child = _colour_unit(key, colour, level, stride)
                 if child is not None:
                     nxt[child] = nxt.get(child, 0) + mult
                     if links is not None:
@@ -463,7 +463,7 @@ def _frontier_count(g: Graph) -> tuple[int, int]:
     """(NAC classes of g, states expanded): the multiplicity of the final
     state that used red."""
     _, states, expanded = _frontier_pass(g)
-    return states.get((1, 0), 0), expanded
+    return states.get((1, 0, 0), 0), expanded
 
 
 def _frontier_masks(g: Graph, first_only: bool) -> tuple[list[int], int]:
@@ -480,7 +480,7 @@ def _frontier_masks(g: Graph, first_only: bool) -> tuple[list[int], int]:
     """
     links: list[list[list[int]]] = []
     units, states, expanded = _frontier_pass(g, links)
-    suffixes = {j: [0] for j, key in enumerate(states) if key == (1, 0)}
+    suffixes = {j: [0] for j, key in enumerate(states) if key == (1, 0, 0)}
     for unit in reversed(units):
         if first_only:
             suffixes = {j: tails[:1] for j, tails in list(suffixes.items())[:1]}
@@ -492,14 +492,11 @@ def _frontier_masks(g: Graph, first_only: bool) -> tuple[list[int], int]:
                 prev.setdefault(link >> 1, []).extend([mask | red for mask in tails] if link & 1 else tails)
         suffixes = prev
     masks = suffixes.get(0, [])[: 1 if first_only else None]
-    size = (g.m + 7) // 8
-
-    def reversed_bits(mask: int) -> int:
-        # reversed over whole bytes: the m-bit reversal shifted left by a
-        # constant, so it sorts the same way
-        return int.from_bytes(mask.to_bytes(size, "little").translate(_BIT_REVERSED), "big")
-
-    masks.sort(key=reversed_bits, reverse=True)
+    size = (g.m + 7) // 8  # bits reversed over whole bytes sort as the m-bit reversal does
+    masks.sort(
+        key=lambda mask: int.from_bytes(mask.to_bytes(size, "little").translate(_BIT_REVERSED), "big"),
+        reverse=True,
+    )
     return masks, expanded
 
 
@@ -520,18 +517,20 @@ def enumerate_nac(
     is some NAC-colouring, not necessarily the first in that order.
     `workers` is accepted for compatibility and ignored.
     """
-    count, _states, _ms = enumerate_nac_detailed(g, on_found, first_only=first_only, workers=workers)
+    emit = None if on_found is None else lambda mask: on_found(EdgeColouring(g.m, mask))
+    count, _states, _ms = enumerate_nac_detailed(g, emit, first_only=first_only, workers=workers)
     return count
 
 
 def enumerate_nac_detailed(
     g: Graph,
-    on_found: Optional[Callable[[EdgeColouring], None]] = None,
+    on_found: Optional[Callable[[int], None]] = None,
     *,
     first_only: bool = False,
     workers: int = 1,
 ) -> tuple[int, int, float]:
-    """enumerate_nac plus (states expanded, elapsed milliseconds)."""
+    """enumerate_nac with red-edge masks passed to `on_found`, plus (states
+    expanded, elapsed milliseconds)."""
     if g.m < 1:
         raise PreconditionError("enumeration requires at least one edge")
     start = time.perf_counter()
@@ -544,22 +543,23 @@ def enumerate_nac_detailed(
     else:
         masks, expanded = _frontier_masks(g, first_only)
         for mask in masks:
-            on_found(EdgeColouring(g.m, mask))
+            on_found(mask)
         count = len(masks)
     return count, expanded, (time.perf_counter() - start) * 1000.0
 
 
-def nap_masks(g: Graph) -> Iterator[int]:
-    """Red-edge masks of the NAP-colourings with edge 0 blue, lazily, in
-    the order of `enumerate_nac`.
-
-    Every NAP-colouring is a NAC-colouring, so filtering the listed NAC
-    masks is complete; the filter stops where the caller stops reading.
-    """
+def nac_masks(g: Graph) -> list[int]:
+    """Red-edge masks of the NAC-colourings with edge 0 blue, in the order
+    of `enumerate_nac`."""
     if g.m < 1:
         raise PreconditionError("enumeration requires at least one edge")
-    masks, _ = _frontier_masks(g, False)
-    return filter(_nap_predicate(g), masks)
+    return _frontier_masks(g, False)[0]
+
+
+def nap_masks(g: Graph) -> Iterator[int]:
+    """`nac_masks` filtered lazily to the NAP-colourings, which are all
+    NAC-colourings; the filter stops where the caller stops reading."""
+    return filter(_nap_predicate(g), nac_masks(g))
 
 
 def count_nac(g: Graph, stats: Optional[dict] = None) -> int:

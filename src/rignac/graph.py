@@ -294,32 +294,34 @@ def blocks(g: Graph) -> list[frozenset[int]]:
     for v in range(g.n):
         if not g.adjacency[v]:
             raise PreconditionError(f"isolated vertex {v} belongs to no block")
+    adj, index = g.adjacency, g.edge_index
     disc = [-1] * g.n
     low = [0] * g.n
+    pos = [0] * g.n  # index of the next neighbour to step through
     result: list[set[int]] = []
     estack: list[int] = []
     timer = 0
     for root in range(g.n):
         if disc[root] != -1:
             continue
-        # iterative DFS: (vertex, parent edge index, iterator position)
-        stack: list[tuple[int, int, list[tuple[int, int]]]] = []
-        nbrs = sorted((w, g.edge_index[(min(root, w), max(root, w))]) for w in g.adjacency[root])
+        # iterative DFS: (vertex, parent edge index, neighbours)
         disc[root] = low[root] = timer
         timer += 1
-        stack.append((root, -1, nbrs))
+        stack: list[tuple[int, int, tuple[int, ...]]] = [(root, -1, tuple(adj[root]))]
         while stack:
-            v, pedge, it = stack[-1]
-            if it:
-                w, eidx = it.pop(0)
+            v, pedge, ws = stack[-1]
+            i = pos[v]
+            if i < len(ws):
+                w = ws[i]
+                pos[v] = i + 1
+                eidx = index[(v, w) if v < w else (w, v)]
                 if eidx == pedge:
                     continue
                 if disc[w] == -1:
                     estack.append(eidx)
                     disc[w] = low[w] = timer
                     timer += 1
-                    wn = sorted((x, g.edge_index[(min(w, x), max(w, x))]) for x in g.adjacency[w])
-                    stack.append((w, eidx, wn))
+                    stack.append((w, eidx, tuple(adj[w])))
                 elif disc[w] < disc[v]:  # back edge to an ancestor, seen once
                     estack.append(eidx)
                     if disc[w] < low[v]:

@@ -393,6 +393,26 @@ class TestMisc:
             assert code == 2 and out == "", command
             assert err.startswith("input error: cannot read") and err.count("\n") == 1, command
 
+    def test_out_in_a_missing_directory_exit_2(self, monkeypatch, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "out.json")
+        for command, stdin in ((["rank"], PRISM_EDGES), (["nac", "list"], PRISM_EDGES), (["catalog", "--n", "4"], "")):
+            code, out, err = run_cli(monkeypatch, capsys, [*command, "--out", target], stdin)
+            assert code == 2 and out == "", command
+            assert err.startswith("input error: cannot write") and err.count("\n") == 1, command
+
+    def test_non_utf8_input_exit_2(self, monkeypatch, capsys, tmp_path):
+        data = b"0 1\n\xff\xfe 2\n"
+        path = tmp_path / "binary"
+        path.write_bytes(data)
+        code, out, err = run_cli(monkeypatch, capsys, ["rank", "--file", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and "not UTF-8" in err and err.count("\n") == 1
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code = main(["rank"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("input error: stdin is not UTF-8") and err.count("\n") == 1
+
     def test_usage_error_exit_2(self, monkeypatch, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["nac", "frobnicate"])

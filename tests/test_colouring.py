@@ -6,10 +6,12 @@ import random
 
 import pytest
 
+from rignac import colouring
 from rignac.colouring import (
     BLUE,
     _frontier_count,
     _frontier_levels,
+    _frontier_masks,
     _vertex_order,
     RED,
     _colouring_from_decomposition,
@@ -25,6 +27,7 @@ from rignac.colouring import (
     json_line_writer,
     ladder_edges,
     locally_nac_check,
+    nac_masks,
     nap_from_separation,
     nap_masks,
     nnac_upper_bound,
@@ -82,6 +85,23 @@ def triangle():
 
 def bowtie():
     return Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+
+
+def spy_on_states(monkeypatch) -> dict:
+    """Record every stride the frontier programme passes and the bit length
+    of the widest pair mask it makes."""
+    seen: dict = {"strides": set(), "bits": 0}
+    real = colouring._colour_unit
+
+    def spy(key, colour, level, stride):
+        child = real(key, colour, level, stride)
+        seen["strides"].add(stride)
+        if child is not None:
+            seen["bits"] = max(seen["bits"], child[-2].bit_length(), child[-1].bit_length())
+        return child
+
+    monkeypatch.setattr(colouring, "_colour_unit", spy)
+    return seen
 
 
 def small_corpus(laman_keys) -> list[Graph]:
@@ -297,6 +317,19 @@ class TestEnumerationEngine:
     def test_detailed_reports_nodes(self, fix):
         count, nodes, ms = enumerate_nac_detailed(fix["k33"].graph)
         assert count == 15 and nodes > 0 and ms >= 0
+
+    def test_one_listing_path(self, laman_keys):
+        # enumerate_nac wraps the masks that enumerate_nac_detailed and
+        # nac_masks hand out
+        for g in small_corpus(laman_keys):
+            wrapped: list[EdgeColouring] = []
+            masks: list[int] = []
+            assert enumerate_nac(g, on_found=wrapped.append) == len(wrapped)
+            count, _, _ = enumerate_nac_detailed(g, on_found=masks.append)
+            assert [c.mask for c in wrapped] == masks == nac_masks(g) == dfs_nac_masks(g)[0], g.edges
+            assert count == len(masks) and all(c.m == g.m for c in wrapped)
+        with pytest.raises(PreconditionError, match="at least one edge"):
+            nac_masks(Graph.from_edges(3, []))
 
     def test_disconnected_input(self):
         two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -733,6 +766,52 @@ class TestFrontierCounter:
         # one level per edge: 3000 levels, far past Python's recursion limit
         n = 3000
         assert count_nac(make_cycle(n)) == 2 ** (n - 1) - (n + 1)
+
+    def test_states_expanded_are_pinned(self, fix, laman8_keys):
+        # a re-encoding of the counter state keeps the state space: merging
+        # or splitting states would move these
+        for g, states in ((fix["h18"].graph, 1006), (make_complete_bipartite(6, 10), 5448)):
+            stats: dict = {}
+            count_nac(g, stats)
+            assert stats["states"] == _frontier_masks(g, False)[1] == states
+        assert sum(_frontier_count(parse_graph6(key))[1] for key in laman8_keys) == 14160
+
+    def test_wide_frontiers_against_the_search(self, monkeypatch):
+        # a frontier at least 9 wide has room for pairs past bit 64 of a mask
+        seen = spy_on_states(monkeypatch)
+        rnd = random.Random(1302)
+        done = 0
+        while done < 4:
+            n = rnd.randrange(16, 21)
+            g = random_connected_graph(rnd, n, rnd.randrange(2 * n, 3 * n))
+            _, levels = _frontier_levels(g)
+            if max(len(level[3]) for level in levels) < 9:
+                continue
+            masks = nac_masks(g)
+            assert masks == dfs_nac_masks(g)[0], g.edges
+            assert _frontier_count(g)[0] == count_nac(g) == len(masks), g.edges
+            done += 1
+        assert seen["bits"] > 64
+
+    def test_stride_is_the_widest_frontier(self, monkeypatch):
+        # a long 2-tree is one triangle class, so one level holds all its
+        # vertices; glued at an edge to K_{3,3}, whose NAC-colourings it
+        # keeps, the frontier stays 4 wide and so do the masks
+        seen = spy_on_states(monkeypatch)
+        piece = make_complete_bipartite(3, 3)
+        for size in (12, 1500):
+            tree = make_2tree(13, size)
+            a, b = tree.edges[0]
+            name = {0: a, 3: b}
+            glued = [(name.get(u, size + u), name.get(v, size + v)) for u, v in piece.edges if (u, v) != (0, 3)]
+            g = Graph.from_edges(size + 6, list(tree.edges) + glued)
+            _, levels = _frontier_levels(g)
+            assert max(level[0] + len(level[1]) for level in levels) >= size
+            assert max(len(level[3]) for level in levels) == 4
+            assert _frontier_count(g)[0] == count_nac(g) == count_nac(piece) == 15
+            if size == 12:
+                assert nac_masks(g) == dfs_nac_masks(g)[0]
+        assert seen["strides"] == {4} and 0 < seen["bits"] <= 16
 
     def test_2tree_is_one_unit(self):
         stats: dict = {}

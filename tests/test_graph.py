@@ -33,6 +33,7 @@ from oracles import (
     brute_isomorphic,
     henneberg_extensions,
     random_connected_graph,
+    random_graph,
     relabelled,
     slow_canonical_form,
 )
@@ -165,6 +166,20 @@ class TestComponentsAndBlocks:
                 assert len(b) == 1 or brute_is_biconnected(
                     Graph.from_edges(len(verts), _relabel(edge_pick, sorted(verts)))
                 )
+
+    def test_blocks_match_networkx_on_seeded_graphs(self):
+        # disconnected graphs, bridges and cut vertices; isolated vertices
+        # belong to no block and are dropped first
+        rnd = random.Random(1313)
+        for _ in range(300):
+            n = rnd.randrange(2, 30)
+            g = random_graph(rnd, n, rnd.randrange(1, 2 * n))
+            g, _ = induced_subgraph(g, [v for v in range(g.n) if g.adjacency[v]])
+            want = [
+                frozenset(g.edge_index[min(u, v), max(u, v)] for u, v in comp)
+                for comp in nx.biconnected_component_edges(nx.Graph(g.edges))
+            ]
+            assert blocks(g) == sorted(want, key=min), g.edges
 
     def test_block_order_deterministic(self):
         bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
