@@ -45,10 +45,13 @@ class InputError(Exception):
 
 
 def _read_input(args) -> str:
+    """The input text, decoded strictly as UTF-8 whatever the locale; a
+    stdin without a byte buffer (an `io.StringIO`) is read as text."""
     path = args.file if args.file and args.file != "-" else None
     try:
         if path is None:
-            return sys.stdin.read()
+            buffer = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:

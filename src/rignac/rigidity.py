@@ -15,6 +15,7 @@ where a probe per vertex pair used to cost O(n^2) pebble searches.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
@@ -392,8 +393,8 @@ def _live_prisms(adj: list, verts: Iterable[int]) -> list[tuple[tuple[int, ...],
     of its other neighbours as x's partner.  Each prism is keyed once: t1
     is the smaller of its triangles as a sorted triple, and t2 lists the
     matched images of t1's vertices, so the key fixes the prism's 9 edges.
-    The peel passes its live degree-3 vertices: every prism move has a new
-    vertex of degree 3, so these are all the prisms that can be peeled.
+    The peel passes vertices of degree 3: every prism move has a new vertex
+    of degree 3, so the prisms through them are all that can be peeled.
     Ordered as the triangle pairs of the whole graph would be: t1 < t2 as
     sorted triples, then t2's matched order lexicographically.
     """
@@ -434,8 +435,10 @@ def _peel(g: Graph) -> Iterator[GscStep]:
     not a member.
     """
     adj = [set(s) for s in g.adjacency]
+    gone = [False] * g.n
     deg2 = {v for v in range(g.n) if len(adj[v]) == 2}
-    deg3 = {v for v in range(g.n) if len(adj[v]) == 3}
+    fresh3 = {v for v in range(g.n) if len(adj[v]) == 3}  # reached degree 3 since the last prism scan
+    prisms: list = []  # heap of prism keys, in _live_prisms's order
 
     def smallest_ear() -> Optional[int]:
         best = None
@@ -446,24 +449,45 @@ def _peel(g: Graph) -> Iterator[GscStep]:
                     best = w
         return best
 
+    def first_prism_move() -> Optional[GscStep]:
+        """The first move of the first live prism that has one.
+
+        A vertex on a live prism has degree at least 3, and degrees only
+        fall, so the live prisms through degree-3 vertices are the earlier
+        ones that lost no vertex plus those through `fresh3`.  A prism's
+        moves depend only on which of its vertices have degree 3, so one
+        with none can leave the heap until a vertex of it reaches degree 3
+        and a scan finds it again.
+        """
+        for t1, t2 in _live_prisms(adj, fresh3):
+            heapq.heappush(prisms, (t1, tuple(sorted(t2)), t2))
+        fresh3.clear()
+        while prisms:
+            t1, _, t2 = heapq.heappop(prisms)
+            if not any(gone[x] for x in t1 + t2):
+                moves = _prism_moves(adj, t1, t2)
+                if moves:
+                    return moves[0]
+        return None
+
     left = g.n
     while left > 2:
         w = smallest_ear()
         if w is not None:
             mv = GscStep("triangle", "edge", tuple(sorted(adj[w])), (w,))
         else:
-            moves = (mv for t1, t2 in _live_prisms(adj, deg3) for mv in _prism_moves(adj, t1, t2))
-            mv = next(moves, None)
+            mv = first_prism_move()
             if mv is None:
                 return
         for v in mv.new_vertices:
+            gone[v] = True
             deg2.discard(v)
-            deg3.discard(v)
+            fresh3.discard(v)
             for u in adj[v]:
                 adj[u].remove(v)
                 d = len(adj[u])
                 (deg2.add if d == 2 else deg2.discard)(u)
-                (deg3.add if d == 3 else deg3.discard)(u)
+                (fresh3.add if d == 3 else fresh3.discard)(u)
         left -= len(mv.new_vertices)
         yield mv
 

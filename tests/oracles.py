@@ -395,6 +395,61 @@ def brute_stable_cuts(g: Graph) -> list[frozenset[int]]:
     return list(iter_brute_stable_cuts(g))
 
 
+def _fan_contraction(n: int, comps, keep: int, removed: int) -> Graph:
+    """The component-completed graph with vertex `removed` merged into `keep`,
+    relabelled as `contract_edge` does, each component image a fan on all
+    of its vertices."""
+    edges: set[tuple[int, int]] = set()
+    for comp in comps:
+        image = sorted({keep if w == removed else w - 1 if w > removed else w for w in comp})
+        if len(image) < 2:
+            continue
+        a, b = image[0], image[1]
+        edges.add((a, b))
+        for w in image[2:]:
+            edges.add((a, w))
+            edges.add((b, w))
+    return Graph.from_edges(n - 1, edges)
+
+
+def slow_alg1(n: int, comps, u: int, v: int, stats: dict) -> frozenset[int]:
+    """The contraction loop of `stable_cut._alg1`, with each contraction's
+    rigid components found by a full pebble game on all of its vertices."""
+    from rignac.rigidity import pebble_game, rigid_components
+
+    removals: list[int] = []
+    while True:
+        stats["calls"] += 1
+        member: list[set[int]] = [set() for _ in range(n)]
+        for i, comp in enumerate(comps):
+            for w in comp:
+                member[w].add(i)
+        nbrs = sorted(set().union(*(comps[c] for c in member[u])) - {u})
+        tri = next(
+            ((x1, x2) for i, x1 in enumerate(nbrs) for x2 in nbrs[i + 1 :] if member[x1] & member[x2]),
+            None,
+        )
+        if tri is None:
+            cut = frozenset(nbrs)
+            break
+        for xi in tri:
+            keep, removed = min(u, xi), max(u, xi)
+            contracted = _fan_contraction(n, comps, keep, removed)
+            state = pebble_game(contracted)
+            stats["pair_probes"] += state.searches
+            comps2 = rigid_components(contracted, state)
+            v2 = v - 1 if v > removed else v
+            if not any(keep in comp and v2 in comp for comp in comps2):
+                break
+        else:
+            raise RuntimeError("neither contraction separates; flexibility invariant broken")
+        removals.append(removed)
+        n, comps, u, v = n - 1, comps2, keep, v2
+    for removed in reversed(removals):
+        cut = frozenset(w + 1 if w >= removed else w for w in cut)
+    return cut
+
+
 # ---------------------------------------------------------------------------
 # gluing-family oracle
 

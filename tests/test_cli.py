@@ -13,7 +13,7 @@ from rignac.cli import main
 from rignac.graph import Graph, connected_components, emit_graph6, parse_graph, parse_graph6
 from rignac.constructions import fixtures, make_2tree, make_complete_bipartite, make_gk
 
-from oracles import brute_is_nap, dfs_nac_masks, random_graph, random_prism_chain
+from oracles import brute_is_nap, dfs_nac_masks, random_graph, random_prism_chain, random_two_body
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):
@@ -234,6 +234,14 @@ class TestStableCut:
         assert code == 0 and payload["cut"] == [1, 3] and payload["separates"] == [0, 2]
         assert payload["components_after_removal"] == 2
 
+    def test_separate_on_a_400_vertex_two_body_graph(self, monkeypatch, capsys):
+        # vertices 0 and 200 lie in different bodies, on neither joining edge
+        text = edge_text(random_two_body(random.Random(400), 400))
+        with deadline(0.5):
+            code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut", "--separate", "0", "200"], text)
+        payload = json.loads(out)
+        assert code == 0 and payload["method"] == "algorithm1" and payload["cut"] == [83, 241]
+
     def test_avoid(self, monkeypatch, capsys):
         code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut", "--avoid", "0"], "0 1\n1 2\n2 3\n0 3")
         payload = json.loads(out)
@@ -412,6 +420,16 @@ class TestMisc:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("input error: stdin is not UTF-8") and err.count("\n") == 1
+
+    def test_binary_stdin_under_a_c_locale_exit_2(self, monkeypatch, capsys):
+        # a C locale decodes stdin with surrogateescape, which would hand the
+        # parser escaped bytes; the byte buffer is decoded strictly instead
+        data = b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0xb8))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape"))
+        code = main(["rank"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "input error: stdin is not UTF-8 text: invalid start byte at byte 8\n"
 
     def test_usage_error_exit_2(self, monkeypatch, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
-from rignac.graph import Graph, PreconditionError, is_cut, is_stable_set, parse_graph6
-from rignac.rigidity import rigidity_report, rigidly_related_pairs
+from rignac.graph import Graph, PreconditionError, is_connected, is_cut, is_stable_set, parse_graph6
+from rignac.rigidity import pebble_game, rigid_components, rigidity_report, rigidly_related_pairs
 from rignac.stable_cut import (
+    _alg1,
     algorithm1_stable_cut,
     exhaustive_stable_cut,
     is_biconnected,
@@ -14,7 +16,14 @@ from rignac.stable_cut import (
 )
 from rignac.constructions import make_cycle, make_gk, make_path
 
-from oracles import brute_stable_cuts, random_connected_graph, random_flexible_connected
+from oracles import (
+    brute_stable_cuts,
+    random_connected_graph,
+    random_flexible_connected,
+    random_laman_edges,
+    random_two_body,
+    slow_alg1,
+)
 
 
 # Cuts recorded with the earlier probe-per-pair rigid components, on
@@ -217,6 +226,76 @@ class TestAlgorithm1:
             coeff = w0 / n0 ** 3
             for n, work in data[1:]:
                 assert work <= 2 * coeff * n ** 3, data
+
+
+def separable_pairs(g: Graph) -> list[tuple[int, int]]:
+    """Ordered pairs (u, v), u != v, sharing no rigid component of g."""
+    related = rigidly_related_pairs(g)
+    return [(u, v) for u in range(g.n) for v in range(g.n) if u != v and (min(u, v), max(u, v)) not in related]
+
+
+def two_body_pair(g: Graph) -> tuple[int, int]:
+    """The smallest vertex of each body of a two-body graph that is on
+    neither joining edge."""
+    half = g.n // 2
+    bars = {w for a, b in g.edges if (a < half) != (b < half) for w in (a, b)}
+    return min(set(range(half)) - bars), min(set(range(half, g.n)) - bars)
+
+
+class TestPinCondensation:
+    """The contraction loop on pin graphs gives the cut and the number of
+    contraction levels of the loop that plays a full game per contraction."""
+
+    def assert_same_as_full_games(self, g: Graph, pairs) -> int:
+        state = pebble_game(g)
+        comps = rigid_components(g, state)
+        for u, v in pairs:
+            fast = {"calls": 0, "pair_probes": 0}
+            slow = {"calls": 0, "pair_probes": 0}
+            cut = _alg1(g.n, comps, u, v, fast)
+            assert cut == slow_alg1(g.n, comps, u, v, slow), (g.n, g.edges, u, v)
+            assert fast["calls"] == slow["calls"], (g.n, g.edges, u, v)
+        return len(pairs)
+
+    def test_every_separable_pair_of_random_flexible_graphs(self):
+        graphs = random_flexible_connected(1400, 10, 4, 30)
+        assert max(g.n for g in graphs) > 20
+        assert sum(self.assert_same_as_full_games(g, separable_pairs(g)) for g in graphs) > 1000
+
+    def test_seeded_two_body_graphs(self):
+        rnd = random.Random(1410)
+        for _ in range(10):
+            g = random_two_body(rnd, rnd.randrange(8, 51))
+            pairs = separable_pairs(g)
+            self.assert_same_as_full_games(g, [two_body_pair(g)] + rnd.sample(pairs, min(len(pairs), 8)))
+
+    def test_seeded_laman_graphs_minus_edges(self):
+        rnd = random.Random(1420)
+        done = 0
+        while done < 8:
+            n = rnd.randrange(5, 19)
+            edges = sorted(random_laman_edges(rnd, list(range(n))))
+            for i in sorted(rnd.sample(range(len(edges)), rnd.randrange(1, 4)), reverse=True):
+                del edges[i]
+            g = Graph.from_edges(n, edges)
+            if is_connected(g):
+                self.assert_same_as_full_games(g, separable_pairs(g))
+                done += 1
+
+    def test_two_body_graph_on_400_vertices(self):
+        # with a full game per contraction this took about 1.1 s on one Xeon
+        # core, and 271 080 pebble searches
+        g = random_two_body(random.Random(400), 400)
+        u, v = two_body_pair(g)
+        stats: dict = {}
+        start = time.perf_counter()
+        result = algorithm1_stable_cut(g, u, v, stats=stats)
+        assert time.perf_counter() - start < 0.5
+        assert _check_separates(g, result.cut, u, v) and stats["calls"] == 199
+        start = time.perf_counter()
+        result = stable_cut_avoiding(g, v)
+        assert time.perf_counter() - start < 0.5
+        assert v not in result.cut
 
 
 class TestPinnedCuts:
