@@ -104,20 +104,20 @@ def _emit(obj, args) -> None:
 def _stable_cut_payload(g: Graph, result: Optional[sc.StableCutResult], method: Optional[str]) -> dict:
     if result is None:
         return {"cut": None, "method": method}
-    comps = connected_components_without(g, result.cut)
     return {
         "cut": sorted(result.cut),
         "separates": list(result.separated_pair) if result.separated_pair else None,
         "avoids": result.avoided_vertex,
-        "components_after_removal": len(comps),
+        "components_after_removal": len(connected_components_without(g, result.cut)),
         "method": method,
     }
 
 
 def cmd_analyze(args) -> int:
     g = _load_graph(args)
-    report = {"n": g.n, "m": g.m, "connected": is_connected(g)}
-    report["blocks"] = len(blocks(g)) if all(g.adjacency[v] for v in range(g.n)) else None
+    connected = is_connected(g)
+    report = {"n": g.n, "m": g.m, "connected": connected}
+    report["blocks"] = len(blocks(g)) if all(g.adjacency) else None
     rig = rigidity_report(g)
     report.update(
         rank=rig.rank,
@@ -127,7 +127,7 @@ def cmd_analyze(args) -> int:
         rigid_components=len(rig.rigid_components),
     )
     dec = None
-    if g.m == 2 * g.n - 3 and is_connected(g):
+    if g.m == 2 * g.n - 3 and connected:
         dec = gsc_decomposition(g)
         if dec is not None:
             report["gsc"] = {"member": True, "prisms": dec.prism_count}

@@ -22,7 +22,6 @@ from .graph import (
     blocks,
     connected_components_without,
     induced_subgraph,
-    is_cut,
     is_stable_set,
 )
 from .rigidity import gsc_decomposition, rigidity_report
@@ -210,9 +209,10 @@ def separation_from_stable_cut(g: Graph, cut: Iterable[int]) -> Separation:
     s = frozenset(cut)
     if not is_stable_set(g, s):
         raise PreconditionError("cut is not a stable set")
-    if not is_cut(g, s):
+    comps = connected_components_without(g, s)
+    if len(comps) < 2:
         raise PreconditionError("set does not disconnect the graph")
-    first = connected_components_without(g, s)[0]
+    first = comps[0]
     e1 = frozenset(i for i, (u, v) in enumerate(g.edges) if u in first or v in first)
     e2 = frozenset(range(g.m)) - e1
     return Separation(e1, e2)

@@ -8,7 +8,6 @@ package refers to edges through those indices.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -255,35 +254,42 @@ def parse_graph(text: str) -> Graph:
 # connectivity and blocks
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Vertex partition into connected components, ordered by smallest vertex."""
+def connected_components_without(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
+    """Connected components of g after deleting `removed`, in g's vertex ids,
+    ordered by smallest vertex; ids outside 0..n-1 are ignored.
+
+    The one component search of the package: a stack walk over
+    `g.adjacency` with the deleted vertices marked seen in advance.
+    """
+    adj = g.adjacency
     seen = [False] * g.n
+    for v in removed:
+        if 0 <= v < g.n:
+            seen[v] = True
     comps: list[frozenset[int]] = []
     for s in range(g.n):
         if seen[s]:
             continue
-        comp = {s}
         seen[s] = True
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.adjacency[x]:
+        comp = [s]
+        stack = [s]
+        while stack:
+            for y in adj[stack.pop()]:
                 if not seen[y]:
                     seen[y] = True
-                    comp.add(y)
-                    queue.append(y)
+                    comp.append(y)
+                    stack.append(y)
         comps.append(frozenset(comp))
     return comps
 
 
-def connected_components_without(g: Graph, removed: frozenset[int]) -> list[frozenset[int]]:
-    """Connected components of g after deleting `removed`, in g's vertex ids."""
-    sub, ids = induced_subgraph(g, (v for v in range(g.n) if v not in removed))
-    return [frozenset(ids[v] for v in comp) for comp in connected_components(sub)]
+def connected_components(g: Graph) -> list[frozenset[int]]:
+    """Vertex partition into connected components, ordered by smallest vertex."""
+    return connected_components_without(g)
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    return len(connected_components_without(g)) <= 1
 
 
 def blocks(g: Graph) -> list[frozenset[int]]:
@@ -364,18 +370,7 @@ def is_cut(g: Graph, vertices: Iterable[int]) -> bool:
     for v in x:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    rest = [v for v in range(g.n) if v not in x]
-    if len(rest) < 2:
-        return False
-    seen = {rest[0]}
-    queue = deque([rest[0]])
-    while queue:
-        a = queue.popleft()
-        for b in g.adjacency[a]:
-            if b not in x and b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return len(seen) < len(rest)
+    return len(connected_components_without(g, x)) >= 2
 
 
 # ---------------------------------------------------------------------------

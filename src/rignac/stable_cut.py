@@ -15,7 +15,6 @@ from .graph import (
     blocks,
     connected_components_without,
     is_connected,
-    is_cut,
     is_stable_set,
 )
 from .rigidity import RigidityReport, gsc_decomposition, pebble_game, rigid_components, rigidity_report
@@ -33,35 +32,33 @@ class StableCutResult:
 
 
 def _validate_result(g: Graph, result: StableCutResult) -> StableCutResult:
-    """Re-validate independently of the search path; never trust the recursion."""
+    """Re-validate independently of the search path; never trust the contraction loop."""
     if not is_stable_set(g, result.cut):
         raise RuntimeError(f"produced cut {sorted(result.cut)} is not stable")
-    if not is_cut(g, result.cut):
+    comps = connected_components_without(g, result.cut)
+    if len(comps) < 2:
         raise RuntimeError(f"produced set {sorted(result.cut)} does not disconnect the graph")
     if result.separated_pair is not None:
         u, v = result.separated_pair
-        comps = connected_components_without(g, result.cut)
-        cu = next(c for c in comps if u in c)
-        if v in cu:
+        if not any(u in c and v not in c for c in comps):
             raise RuntimeError(f"cut fails to separate {u} and {v}")
     if result.avoided_vertex is not None and result.avoided_vertex in result.cut:
         raise RuntimeError("cut contains the vertex it must avoid")
     return result
 
 
-def _membership(n: int, comps: Components) -> list[set[int]]:
+def _membership(comps: Components) -> dict[int, set[int]]:
     """Vertex -> ids of the rigid components containing it."""
-    member: list[set[int]] = [set() for _ in range(n)]
+    member: dict[int, set[int]] = {}
     for i, comp in enumerate(comps):
         for w in comp:
-            member[w].add(i)
+            member.setdefault(w, set()).add(i)
     return member
 
 
 def _contracted_components(comps: Components, keep: int, removed: int, stats: dict) -> Components:
     """Rigid components of the component-completed graph with vertex
-    `removed` merged into `keep`, relabelled as `contract_edge` does (ids
-    above `removed` shift down by one).
+    `removed` merged into `keep`; every other vertex keeps its id.
 
     That graph is a union of rigid bodies, the images of `comps`.  A pin
     is a vertex in two or more images.  Lemma: replacing a rigid body by
@@ -77,7 +74,7 @@ def _contracted_components(comps: Components, keep: int, removed: int, stats: di
     """
     images = []
     for comp in comps:
-        image = frozenset(keep if w == removed else w - 1 if w > removed else w for w in comp)
+        image = frozenset(keep if w == removed else w for w in comp)
         if len(image) >= 2:
             images.append(image)
     count = Counter(w for image in images for w in image)
@@ -98,7 +95,7 @@ def _contracted_components(comps: Components, keep: int, removed: int, stats: di
     pin_graph = Graph.from_edges(len(pin), edges)
     state = pebble_game(pin_graph)
     stats["pair_probes"] += state.searches
-    pin_member = _membership(len(pin), rigid_components(pin_graph, state))
+    pin_member = _membership(rigid_components(pin_graph, state))
     merged: dict[int, set[int]] = {}
     out: list[frozenset[int]] = []
     for image, first in zip(images, firsts):
@@ -110,47 +107,41 @@ def _contracted_components(comps: Components, keep: int, removed: int, stats: di
     return tuple(out) + tuple(frozenset(body) for body in merged.values())
 
 
-def _alg1(n: int, comps: Components, u: int, v: int, stats: dict) -> frozenset[int]:
-    """Contraction loop on current labels; returns the cut in the input's labels.
+def _alg1(comps: Components, u: int, v: int, stats: dict) -> frozenset[int]:
+    """Contraction loop in the input's vertex ids; returns the cut.
 
     Each step works on the component-completed graph (every rigid component
     made a clique), represented by its components: if the completed
     neighbourhood of u is stable it is the cut; otherwise contract one of
     the two triangle edges at u, picking the contraction that keeps the
-    merged vertex and v in different rigid components.  The components of
-    a contraction come from a pebble game on the pins of its component
-    images only (`_contracted_components`), so a step costs time linear in
-    the components' total size plus a game on their shared vertices, not a
-    game on all n vertices: on a 400-vertex two-body graph the loop's 199
-    levels take 0.05 s on one 2-core Xeon, against 1.2 s with a full game
-    per contraction.
+    merged vertex and v in different rigid components.  A contraction
+    merges the larger endpoint into the smaller and renames nothing else;
+    v shares no rigid component with u, so it is never merged away.  The
+    components of a contraction come from a pebble game on the pins of its
+    component images only (`_contracted_components`), so a step costs time
+    linear in the components' total size plus a game on their shared
+    vertices, not a game on all n vertices: on a 400-vertex two-body graph
+    the loop's 199 levels take 0.05 s on one 2-core Xeon, against 1.2 s
+    with a full game per contraction.
     """
-    removals: list[int] = []
     while True:
         stats["calls"] += 1
-        member = _membership(n, comps)
+        member = _membership(comps)
         nbrs = sorted(set().union(*(comps[c] for c in member[u])) - {u})
         tri = next(
             ((x1, x2) for i, x1 in enumerate(nbrs) for x2 in nbrs[i + 1 :] if member[x1] & member[x2]),
             None,
         )
         if tri is None:
-            cut = frozenset(nbrs)
-            break
+            return frozenset(nbrs)
         for xi in tri:
-            keep, removed = min(u, xi), max(u, xi)
-            comps2 = _contracted_components(comps, keep, removed, stats)
-            v2 = v - 1 if v > removed else v
-            if not any(keep in comp and v2 in comp for comp in comps2):
+            keep = min(u, xi)
+            comps2 = _contracted_components(comps, keep, max(u, xi), stats)
+            if not any(keep in comp and v in comp for comp in comps2):
                 break
         else:
             raise RuntimeError("neither contraction separates; flexibility invariant broken")
-        removals.append(removed)
-        n, comps, u, v = n - 1, comps2, keep, v2
-    # lift back: at each contraction, ids >= removed shift up by one
-    for removed in reversed(removals):
-        cut = frozenset(w + 1 if w >= removed else w for w in cut)
-    return cut
+        comps, u = comps2, keep
 
 
 def _check_flexible_input(g: Graph, stats: dict) -> Components:
@@ -169,12 +160,13 @@ def algorithm1_stable_cut(
 ) -> StableCutResult:
     """Stable cut separating u and v in a connected flexible graph.
 
-    Recursion: if the (component-completed) neighbourhood of u is stable it
-    is the cut; otherwise contract one of two triangle edges at u, picking
-    the contraction that keeps the merged vertex and v in different rigid
-    components.  `stats`, if given, receives "calls" (contraction levels)
-    and "pair_probes" (pebble searches, over the game on g and the pin-graph
-    game of every contraction tried; see `_contracted_components`).
+    A loop of contractions: if the (component-completed) neighbourhood of
+    u is stable it is the cut; otherwise contract one of two triangle edges
+    at u, picking the contraction that keeps the merged vertex and v in
+    different rigid components.  `stats`, if given, receives "calls"
+    (contraction levels) and "pair_probes" (pebble searches, over the game
+    on g and the pin-graph game of every contraction tried; see
+    `_contracted_components`).
     """
     for w in (u, v):
         if not 0 <= w < g.n:
@@ -188,7 +180,7 @@ def algorithm1_stable_cut(
     comps = _check_flexible_input(g, stats)
     if any(u in comp and v in comp for comp in comps):
         raise PreconditionError(f"{u} and {v} lie in a common rigid component")
-    cut = _alg1(g.n, comps, u, v, stats)
+    cut = _alg1(comps, u, v, stats)
     return _validate_result(g, StableCutResult(cut=cut, separated_pair=(u, v)))
 
 
@@ -214,7 +206,7 @@ def stable_cut_avoiding(g: Graph, v: int) -> StableCutResult:
     for u in range(g.n):
         if u in related:
             continue
-        cut = _alg1(g.n, comps, u, v, stats)
+        cut = _alg1(comps, u, v, stats)
         if v not in cut:
             return _validate_result(
                 g,
@@ -254,8 +246,7 @@ def exhaustive_stable_cut(
                 continue
             if separate is not None:
                 u, v = separate
-                cu = next(c for c in comps if u in c)
-                if v in cu:
+                if not any(u in c and v not in c for c in comps):
                     continue
             return StableCutResult(
                 cut=s,
@@ -281,7 +272,8 @@ def find_stable_cut(
     peeled_non_member = False
     for u in range(g.n):
         nbrs = g.adjacency[u]
-        if is_stable_set(g, nbrs) and is_cut(g, nbrs):
+        # deleting N(u) isolates u, so N(u) is a cut iff another vertex is left
+        if g.n >= len(nbrs) + 2 and is_stable_set(g, nbrs):
             return StableCutResult(cut=frozenset(nbrs)), "neighbourhood"
     if g.n >= 2 and is_connected(g):
         if report is None:

@@ -7,12 +7,38 @@ import random
 from itertools import combinations, permutations
 from typing import Iterator
 
-from rignac.graph import Graph, connected_components, parse_graph6
+from rignac.graph import Graph, parse_graph6
 
 RED = 1
 BLUE = 0
 
 _GFP = 2_147_483_647
+
+
+# ---------------------------------------------------------------------------
+# connectivity
+
+
+def _components_without(g: Graph, removed=()) -> list[set[int]]:
+    """Connected components of g after deleting `removed`, ordered by
+    smallest vertex: union-find over `g.edges`, not `rignac.graph`'s walk
+    over the adjacency."""
+    drop = set(removed)
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in g.edges:
+        if a not in drop and b not in drop:
+            parent[find(a)] = find(b)
+    comps: dict[int, set[int]] = {}
+    for w in range(g.n):
+        if w not in drop:
+            comps.setdefault(find(w), set()).add(w)
+    return list(comps.values())
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +391,9 @@ def slow_minimally_rigid_graph6(n: int) -> list[str]:
 
 
 def brute_is_biconnected(g: Graph) -> bool:
-    from rignac.graph import is_connected, remove_vertices
-
-    if g.n < 3 or not is_connected(g):
+    if g.n < 3 or len(_components_without(g)) > 1:
         return False
-    for v in range(g.n):
-        rest, _ = remove_vertices(g, [v])
-        if not is_connected(rest):
-            return False
-    return True
+    return all(len(_components_without(g, [v])) == 1 for v in range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +402,10 @@ def brute_is_biconnected(g: Graph) -> bool:
 
 def iter_brute_stable_cuts(g: Graph) -> Iterator[frozenset[int]]:
     """Every stable cut of g, smallest first, then lexicographically."""
-    from rignac.graph import is_cut, is_stable_set
-
     for k in range(0, g.n - 1):
         for cand in combinations(range(g.n), k):
             s = frozenset(cand)
-            if is_stable_set(g, s) and is_cut(g, s):
+            if not any(a in s and b in s for a, b in g.edges) and len(_components_without(g, s)) >= 2:
                 yield s
 
 
@@ -673,7 +691,7 @@ class PartialNacState:
 
     def __init__(self, g: Graph) -> None:
         self.g = g
-        self.base = len(connected_components(g))
+        self.base = len(_components_without(g))
         self.parent = (list(range(g.n)), list(range(g.n)))
         self.size = ([1] * g.n, [1] * g.n)
         self.cross: tuple[list[list[int]], list[list[int]]] = (
@@ -806,13 +824,11 @@ def slow_0extension(g: Graph) -> tuple[bool, int | None]:
 
     Recurses once per removed vertex, so only for small graphs.
     """
-    from rignac.graph import is_connected
-
     if g.n < 2:
         return (False, None)
     if g.n == 2:
         return (g.m == 1, 0 if g.m == 1 else None)
-    if g.m != 2 * g.n - 3 or not is_connected(g):
+    if g.m != 2 * g.n - 3 or len(_components_without(g)) > 1:
         return (False, None)
     memo: dict[frozenset[int], int | None] = {}
 
@@ -847,13 +863,11 @@ def random_graph(rnd: random.Random, n: int, m: int) -> Graph:
 
 
 def random_connected_graph(rnd: random.Random, n: int, m: int) -> Graph:
-    from rignac.graph import is_connected
-
     pairs = list(combinations(range(n), 2))
     m = min(m, len(pairs))
     while True:
         g = Graph.from_edges(n, rnd.sample(pairs, m))
-        if is_connected(g):
+        if len(_components_without(g)) <= 1:
             return g
 
 

@@ -16,6 +16,7 @@ from rignac.graph import (
     canonical_form,
     canonical_search,
     connected_components,
+    connected_components_without,
     contract_edge,
     emit_edge_list,
     emit_graph6,
@@ -181,6 +182,32 @@ class TestComponentsAndBlocks:
             ]
             assert blocks(g) == sorted(want, key=min), g.edges
 
+    def test_components_without_match_networkx(self):
+        # content and order (by smallest vertex) of the components left after
+        # deleting a set, and is_cut on the same set; ids -1 and n are
+        # ignored by the search and refused by is_cut
+        rnd = random.Random(1515)
+        for _ in range(300):
+            n = rnd.randrange(1, 25)
+            g = random_graph(rnd, n, rnd.randrange(0, 2 * n))
+            order = rnd.sample(range(n), n)
+            stable: set[int] = set()
+            for w in order:
+                if not any((min(w, x), max(w, x)) in g.edge_index for x in stable):
+                    stable.add(w)
+            sets = [set(), {order[0]}, stable, set(order[1:]), set(order)]
+            for removed in sets + [s | {-1} for s in sets[:3]] + [s | {n} for s in sets[:3]]:
+                real = {w for w in removed if 0 <= w < n}
+                h = _to_nx(g)
+                h.remove_nodes_from(real)
+                want = sorted((frozenset(c) for c in nx.connected_components(h)), key=min)
+                assert connected_components_without(g, removed) == want, (g.edges, removed)
+                if real == removed:
+                    assert is_cut(g, removed) == (len(want) >= 2), (g.edges, removed)
+                else:
+                    with pytest.raises(ValueError, match="out of range"):
+                        is_cut(g, removed)
+
     def test_block_order_deterministic(self):
         bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
         assert [min(b) for b in blocks(bowtie)] == sorted(min(b) for b in blocks(bowtie))
@@ -206,6 +233,19 @@ class TestPredicates:
 
     def test_cut_needs_two_survivors(self):
         assert not is_cut(triangle(), {0, 1})
+
+    def test_neighbourhood_cut_is_a_size_test(self):
+        # deleting N(u) isolates u, so N(u) is a cut iff another vertex is left
+        rnd = random.Random(1516)
+        graphs = []
+        for _ in range(250):
+            n = rnd.randrange(1, 16)
+            graphs.append(random_graph(rnd, n, rnd.randrange(0, 2 * n)))
+        assert sum(not all(g.adjacency) for g in graphs) >= 20
+        assert sum(not is_connected(g) for g in graphs) >= 50
+        for g in graphs:
+            for u in range(g.n):
+                assert is_cut(g, g.adjacency[u]) == (g.n >= len(g.adjacency[u]) + 2), (g.edges, u)
 
     def test_out_of_range_vertex(self):
         with pytest.raises(ValueError):

@@ -252,7 +252,7 @@ class TestPinCondensation:
         for u, v in pairs:
             fast = {"calls": 0, "pair_probes": 0}
             slow = {"calls": 0, "pair_probes": 0}
-            cut = _alg1(g.n, comps, u, v, fast)
+            cut = _alg1(comps, u, v, fast)
             assert cut == slow_alg1(g.n, comps, u, v, slow), (g.n, g.edges, u, v)
             assert fast["calls"] == slow["calls"], (g.n, g.edges, u, v)
         return len(pairs)
