@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -395,9 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# parse_args keeps no state between calls, so one parser serves every main call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GraphParseError as exc:

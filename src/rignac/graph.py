@@ -541,11 +541,6 @@ def canonical_form(g: Graph) -> bytes:
     return certificate_graph6(g.n, cert).encode("ascii")
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically labelled copy of g (n <= 12)."""
-    return parse_graph6(canonical_form(g).decode("ascii"))
-
-
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.m != h.m:
         return False

@@ -8,9 +8,9 @@ Rigid components are read off the finished game (Jacobs and Hendrickson,
 J. Comput. Phys. 1997; Lee and Streinu, Discrete Math. 2008): for each edge
 not yet covered by a component, three pebbles are gathered on its ends, and
 the component is every vertex from which no other free pebble can be
-reached.  That costs one gather and one reverse search of the directed
-sparse subgraph per component, O(c(n+m)) after the game for c components,
-where a probe per vertex pair used to cost O(n^2) pebble searches.
+reached.  It is grown outward from the pair, so a component costs one
+gather plus searches over the component and the vertices next to it, not
+a search of the whole graph.
 """
 
 from __future__ import annotations
@@ -26,18 +26,27 @@ from .graph import Graph, PreconditionError, is_connected
 class PebbleState:
     """Mutable (2,3) pebble game state: 2 pebbles per vertex, 4 to accept an edge.
 
-    `searches` counts the pebble searches made so far.  Single-owner; not
-    safe for concurrent mutation.
+    Every vertex keeps pebbles[v] + len(out[v]) == 2, where out[v] lists
+    the heads of v's accepted edges as the game directs them, so out[v]
+    holds at most two vertices.  Searches mark the vertices they visit in
+    one stamp list instead of allocating a visited set, and the reverse
+    adjacency is built by the first `component` call and kept up to date
+    by later reversals.  `searches` counts the pebble searches made so far.
+    Single-owner; not safe for concurrent mutation.
     """
 
-    __slots__ = ("n", "pebbles", "out", "accepted", "searches")
+    __slots__ = ("n", "pebbles", "out", "accepted", "searches", "_into", "_mark", "_stamp", "_prev")
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.pebbles = [2] * n
-        self.out: list[set[int]] = [set() for _ in range(n)]
+        self.out: list[list[int]] = [[] for _ in range(n)]
         self.accepted: list[tuple[int, int]] = []
         self.searches = 0
+        self._into: Optional[list[set[int]]] = None  # tails of each vertex's out-edges
+        self._mark = [0] * n  # the stamp of the last search that visited each vertex
+        self._stamp = 0
+        self._prev = [0] * n  # search tree of the current gather
 
     def _gather(self, target: int, protect: int) -> bool:
         """Move one pebble to `target` by reversing a directed path, if possible.
@@ -45,22 +54,29 @@ class PebbleState:
         The search never visits `protect`, so its pebbles stay untouched.
         """
         self.searches += 1
-        prev: dict[int, int] = {target: -1}
+        self._stamp += 1
+        stamp, mark, prev, out, pebbles = self._stamp, self._mark, self._prev, self.out, self.pebbles
+        mark[target] = mark[protect] = stamp
         stack = [target]
         while stack:
             x = stack.pop()
-            for y in sorted(self.out[x]):
-                if y in prev or y == protect:
+            for y in out[x]:
+                if mark[y] == stamp:
                     continue
+                mark[y] = stamp
                 prev[y] = x
-                if self.pebbles[y] > 0:
-                    self.pebbles[y] -= 1
-                    self.pebbles[target] += 1
+                if pebbles[y]:
+                    pebbles[y] -= 1
+                    pebbles[target] += 1
+                    into = self._into
                     while y != target:
-                        x2 = prev[y]
-                        self.out[x2].remove(y)
-                        self.out[y].add(x2)
-                        y = x2
+                        x = prev[y]
+                        out[x].remove(y)
+                        out[y].append(x)
+                        if into is not None:
+                            into[y].remove(x)
+                            into[x].add(y)
+                        y = x
                     return True
                 stack.append(y)
         return False
@@ -78,8 +94,9 @@ class PebbleState:
         """Accept edge (u,v) into the sparse set if independent."""
         if self._collect(u, v):
             self.pebbles[u] -= 1
-            self.out[u].add(v)
+            self.out[u].append(v)
             self.accepted.append((u, v))
+            self._into = None
             return True
         return False
 
@@ -89,22 +106,65 @@ class PebbleState:
         Call on a finished game with u,v rigidly related (for instance an
         edge of the played graph), so exactly three pebbles can be gathered
         on them.  A vertex lies in the component iff it reaches no other
-        free pebble along out-edges; the complement is found by one search
-        backwards from the free pebbles.
+        free pebble along out-edges.  The component starts as everything
+        reachable from {u, v}; then each unsettled in-neighbour w of a
+        component vertex starts a search along out-edges.  The search stops
+        at the first vertex with a free pebble or known to reach one, and
+        its current path reaches that pebble; the other vertices it visited
+        stay unsettled.  A search that ends without stopping reached only
+        component vertices, so every vertex it visited joins.  Every
+        component vertex outside the start reaches it along a path of
+        component vertices: its reach has no free pebble, so by (2,3)-
+        sparsity the reach meets the start.
         """
         self._collect(u, v)
-        into: list[list[int]] = [[] for _ in range(self.n)]
-        for x, heads in enumerate(self.out):
-            for y in heads:
-                into[y].append(x)
-        floppy = [x != u and x != v and self.pebbles[x] > 0 for x in range(self.n)]
-        stack = [x for x in range(self.n) if floppy[x]]
-        while stack:
-            for x in into[stack.pop()]:
-                if not floppy[x]:
-                    floppy[x] = True
-                    stack.append(x)
-        return frozenset(x for x in range(self.n) if not floppy[x])
+        out, pebbles, mark = self.out, self.pebbles, self._mark
+        into = self._into
+        if into is None:
+            into = self._into = [set() for _ in range(self.n)]
+            for x, heads in enumerate(out):
+                for y in heads:
+                    into[y].add(x)
+        self._stamp += 2
+        rigid, floppy = self._stamp - 1, self._stamp
+        comp = [u, v]
+        mark[u] = mark[v] = rigid
+        for x in comp:
+            for y in out[x]:
+                if mark[y] != rigid:
+                    mark[y] = rigid
+                    comp.append(y)
+        for x in comp:
+            for w in into[x]:
+                if mark[w] == rigid or mark[w] == floppy or pebbles[w]:
+                    continue
+                self._stamp += 1
+                seen = self._stamp
+                mark[w] = seen
+                visited, path, pos = [w], [w], [0]
+                while path:
+                    heads, i = out[path[-1]], pos[-1]
+                    if i == len(heads):
+                        path.pop()
+                        pos.pop()
+                        continue
+                    pos[-1] = i + 1
+                    y = heads[i]
+                    if mark[y] == rigid or mark[y] == seen:
+                        continue
+                    if mark[y] == floppy or pebbles[y]:
+                        for z in path:
+                            mark[z] = floppy
+                        break
+                    mark[y] = seen
+                    visited.append(y)
+                    path.append(y)
+                    pos.append(0)
+                else:
+                    for z in visited:
+                        mark[z] = rigid
+                    comp.extend(visited)
+        return frozenset(comp)
 
 
 def pebble_game(g: Graph) -> PebbleState:

@@ -4,6 +4,8 @@ with the implementation paths they check."""
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from itertools import combinations, permutations
 from typing import Iterator
 
@@ -13,6 +15,26 @@ RED = 1
 BLUE = 0
 
 _GFP = 2_147_483_647
+
+
+# ---------------------------------------------------------------------------
+# time limits
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the block once `seconds` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +315,34 @@ def brute_rigid_components(g: Graph) -> set[frozenset[int]]:
         s for s in rigid_sets if not any(s < t for t in rigid_sets)
     }
     return maximal
+
+
+def slow_rigid_components(g: Graph) -> tuple[frozenset[int], ...]:
+    """`rigidity.rigid_components` with each component found by one search
+    of the whole finished game: gather three pebbles on an uncovered edge,
+    rebuild the reverse adjacency, and mark every vertex that reaches
+    another free pebble by a search backwards from all of them."""
+    from rignac.rigidity import pebble_game
+
+    state = pebble_game(g)
+    comps: list[frozenset[int]] = []
+    for u, v in g.edges:
+        if any(u in c and v in c for c in comps):
+            continue
+        state._collect(u, v)
+        into: list[list[int]] = [[] for _ in range(g.n)]
+        for x, heads in enumerate(state.out):
+            for y in heads:
+                into[y].append(x)
+        floppy = [x != u and x != v and state.pebbles[x] > 0 for x in range(g.n)]
+        stack = [x for x in range(g.n) if floppy[x]]
+        while stack:
+            for x in into[stack.pop()]:
+                if not floppy[x]:
+                    floppy[x] = True
+                    stack.append(x)
+        comps.append(frozenset(x for x in range(g.n) if not floppy[x]))
+    return tuple(comps)
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:

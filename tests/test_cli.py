@@ -3,17 +3,16 @@ from __future__ import annotations
 import io
 import json
 import random
-import signal
 import time
-from contextlib import contextmanager
 
 import pytest
 
+from rignac import cli
 from rignac.cli import main
 from rignac.graph import Graph, connected_components, emit_graph6, parse_graph, parse_graph6
 from rignac.constructions import fixtures, make_2tree, make_complete_bipartite, make_gk
 
-from oracles import brute_is_nap, dfs_nac_masks, random_graph, random_prism_chain, random_two_body
+from oracles import brute_is_nap, deadline, dfs_nac_masks, random_graph, random_prism_chain, random_two_body
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):
@@ -28,22 +27,6 @@ PRISM_EDGES = "\n".join(f"{u} {v}" for u, v in fixtures()["prism"].graph.edges)
 
 def edge_text(g: Graph) -> str:
     return "\n".join(f"{u} {v}" for u, v in g.edges)
-
-
-@contextmanager
-def deadline(seconds: float):
-    """Raise TimeoutError in the block once `seconds` have passed."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def search_stdout(g: Graph, masks: list[int]) -> str:
@@ -446,3 +429,46 @@ class TestMisc:
             monkeypatch, capsys, ["catalog", "--n", "6", "--histogram", "--threads", "2"]
         )
         assert code == 0 and json.loads(out)["classes"] == 13
+
+
+class TestParserReuse:
+    """main reuses one parser; no option of one call leaks into the next."""
+
+    C6 = "0 1\n1 2\n2 3\n3 4\n4 5\n0 5"
+    CALLS = [
+        (["stable-cut", "--separate", "0", "3"], C6),
+        (["stable-cut"], C6),
+        (["stable-cut", "--avoid", "0"], C6),
+        (["stable-cut"], C6),
+        (["nac", "count", "--raw"], C6),
+        (["nac", "count"], C6),
+        (["catalog", "--n", "6", "--histogram"], ""),
+        (["analyze"], C6),
+        (["analyze", "--count"], PRISM_EDGES),
+        (["analyze"], PRISM_EDGES),
+        (["rank", "--format", "edgelist"], "a b\nb c\nc a"),
+        (["rank"], "B?"),
+    ]
+
+    def run_all(self, monkeypatch, capsys) -> list[tuple[int, str]]:
+        runs = []
+        for argv, stdin in self.CALLS:
+            code, out, _ = run_cli(monkeypatch, capsys, argv, stdin)
+            if '"millis"' in out:  # a timing, the one field that may differ between runs
+                report = json.loads(out)
+                del report["millis"]
+                out = json.dumps(report)
+            runs.append((code, out))
+        return runs
+
+    def test_calls_match_calls_with_a_fresh_parser(self, monkeypatch, capsys):
+        reused = self.run_all(monkeypatch, capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert reused == self.run_all(monkeypatch, capsys)
+        outs = [out for _, out in reused]
+        assert outs[0] != outs[1] == outs[3] != outs[2]
+        assert outs[4].strip().isdigit() and not outs[5].strip().isdigit()
+        assert "histogram" in outs[6] and json.loads(outs[7])["n"] == 6
+
+    def test_the_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()

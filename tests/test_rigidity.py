@@ -6,16 +6,26 @@ import time
 import pytest
 
 from rignac.colouring import count_nac
-from rignac.graph import Graph, PreconditionError, are_isomorphic, canonical_form, is_connected, parse_graph6
+from rignac.graph import (
+    Graph,
+    PreconditionError,
+    are_isomorphic,
+    canonical_form,
+    connected_components,
+    is_connected,
+    parse_graph6,
+)
 from rignac.rigidity import (
     GscDecomposition,
     GscNonMembership,
     count_prism_subgraphs,
     gsc_decomposition,
     is_2tree,
+    pebble_game,
     rank,
     recognize_0extension_graph,
     recognize_gsc,
+    rigid_components,
     rigidity_report,
     rigidly_related_pairs,
     two_tree_peel,
@@ -29,6 +39,7 @@ from oracles import (
     brute_max_sparse_subset,
     brute_rigid_components,
     brute_stable_cuts,
+    deadline,
     generic_matrix_rank,
     generic_related_pairs,
     glue_random_pieces,
@@ -36,14 +47,17 @@ from oracles import (
     iter_brute_stable_cuts,
     random_0extension_graph,
     random_connected_graph,
+    random_flexible_connected,
     random_gsc_member,
     random_prism_chain,
     random_graph,
+    random_laman_edges,
     random_two_body,
     relabelled,
     slow_0extension,
     slow_count_prism_subgraphs,
     slow_gsc_decomposition,
+    slow_rigid_components,
     slow_two_tree_peel,
 )
 
@@ -189,6 +203,67 @@ class TestComponentsAgainstGenericOracle:
             g = random_two_body(rnd, n)
             assert g.m == 2 * n - 4
             assert len(self._check(g)) == 4
+
+
+def laman_minus_edges(rnd: random.Random, n: int, drop: int) -> Graph:
+    """A seeded minimally rigid graph on n vertices without `drop` of its edges."""
+    edges = sorted(random_laman_edges(rnd, list(range(n))))
+    for i in sorted(rnd.sample(range(len(edges)), drop), reverse=True):
+        del edges[i]
+    return Graph.from_edges(n, edges)
+
+
+def cycle(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+class TestComponentsAgainstSlowReference:
+    """Components grown from their pair against one search of the whole
+    game per component (`slow_rigid_components`): the same sets in the same
+    order, and the rank is the sum of 2|C| - 3 over them."""
+
+    @staticmethod
+    def assert_same(g: Graph) -> None:
+        comps = rigid_components(g, pebble_game(g))
+        expect = slow_rigid_components(g)
+        assert comps == expect, (g.n, g.edges)
+        if g.n >= 2:
+            assert rank(g) == sum(2 * len(c) - 3 for c in expect), (g.n, g.edges)
+
+    def test_catalog_classes_up_to_8_minus_one_edge(self, laman_keys, laman8_keys):
+        keys = [k for n in range(3, 8) for k in laman_keys[n]] + list(laman8_keys)
+        for key in keys:
+            g = parse_graph6(key)
+            for i in range(g.m):
+                self.assert_same(g.remove_edge_index(i))
+
+    def test_seeded_graphs(self):
+        rnd = random.Random(1601)
+        corpus = random_flexible_connected(1602, 100, 4, 24)
+        corpus += [laman_minus_edges(rnd, rnd.randrange(4, 31), rnd.randrange(1, 4)) for _ in range(100)]
+        corpus += [random_two_body(rnd, rnd.randrange(8, 61)) for _ in range(60)]
+        corpus += [cycle(n) for n in range(3, 43)]
+        corpus += [random_graph(rnd, n, rnd.randrange(0, 3 * n)) for n in (rnd.randrange(2, 31) for _ in range(120))]
+        assert len(corpus) >= 400
+        assert any(len(connected_components(g)) > 1 for g in corpus)
+        assert any(not g.adjacency[w] for g in corpus for w in range(g.n))
+        for g in corpus:
+            self.assert_same(g)
+
+    def test_cycle_of_10000_vertices(self):
+        # a search of the whole game per component took 1.4 s at n = 2 000
+        # and 49 s at n = 10 000 on one Xeon core
+        g = cycle(10000)
+        with deadline(1.0):
+            report = rigidity_report(g)
+        assert report.component_count == 10000 and report.rank == 10000
+
+    def test_sparse_graph_with_2989_components(self):
+        # 4.0 s on one Xeon core with a search of the whole game per component
+        g = Graph.from_edges(2000, sorted(random_laman_edges(random.Random(2000), range(2000)))[:-1000])
+        with deadline(1.0):
+            report = rigidity_report(g)
+        assert report.component_count == 2989 and report.rank == 2 * 2000 - 3 - 1000
 
 
 class TestTwoTrees:

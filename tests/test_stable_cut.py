@@ -297,6 +297,18 @@ class TestPinCondensation:
         assert time.perf_counter() - start < 0.5
         assert v not in result.cut
 
+    def test_pebble_search_count_repeats(self):
+        # the searches follow each vertex's out-list in insertion order, so
+        # the count is a function of the input alone
+        g = random_two_body(random.Random(400), 400)
+        u, v = two_body_pair(g)
+        runs = []
+        for _ in range(2):
+            stats: dict = {}
+            runs.append((algorithm1_stable_cut(g, u, v, stats=stats).cut, stats))
+        assert runs[0] == runs[1]
+        assert runs[0][1]["calls"] == 199 and runs[0][1]["pair_probes"] > 0
+
 
 class TestPinnedCuts:
     def test_algorithm1_cuts_and_levels(self):
