@@ -5,15 +5,15 @@ and the unique-colouring conjecture harness.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .colouring import count_nac
 from .graph import (
     Graph,
     PreconditionError,
-    canonical_form,
     canonical_search,
     certificate_graph6,
     parse_graph6,
@@ -101,48 +101,99 @@ def _extension_choices(g: Graph, gens: list[list[int]], apexes: Iterable[int]) -
     )
 
 
-def _henneberg_children(g6: str) -> set[str]:
-    """Canonical graph6 keys of one-vertex extensions of the tight graph
-    with key g6: every 0-extension, and every 1-extension whose child has
-    no degree-2 vertex.
+class _Key(str):
+    """A canonical graph6 key carrying ``gens``, generators of its class's
+    automorphism group in the key's labelling: vertex p goes to gen[p].
+    A key of an asymmetric class has no instance dict, which would take
+    most of its memory."""
+
+    gens: Sequence[list[int]] = ()
+
+
+def _search_key(nbrs: list[list[int]]) -> _Key:
+    """The canonical key of the graph with neighbour lists nbrs, from one
+    canonical search; its generators are rewritten from nbrs's vertex ids
+    into the key's labelling."""
+    cert, gens, labelling = canonical_search(nbrs)
+    n = len(nbrs)
+    at = [0] * n
+    for v, p in enumerate(labelling):
+        at[p] = v
+    key = _Key(certificate_graph6(n, cert))
+    if gens:
+        key.gens = [[labelling[gen[at[p]]] for p in range(n)] for gen in gens]
+    return key
+
+
+def _deletable(nbrs: list[list[int]]) -> list[int]:
+    """The vertices that pass the canonical-deletion filter: those of degree
+    d, d = 2 if some vertex has degree 2 and 3 otherwise, whose sorted
+    neighbour degrees are the maximum among the degree-d vertices.
+
+    The set depends on the graph alone, so an isomorphism maps it onto the
+    image graph's set."""
+    deg = [len(a) for a in nbrs]
+    d = 2 if 2 in deg else 3
+    inv = {v: sorted([deg[u] for u in nbrs[v]]) for v in range(len(nbrs)) if deg[v] == d}
+    top = max(inv.values())
+    return [v for v, t in inv.items() if t == top]
+
+
+def _henneberg_children(g6: _Key) -> set[_Key]:
+    """Canonical keys of the one-vertex extensions of the tight graph with
+    key g6 whose new vertex passes the canonical-deletion filter
+    (`_deletable`): 0-extensions, and 1-extensions whose child has no
+    degree-2 vertex.  Only those children are searched.
 
     Automorphic extensions give isomorphic children, so one choice per orbit
-    of the parent's automorphism group is extended.  A 1-extension on
-    (x, y, z) keeps the degrees of x and y and raises only z's, so its child
-    has a degree-2 vertex exactly when g has one other than z.  Deleting
-    that vertex leaves a tight graph on g.n vertices, whose 0-extensions
-    give the child, so a triple is formed only if every degree-2 vertex
-    of g is z: z is any vertex when g has none, the one when g has one,
-    and there is no triple when g has two or more.  These apexes are
-    closed under g's automorphisms: a unique degree-2 vertex is fixed by
-    all of them.  Children are keyed by their certificate; graph6 is
-    emitted once per distinct key.
+    of the parent's automorphism group, read from ``g6.gens``, is extended.
+    A 1-extension on (x, y, z) keeps the degrees of x and y and raises only
+    z's, so its child has a degree-2 vertex exactly when g has one other
+    than z; a triple is therefore formed only if every degree-2 vertex of g
+    is z: z is any vertex when g has none, the one when g has one, and there
+    is no triple when g has two or more.  These apexes are closed under g's
+    automorphisms: a unique degree-2 vertex is fixed by all of them.
+
+    Lemma: when every class on g.n vertices is extended, every class C on
+    g.n + 1 vertices is reached by a child that passes the filter.  A
+    Laman graph on at least 3 vertices has minimum degree 2 or 3, so let w
+    be a vertex of C that passes it, of degree d.  If d = 2, C - w is
+    tight.  If d = 3, C has no degree-2 vertex, C - w + xy is tight for
+    some pair x, y of w's neighbours (Laman's reverse 1-extension), and its
+    only possible degree-2 vertex is w's third neighbour z.  So the pair N(w), or the
+    triple (x, y, z), of that parent is an allowed choice, and the
+    representative of its orbit gives a child isomorphic to C with the new
+    vertex in w's place.  The filter depends on the graph alone, so that
+    new vertex passes.  Distinct parents may still give one class; the key
+    set removes the duplicates.
     """
     g = parse_graph6(g6)
     n = g.n
     adj = [list(a) for a in g.adjacency]
     low = [v for v in range(n) if len(adj[v]) == 2]
     apexes = range(n) if not low else low if len(low) == 1 else []
-    pairs, triples = _extension_choices(g, canonical_search(adj)[1], apexes)
-    certs: set[int] = set()
+    pairs, triples = _extension_choices(g, g6.gens, apexes)
+    grown = []
     for u, v in pairs:
         child = [list(a) for a in adj] + [[u, v]]
         child[u].append(n)
         child[v].append(n)
-        certs.add(canonical_search(child)[0])
+        grown.append(child)
     for x, y, z in triples:
         child = [list(a) for a in adj] + [[x, y, z]]
         child[x].remove(y)
         child[y].remove(x)
         for w in (x, y, z):
             child[w].append(n)
-        certs.add(canonical_search(child)[0])
-    return {certificate_graph6(n + 1, c) for c in certs}
+        grown.append(child)
+    return {_search_key(child) for child in grown if n in _deletable(child)}
 
 
 def _fan_out(fn: Callable[[str], object], keys: list[str], workers: int) -> Iterator:
     """fn(key) for each key, in order, yielded as each result arrives; over
-    a pool of `workers` processes when there are at least 4 keys per worker."""
+    a pool of min(workers, cpu count) processes when there are at least 4
+    keys per process."""
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(keys) >= 4 * workers:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -157,12 +208,14 @@ def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) 
 
     Grown from the triangle by vertex additions of degree 2 and edge splits,
     with canonical-form dedup; every class is rank-checked.  Each level is
-    the complete set of classes on its vertex count, so an edge split whose
-    child has a degree-2 vertex w is skipped: child - w is tight, its class
-    is in the level being extended, and one of its vertex additions gives
-    the child (`_henneberg_children`).  Generation can
-    fan out over parent graphs; per-worker key sets are merged, and the
-    sorted output is identical for every worker count.
+    the complete set of classes on its vertex count, so a child is searched
+    only when its new vertex passes the canonical-deletion filter, and an
+    edge split whose child has a degree-2 vertex is not formed
+    (`_henneberg_children` proves that no class is lost).  Each class is
+    searched once: its key carries the automorphism generators that the
+    next level's orbit choices need.  Generation can fan out over parent
+    graphs; per-worker key sets are merged, and the sorted output is
+    identical for every worker count.
     """
     limit = OPT_IN_MAX_N if allow_large else DEFAULT_MAX_N
     if not 3 <= n <= limit:
@@ -170,10 +223,10 @@ def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) 
             f"catalog supports 3 <= n <= {limit}"
             + ("" if allow_large else f" ({OPT_IN_MAX_N} behind allow_large)")
         )
-    level = {canonical_form(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])).decode("ascii")}
+    level = {_search_key([[1, 2], [0, 2], [0, 1]])}
     size = 3
     while size < n:
-        nxt: set[str] = set()
+        nxt: set[_Key] = set()
         for children in _fan_out(_henneberg_children, sorted(level), workers):
             nxt |= children
         level = nxt

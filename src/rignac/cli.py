@@ -334,6 +334,16 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # refused below with the same message
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="rignac", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -388,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--histogram", action="store_true")
     p.add_argument("--check-conjecture", action="store_true")
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes, capped at the CPU count")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("selftest", help="quick pass/fail table of known values")

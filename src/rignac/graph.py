@@ -108,12 +108,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph.from_edges(len(keep), edges), tuple(keep)
 
 
-def remove_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Delete vertices and compact labels; returns (graph, kept original ids)."""
-    drop = set(vertices)
-    return induced_subgraph(g, (v for v in range(g.n) if v not in drop))
-
-
 # ---------------------------------------------------------------------------
 # parsing and emission
 
@@ -443,21 +437,26 @@ def _refine(nbrs: Sequence[Iterable[int]], colours: list[int], cells: int) -> tu
     """Colour refinement to an equitable partition.
 
     Each pass ranks the signatures (colour, sorted neighbour colours); the
-    first pass that leaves the number of cells (``cells`` on entry) unchanged
-    ends the refinement.  Returns that pass's colours 0..k-1 and k.
+    first pass that leaves the number of cells (``cells`` on entry) unchanged,
+    or makes every cell a single vertex, ends the refinement.  A discrete
+    partition is already equitable: a further pass would rank the signatures
+    by their distinct first entries and return the same colours.  Returns
+    that pass's colours 0..k-1 and k.
     """
+    n = len(colours)
     while True:
         sigs = [(c, tuple(sorted([colours[u] for u in nb]))) for c, nb in zip(colours, nbrs)]
         distinct = sorted(set(sigs))
         rank = {s: i for i, s in enumerate(distinct)}
         colours = [rank[s] for s in sigs]
-        if len(distinct) == cells:
-            return colours, cells
+        if len(distinct) == cells or len(distinct) == n:
+            return colours, len(distinct)
         cells = len(distinct)
 
 
-def canonical_search(nbrs: Sequence[Iterable[int]]) -> tuple[int, list[list[int]]]:
-    """Canonical certificate of a graph and generators of its automorphism group.
+def canonical_search(nbrs: Sequence[Iterable[int]]) -> tuple[int, list[list[int]], list[int]]:
+    """Canonical certificate of a graph, generators of its automorphism group
+    and the canonical labelling.
 
     ``nbrs[v]`` holds the neighbours of vertex v.  After each refinement the
     search individualises, in vertex order, each vertex of the smallest colour
@@ -470,7 +469,9 @@ def canonical_search(nbrs: Sequence[Iterable[int]]) -> tuple[int, list[list[int]
     sibling's with the same certificates (McKay and Piperno, J. Symb. Comput.
     2014).  The generators returned generate the whole automorphism group;
     each maps vertex v to ``gen[v]``.  The search recurses once per
-    individualised vertex, so n <= 12.
+    individualised vertex, so n <= 12.  The labelling is the best leaf's:
+    vertex v is vertex ``labelling[v]`` of the graph whose graph6 bit string
+    is the certificate.
     """
     n = len(nbrs)
     if n > CANONICAL_FORM_MAX_VERTICES:
@@ -528,7 +529,7 @@ def canonical_search(nbrs: Sequence[Iterable[int]]) -> tuple[int, list[list[int]
 
     visit([0] * n, 1, [])
     assert best is not None
-    return best[0], gens
+    return best[0], gens, best[1]
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -537,7 +538,7 @@ def canonical_form(g: Graph) -> bytes:
     The graph6 encoding of the canonical labelling found by
     ``canonical_search``, so it doubles as a catalog key.
     """
-    cert, _ = canonical_search(g.adjacency)
+    cert = canonical_search(g.adjacency)[0]
     return certificate_graph6(g.n, cert).encode("ascii")
 
 

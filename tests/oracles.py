@@ -431,6 +431,15 @@ def relabelled(g: Graph, rnd: random.Random) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def remove_vertices(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+    """g with `vertices` deleted and the rest relabelled 0..k-1 in order;
+    returns the graph and the kept original ids."""
+    drop = set(vertices)
+    keep = tuple(v for v in range(g.n) if v not in drop)
+    pos = {v: i for i, v in enumerate(keep)}
+    return Graph.from_edges(len(keep), [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]), keep
+
+
 def slow_minimally_rigid_graph6(n: int) -> list[str]:
     """Sorted canonical keys of the minimally rigid classes on n vertices,
     grown from the triangle with slow_henneberg_children (n <= 8)."""

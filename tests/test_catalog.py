@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
+import random
 from itertools import combinations, permutations
 
 import pytest
 
 from rignac.catalog import (
     CatalogEntry,
+    _deletable,
     _extension_choices,
+    _fan_out,
     _henneberg_children,
     check_conjecture_61,
     enumerate_minimally_rigid,
@@ -26,6 +30,17 @@ from rignac.constructions import make_complete_bipartite
 from rignac.stable_cut import exhaustive_stable_cut
 
 from oracles import slow_henneberg_children, slow_minimally_rigid_graph6
+
+# sha256 of the sorted keys joined by newlines
+KEYS_SHA256 = {
+    8: "144adb8449964b68a246475671de16ca5d02887177daf8070361100866a54b6e",
+    9: "27658300724bf9e566b976925060faca6753c0aef5c31bf5498a21a507995555",
+}
+
+
+def _digest(keys: list[str]) -> str:
+    return hashlib.sha256("\n".join(keys).encode("ascii")).hexdigest()
+
 
 PUBLISHED_HISTOGRAM_7 = {0: 12, 1: 25, 2: 4, 3: 18, 4: 1, 6: 2, 7: 5, 12: 1, 15: 1, 31: 1}
 
@@ -88,8 +103,8 @@ class TestGeneration:
                 slow_union |= slow
             assert union == slow_union, n
 
-    def test_generation_canonical_search_count_n8(self, monkeypatch):
-        # deterministic; extending every edge-split orbit would take 3 815
+    @staticmethod
+    def _counted_generation(monkeypatch, n: int) -> tuple[list[str], int]:
         import rignac.catalog as catalog
 
         calls = []
@@ -100,8 +115,63 @@ class TestGeneration:
             return search(nbrs)
 
         monkeypatch.setattr(catalog, "canonical_search", counted)
-        assert len(minimally_rigid_graph6(8)) == 608
-        assert len(calls) == 1446
+        return minimally_rigid_graph6(n, allow_large=True), len(calls)
+
+    def test_generation_canonical_search_count_n8(self, monkeypatch):
+        # deterministic: one search per child that passes the canonical-deletion
+        # filter, and none for a parent; searching every child, and each parent
+        # again for its automorphisms, takes 1 446
+        keys, searches = self._counted_generation(monkeypatch, 8)
+        assert len(keys) == 608
+        assert searches == 830
+        assert _digest(keys) == KEYS_SHA256[8]
+
+    def test_generation_canonical_search_count_n9(self, monkeypatch):
+        # searching every child, and each parent again, takes 18 273
+        keys, searches = self._counted_generation(monkeypatch, 9)
+        assert len(keys) == 7222
+        assert searches == 9748
+        assert _digest(keys) == KEYS_SHA256[9]
+
+    def test_deletion_filter_commutes_with_relabelling(self, laman_keys, laman8_keys):
+        # the filter reads the graph, not its vertex ids, so a child's new
+        # vertex passes it whichever isomorphic copy of the child was built
+        rnd = random.Random(2024)
+        for key in [k for n in range(3, 8) for k in laman_keys[n]] + laman8_keys:
+            g = parse_graph6(key)
+            for _ in range(3):
+                perm = list(range(g.n))
+                rnd.shuffle(perm)
+                h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+                passed = _deletable([list(a) for a in g.adjacency])
+                assert sorted(perm[v] for v in passed) == sorted(_deletable([list(a) for a in h.adjacency])), key
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:  # starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        keys = [str(i) for i in range(4000)]
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert list(_fan_out(int, keys, 1000)) == list(range(4000))
+        assert sizes == [3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert list(_fan_out(int, keys, 1000)) == list(range(4000))
+        assert sizes == [3]
 
     def test_extension_choices_are_one_per_orbit(self, laman_keys):
         # against orbits under every automorphism, found by brute force

@@ -430,6 +430,13 @@ class TestMisc:
         )
         assert code == 0 and json.loads(out)["classes"] == 13
 
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_catalog_threads_below_one_is_a_usage_error(self, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", "--n", "6", "--threads", threads])
+        assert exc.value.code == 2
+        assert "argument --threads: expected an integer of at least 1" in capsys.readouterr().err
+
 
 class TestParserReuse:
     """main reuses one parser; no option of one call leaks into the next."""

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from rignac.colouring import EdgeColouring, count_nac, enumerate_nac, is_nac, ladder_edges
-from rignac.graph import Graph, PreconditionError, are_isomorphic, remove_vertices
+from rignac.graph import Graph, PreconditionError, are_isomorphic
 from rignac.rigidity import is_2tree, recognize_gsc, rigidity_report
 from rignac.constructions import (
     FIXTURE_SHA256,
@@ -23,7 +23,7 @@ from rignac.constructions import (
     make_path,
 )
 
-from oracles import random_gsc_script, random_prism_chain, slow_make_gsc
+from oracles import random_gsc_script, random_prism_chain, remove_vertices, slow_make_gsc
 
 
 class TestBasicFamilies:

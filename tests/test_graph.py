@@ -15,6 +15,7 @@ from rignac.graph import (
     blocks,
     canonical_form,
     canonical_search,
+    certificate_graph6,
     connected_components,
     connected_components_without,
     contract_edge,
@@ -446,7 +447,7 @@ class TestCanonicalSearch:
         # the unpruned search visits 11! leaves on K_{1,11}; finishing is the guard
         rnd = random.Random(g.n * 1000 + g.m)
         assert canonical_form(relabelled(g, rnd)) == canonical_form(g)
-        _, gens = canonical_search(g.adjacency)
+        gens = canonical_search(g.adjacency)[1]
         edges = set(g.edges)
         for gen in gens:
             assert {(min(gen[u], gen[v]), max(gen[u], gen[v])) for u, v in g.edges} == edges
@@ -462,8 +463,11 @@ class TestCanonicalSearch:
         for g in graphs:
             if g.n > 7:
                 continue
-            _, gens = canonical_search(g.adjacency)
+            cert, gens, labelling = canonical_search(g.adjacency)
             assert _group(gens, g.n) == _automorphisms(g), g.edges
+            # the labelling turns g into the graph whose bit string is the certificate
+            image = Graph.from_edges(g.n, [(labelling[u], labelling[v]) for u, v in g.edges])
+            assert emit_graph6(image) == certificate_graph6(g.n, cert), g.edges
 
 
 class TestInvariantsMisc:

@@ -54,6 +54,7 @@ from oracles import (
     random_laman_edges,
     random_two_body,
     relabelled,
+    remove_vertices,
     slow_0extension,
     slow_count_prism_subgraphs,
     slow_gsc_decomposition,
@@ -657,8 +658,6 @@ class TestZeroExtensionRecognition:
                     continue
                 a, b = sorted(g.adjacency[w])
                 cost = 0 if g.has_edge(a, b) else 1
-                from rignac.graph import remove_vertices
-
                 sub, _ = remove_vertices(g, [w])
                 rec = search(sub)
                 if rec is not None and (best is None or cost + rec < best):
