@@ -213,9 +213,9 @@ def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) 
     edge split whose child has a degree-2 vertex is not formed
     (`_henneberg_children` proves that no class is lost).  Each class is
     searched once: its key carries the automorphism generators that the
-    next level's orbit choices need.  Generation can fan out over parent
-    graphs; per-worker key sets are merged, and the sorted output is
-    identical for every worker count.
+    next level's orbit choices need; the keys returned are plain strings.
+    Generation can fan out over parent graphs; per-worker key sets are merged,
+    and the sorted output is identical for every worker count.
     """
     limit = OPT_IN_MAX_N if allow_large else DEFAULT_MAX_N
     if not 3 <= n <= limit:
@@ -235,7 +235,7 @@ def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) 
         g = parse_graph6(g6)
         if g.m != 2 * g.n - 3 or rank(g) != 2 * g.n - 3:
             raise RuntimeError(f"generated class {g6} is not minimally rigid")
-    return sorted(level)
+    return [str(k) for k in sorted(level)]
 
 
 def enumerate_minimally_rigid(

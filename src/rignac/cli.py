@@ -208,13 +208,8 @@ def cmd_stable_cut(args) -> int:
     for v in named:
         if not 0 <= v < g.n:
             raise InputError(f"vertex {v} out of range for a graph on {g.n} vertices")
-    if args.separate:
-        u, v = args.separate
-        result = sc.algorithm1_stable_cut(g, u, v)
-        _emit(_stable_cut_payload(g, result, "algorithm1"), args)
-        return EXIT_OK
-    if args.avoid is not None:
-        result = sc.stable_cut_avoiding(g, args.avoid)
+    if named:
+        result = sc.algorithm1_stable_cut(g, *named) if args.separate else sc.stable_cut_avoiding(g, args.avoid)
         _emit(_stable_cut_payload(g, result, "algorithm1"), args)
         return EXIT_OK
     if args.exhaustive:
@@ -380,9 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stable-cut", help="stable cut search")
     add_io(p)
-    p.add_argument("--separate", nargs=2, type=int, metavar=("U", "V"))
-    p.add_argument("--avoid", type=int, default=None, metavar="V")
-    p.add_argument("--exhaustive", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--separate", nargs=2, type=int, metavar=("U", "V"))
+    mode.add_argument("--avoid", type=int, default=None, metavar="V")
+    mode.add_argument("--exhaustive", action="store_true")
     p.set_defaults(func=cmd_stable_cut)
 
     p = sub.add_parser("construct", help="emit a named family graph")

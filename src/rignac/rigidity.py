@@ -243,18 +243,14 @@ def rigidity_report(g: Graph) -> RigidityReport:
 def two_tree_peel(g: Graph) -> Optional[list[int]]:
     """Peel order certifying g is a 2-tree, or None.
 
-    A 2-tree is a connected graph with m = 2n-3 whose gluing-family peel
-    takes no prism; the order is that peel's, smallest ear first.  The peel
-    stops at its first prism step.
+    A 2-tree is a connected gluing-family member whose decomposition has no
+    prism (a 2-tree always has an ear, which the peel takes first); the
+    order is the peel's, smallest ear first.
     """
-    if g.n < 2 or not is_connected(g) or g.m != 2 * g.n - 3:
+    if g.n < 2 or not is_connected(g):
         return None
-    order = []
-    for step in _peel(g):
-        if step.piece == "prism":
-            return None
-        order.append(step.new_vertices[0])
-    return order if len(order) == g.n - 2 else None
+    dec = gsc_decomposition(g)
+    return list(dec.peel_order) if dec is not None and dec.prism_count == 0 else None
 
 
 def is_2tree(g: Graph) -> bool:
@@ -381,7 +377,8 @@ class GscDecomposition:
         }
 
     def replay(self) -> Graph:
-        """Rebuild the graph described by the script."""
+        """Rebuild the graph described by the script.  Each step must glue
+        along an edge, or a triangle, of the graph built so far."""
         verts = set(self.base_vertices)
         edges = {tuple(sorted(self.base_vertices))}
         for s in self.steps:
@@ -389,6 +386,8 @@ class GscDecomposition:
                 raise ValueError("step reuses an existing vertex id")
             if not all(w in verts for w in s.glue_at):
                 raise ValueError(f"glue site {s.glue_at} not present yet")
+            if not all(pair in edges for pair in combinations(sorted(s.glue_at), 2)):
+                raise ValueError(f"{s.glue_type} glue site {s.glue_at} is not one of the graph built so far")
             edges.update(s.edges())
             verts.update(s.new_vertices)
         ids = sorted(verts)

@@ -155,6 +155,16 @@ def _check_flexible_input(g: Graph, stats: dict) -> Components:
     return rigid_components(g, state)
 
 
+def _separate(
+    g: Graph, comps: Components, u: int, v: int, stats: dict, avoid: Optional[int] = None
+) -> StableCutResult:
+    """Algorithm 1 on g, whose rigid components are `comps`: the validated
+    stable cut separating u and v (and avoiding `avoid`, if given)."""
+    if any(u in comp and v in comp for comp in comps):
+        raise PreconditionError(f"{u} and {v} lie in a common rigid component")
+    return _validate_result(g, StableCutResult(_alg1(comps, u, v, stats), (u, v), avoid))
+
+
 def algorithm1_stable_cut(
     g: Graph, u: int, v: int, stats: Optional[dict] = None
 ) -> StableCutResult:
@@ -177,11 +187,7 @@ def algorithm1_stable_cut(
         stats = {}
     stats.setdefault("calls", 0)
     stats.setdefault("pair_probes", 0)
-    comps = _check_flexible_input(g, stats)
-    if any(u in comp and v in comp for comp in comps):
-        raise PreconditionError(f"{u} and {v} lie in a common rigid component")
-    cut = _alg1(comps, u, v, stats)
-    return _validate_result(g, StableCutResult(cut=cut, separated_pair=(u, v)))
+    return _separate(g, _check_flexible_input(g, stats), u, v, stats)
 
 
 def is_biconnected(g: Graph) -> bool:
@@ -193,8 +199,9 @@ def is_biconnected(g: Graph) -> bool:
 def stable_cut_avoiding(g: Graph, v: int) -> StableCutResult:
     """Stable cut avoiding v in a 2-connected flexible graph.
 
-    Picks u sharing no rigid component with v (exists: otherwise v would be
-    a cut vertex); the separating cut excludes both endpoints by definition.
+    Algorithm 1 separates v from u, the first vertex sharing no rigid
+    component with v (one exists: else v is a cut vertex).  It never merges
+    v or puts v in u's component, so the cut, u's neighbourhood, avoids v.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
@@ -203,16 +210,10 @@ def stable_cut_avoiding(g: Graph, v: int) -> StableCutResult:
     stats = {"calls": 0, "pair_probes": 0}
     comps = _check_flexible_input(g, stats)
     related = set().union(*(comp for comp in comps if v in comp))
-    for u in range(g.n):
-        if u in related:
-            continue
-        cut = _alg1(comps, u, v, stats)
-        if v not in cut:
-            return _validate_result(
-                g,
-                StableCutResult(cut=cut, separated_pair=(u, v), avoided_vertex=v),
-            )
-    raise RuntimeError("no partner vertex found; 2-connectivity invariant broken")
+    u = next((u for u in range(g.n) if u not in related), None)
+    if u is None:
+        raise RuntimeError("no partner vertex found; 2-connectivity invariant broken")
+    return _separate(g, comps, u, v, stats, avoid=v)
 
 
 def exhaustive_stable_cut(
@@ -264,9 +265,10 @@ def find_stable_cut(
     exhaustive search; "skipped" above its size limit proves nothing.
 
     `report` is g's rigidity report and `member` whether g is in the gluing
-    family, when the caller already has them.  A connected rigid graph
-    with m = 2n-3 has no stable cut exactly when the peel finds a
-    decomposition (Le and Pfender), so a member needs no search, and
+    family, when the caller already has them.  Algorithm 1 runs on the
+    report's rigid components; it plays no second game on g.  A connected
+    rigid graph with m = 2n-3 has no stable cut exactly when the peel finds
+    a decomposition (Le and Pfender), so a member needs no search, and
     exhaustive search must find a cut in a non-member.
     """
     peeled_non_member = False
@@ -283,7 +285,8 @@ def find_stable_cut(
                 related = set().union(*(c for c in report.rigid_components if u in c))
                 v = next((v for v in range(u + 1, g.n) if v not in related), None)
                 if v is not None:
-                    return algorithm1_stable_cut(g, u, v), "algorithm1"
+                    stats = {"calls": 0, "pair_probes": 0}
+                    return _separate(g, report.rigid_components, u, v, stats), "algorithm1"
         elif report.is_minimally_rigid:
             if member is None:
                 member = gsc_decomposition(g) is not None

@@ -15,6 +15,7 @@ from rignac.catalog import (
     _extension_choices,
     _fan_out,
     _henneberg_children,
+    _search_key,
     check_conjecture_61,
     enumerate_minimally_rigid,
     histogram_report,
@@ -92,12 +93,16 @@ class TestGeneration:
 
     def test_orbit_pruned_children_match_oracle(self, laman_keys):
         # one extension per orbit of the parent's automorphisms, and no edge
-        # split whose child has a degree-2 vertex, loses no class of the level
+        # split whose child has a degree-2 vertex, loses no class of the level;
+        # the returned keys are plain strings, so the parent's generators come
+        # from a fresh search
         for n in range(3, 8):
             union, slow_union = set(), set()
             for key in laman_keys[n]:
                 g = parse_graph6(key)
-                children, slow = _henneberg_children(key), slow_henneberg_children(g)
+                parent = _search_key([sorted(a) for a in g.adjacency])
+                assert parent == key
+                children, slow = _henneberg_children(parent), slow_henneberg_children(g)
                 assert children <= slow, key
                 union |= children
                 slow_union |= slow
@@ -125,6 +130,11 @@ class TestGeneration:
         assert len(keys) == 608
         assert searches == 830
         assert _digest(keys) == KEYS_SHA256[8]
+
+    def test_keys_leave_as_plain_strings(self, laman_keys, laman8_keys):
+        # the generators a key carries inside generation stay there
+        assert all(type(k) is str for n in range(3, 8) for k in laman_keys[n])
+        assert all(type(k) is str for k in laman8_keys) and _digest(laman8_keys) == KEYS_SHA256[8]
 
     def test_generation_canonical_search_count_n9(self, monkeypatch):
         # searching every child, and each parent again, takes 18 273

@@ -285,6 +285,16 @@ class TestStableCut:
             assert code == 2 and out == "", flags
             assert err.startswith("input error: vertex") and err.count("\n") == 1, flags
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--exhaustive", "--separate", "0", "3"], ["--exhaustive", "--avoid", "3"], ["--separate", "0", "3", "--avoid", "1"]],
+    )
+    def test_modes_are_exclusive(self, monkeypatch, capsys, flags):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n2 3\n3 4\n4 5\n0 5"))
+        with pytest.raises(SystemExit) as exc:
+            main(["stable-cut", *flags])
+        assert exc.value.code == 2 and "not allowed with argument" in capsys.readouterr().err
+
     def test_exhaustive_none_exit_1(self, monkeypatch, capsys):
         k4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3"
         code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut", "--exhaustive"], k4)

@@ -18,6 +18,7 @@ from rignac.graph import (
 from rignac.rigidity import (
     GscDecomposition,
     GscNonMembership,
+    GscStep,
     count_prism_subgraphs,
     gsc_decomposition,
     is_2tree,
@@ -438,6 +439,15 @@ class TestGscRecognition:
             if entry.is_gsc:
                 dec = recognize_gsc(entry.graph)
                 assert are_isomorphic(dec.replay(), entry.graph)
+
+    def test_replay_refuses_a_glue_site_the_graph_lacks(self):
+        # after two ears on (0, 1), 2 and 3 are not adjacent: an ear on (2, 3)
+        # would build a 5-vertex, 7-edge non-member with the stable cut {2, 3}
+        ears = (GscStep("triangle", "edge", (0, 1), (2,)), GscStep("triangle", "edge", (0, 1), (3,)))
+        assert GscDecomposition((0, 1), ears).replay().m == 5
+        for step in (GscStep("triangle", "edge", (2, 3), (4,)), GscStep("prism", "triangle", (0, 2, 3), (4, 5, 6))):
+            with pytest.raises(ValueError, match=f"{step.glue_type} glue site .* not one of the graph built so far"):
+                GscDecomposition((0, 1), ears + (step,)).replay()
 
     def test_power_law_on_members(self, catalog6, catalog7):
         for entry in catalog6 + catalog7:

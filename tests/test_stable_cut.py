@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -11,10 +12,11 @@ from rignac.stable_cut import (
     _alg1,
     algorithm1_stable_cut,
     exhaustive_stable_cut,
+    find_stable_cut,
     is_biconnected,
     stable_cut_avoiding,
 )
-from rignac.constructions import make_cycle, make_gk, make_path
+from rignac.constructions import make_2tree, make_cycle, make_gk, make_path
 
 from oracles import (
     brute_stable_cuts,
@@ -127,6 +129,23 @@ def _check_separates(g: Graph, s: frozenset[int], u: int, v: int) -> bool:
     comps = _components_without(g, s)
     cu = next(c for c in comps if u in c)
     return v not in cu
+
+
+def biconnected_flexible_graphs(seed: int, count: int) -> list[Graph]:
+    rnd = random.Random(seed)
+    graphs: list[Graph] = []
+    while len(graphs) < count:
+        n = rnd.randrange(4, 10)
+        g = random_connected_graph(rnd, n, rnd.randrange(n, 2 * n - 3))
+        if is_biconnected(g) and rigidity_report(g).is_flexible:
+            graphs.append(g)
+    return graphs
+
+
+def first_partner(g: Graph, v: int) -> int:
+    """The smallest vertex sharing no rigid component with v."""
+    related = set().union(*(c for c in rigid_components(g, pebble_game(g)) if v in c))
+    return next(u for u in range(g.n) if u not in related)
 
 
 class TestAlgorithm1:
@@ -347,17 +366,43 @@ class TestAvoiding:
             stable_cut_avoiding(bowtie(), 0)
 
     def test_random_biconnected_flexible(self):
-        rnd = random.Random(55)
-        done = 0
-        while done < 20:
-            n = rnd.randrange(4, 10)
-            g = random_connected_graph(rnd, n, rnd.randrange(n, 2 * n - 3))
-            if not is_biconnected(g) or not rigidity_report(g).is_flexible:
-                continue
+        for g in biconnected_flexible_graphs(55, 20):
             for v in range(g.n):
                 result = stable_cut_avoiding(g, v)
                 assert v not in result.cut
-            done += 1
+
+    def test_is_algorithm1_from_the_first_partner(self):
+        # the first vertex sharing no rigid component with v already gives a
+        # cut without v, so no other partner is tried
+        corpus = [(parse_graph6(key), [v]) for key, v, _ in PINNED_AVOID]
+        corpus += [(g, range(g.n)) for g in [make_cycle(5), c4()] + biconnected_flexible_graphs(55, 20)]
+        for g, avoided in corpus:
+            for v in avoided:
+                u = first_partner(g, v)
+                want = replace(algorithm1_stable_cut(g, u, v), avoided_vertex=v)
+                assert stable_cut_avoiding(g, v) == want, (g.n, g.edges, v)
+
+
+class TestFindStableCut:
+    def test_flexible_branch_plays_no_second_game(self, monkeypatch):
+        # two 2-trees joined by two bars: no vertex neighbourhood is stable,
+        # so Algorithm 1 answers, on the rigid components of the report
+        left, right = make_2tree(31, 40), make_2tree(32, 40)
+        bars = [(0, 40), (7, 53)]
+        g = Graph.from_edges(80, list(left.edges) + [(a + 40, b + 40) for a, b in right.edges] + bars)
+        report = rigidity_report(g)
+        games = []
+
+        def counted(h):
+            if h is g:
+                games.append(h)
+            return pebble_game(h)
+
+        monkeypatch.setattr("rignac.stable_cut.pebble_game", counted)
+        result, method = find_stable_cut(g, report)
+        assert method == "algorithm1" and games == []
+        u, v = result.separated_pair
+        assert result == algorithm1_stable_cut(g, u, v) and len(games) == 1
 
 
 class TestExhaustive:
