@@ -8,7 +8,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .colouring import count_nac
 from .graph import (
@@ -101,28 +101,16 @@ def _extension_choices(g: Graph, gens: list[list[int]], apexes: Iterable[int]) -
     )
 
 
-class _Key(str):
-    """A canonical graph6 key carrying ``gens``, generators of its class's
-    automorphism group in the key's labelling: vertex p goes to gen[p].
-    A key of an asymmetric class has no instance dict, which would take
-    most of its memory."""
-
-    gens: Sequence[list[int]] = ()
-
-
-def _search_key(nbrs: list[list[int]]) -> _Key:
-    """The canonical key of the graph with neighbour lists nbrs, from one
-    canonical search; its generators are rewritten from nbrs's vertex ids
-    into the key's labelling."""
+def _search_key(nbrs: list[list[int]]) -> tuple[str, tuple]:
+    """The canonical key of the graph with neighbour lists nbrs and its
+    automorphism generators, from one canonical search, rewritten from nbrs's
+    vertex ids into the key's labelling: vertex p goes to gen[p]."""
     cert, gens, labelling = canonical_search(nbrs)
     n = len(nbrs)
     at = [0] * n
     for v, p in enumerate(labelling):
         at[p] = v
-    key = _Key(certificate_graph6(n, cert))
-    if gens:
-        key.gens = [[labelling[gen[at[p]]] for p in range(n)] for gen in gens]
-    return key
+    return certificate_graph6(n, cert), tuple([labelling[gen[at[p]]] for p in range(n)] for gen in gens)
 
 
 def _deletable(nbrs: list[list[int]]) -> list[int]:
@@ -139,14 +127,14 @@ def _deletable(nbrs: list[list[int]]) -> list[int]:
     return [v for v, t in inv.items() if t == top]
 
 
-def _henneberg_children(g6: _Key) -> set[_Key]:
-    """Canonical keys of the one-vertex extensions of the tight graph with
-    key g6 whose new vertex passes the canonical-deletion filter
-    (`_deletable`): 0-extensions, and 1-extensions whose child has no
-    degree-2 vertex.  Only those children are searched.
+def _henneberg_children(parent: tuple[str, tuple]) -> dict[str, tuple]:
+    """Keys and generators (`_search_key`) of the one-vertex extensions of
+    the tight graph parent (a key and its generators) whose new vertex passes
+    the canonical-deletion filter (`_deletable`): 0-extensions, and
+    1-extensions whose child has no degree-2 vertex.  Only those are searched.
 
     Automorphic extensions give isomorphic children, so one choice per orbit
-    of the parent's automorphism group, read from ``g6.gens``, is extended.
+    of the parent's automorphism group is extended.
     A 1-extension on (x, y, z) keeps the degrees of x and y and raises only
     z's, so its child has a degree-2 vertex exactly when g has one other
     than z; a triple is therefore formed only if every degree-2 vertex of g
@@ -164,15 +152,16 @@ def _henneberg_children(g6: _Key) -> set[_Key]:
     triple (x, y, z), of that parent is an allowed choice, and the
     representative of its orbit gives a child isomorphic to C with the new
     vertex in w's place.  The filter depends on the graph alone, so that
-    new vertex passes.  Distinct parents may still give one class; the key
-    set removes the duplicates.
+    new vertex passes.  Distinct parents may still give one class; the
+    level's dict keeps it once.
     """
+    g6, gens = parent
     g = parse_graph6(g6)
     n = g.n
     adj = [list(a) for a in g.adjacency]
     low = [v for v in range(n) if len(adj[v]) == 2]
     apexes = range(n) if not low else low if len(low) == 1 else []
-    pairs, triples = _extension_choices(g, g6.gens, apexes)
+    pairs, triples = _extension_choices(g, gens, apexes)
     grown = []
     for u, v in pairs:
         child = [list(a) for a in adj] + [[u, v]]
@@ -186,21 +175,21 @@ def _henneberg_children(g6: _Key) -> set[_Key]:
         for w in (x, y, z):
             child[w].append(n)
         grown.append(child)
-    return {_search_key(child) for child in grown if n in _deletable(child)}
+    return dict(_search_key(child) for child in grown if n in _deletable(child))
 
 
-def _fan_out(fn: Callable[[str], object], keys: list[str], workers: int) -> Iterator:
-    """fn(key) for each key, in order, yielded as each result arrives; over
-    a pool of min(workers, cpu count) processes when there are at least 4
-    keys per process."""
+def _fan_out(fn: Callable, items: list, workers: int) -> Iterator:
+    """fn(item) for each item, in order, yielded as each result arrives;
+    over a pool of min(workers, cpu count) processes when there are at least
+    4 items per process."""
     workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and len(keys) >= 4 * workers:
+    if workers > 1 and len(items) >= 4 * workers:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, keys, chunksize=8)
+            yield from pool.map(fn, items, chunksize=8)
     else:
-        yield from map(fn, keys)
+        yield from map(fn, items)
 
 
 def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) -> list[str]:
@@ -212,10 +201,10 @@ def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) 
     only when its new vertex passes the canonical-deletion filter, and an
     edge split whose child has a degree-2 vertex is not formed
     (`_henneberg_children` proves that no class is lost).  Each class is
-    searched once: its key carries the automorphism generators that the
-    next level's orbit choices need; the keys returned are plain strings.
-    Generation can fan out over parent graphs; per-worker key sets are merged,
-    and the sorted output is identical for every worker count.
+    searched once: a level is a dict from key to the automorphism generators
+    that the next level's orbit choices need, and the last level keeps keys
+    only.  Generation can fan out over parent graphs; per-parent children are
+    merged, and the sorted output is identical for every worker count.
     """
     limit = OPT_IN_MAX_N if allow_large else DEFAULT_MAX_N
     if not 3 <= n <= limit:
@@ -223,19 +212,17 @@ def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) 
             f"catalog supports 3 <= n <= {limit}"
             + ("" if allow_large else f" ({OPT_IN_MAX_N} behind allow_large)")
         )
-    level = {_search_key([[1, 2], [0, 2], [0, 1]])}
-    size = 3
-    while size < n:
-        nxt: set[_Key] = set()
-        for children in _fan_out(_henneberg_children, sorted(level), workers):
-            nxt |= children
+    level = dict([_search_key([[1, 2], [0, 2], [0, 1]])])
+    for size in range(4, n + 1):
+        nxt: dict = {}
+        for children in _fan_out(_henneberg_children, sorted(level.items()), workers):
+            nxt.update(children if size < n else dict.fromkeys(children))
         level = nxt
-        size += 1
     for g6 in level:
         g = parse_graph6(g6)
         if g.m != 2 * g.n - 3 or rank(g) != 2 * g.n - 3:
             raise RuntimeError(f"generated class {g6} is not minimally rigid")
-    return [str(k) for k in sorted(level)]
+    return sorted(level)
 
 
 def enumerate_minimally_rigid(

@@ -28,6 +28,7 @@ from .graph import (
     emit_edge_list,
     emit_graph6,
     is_connected,
+    is_edge_list_text,
     parse_edge_list,
     parse_graph,
     parse_graph6,
@@ -64,14 +65,14 @@ def _read_input(args) -> str:
 def _load_graph(args) -> Graph:
     text = _read_input(args)
     fmt = getattr(args, "format", "auto")
-    if fmt == "edgelist":
-        g, labels = parse_edge_list(text)
-        if labels != [str(i) for i in range(len(labels))]:
-            print(f"label map: {dict(enumerate(labels))}", file=sys.stderr)
-        return g
     if fmt == "graph6":
         return parse_graph6(text)
-    return parse_graph(text)
+    if fmt == "auto" and not is_edge_list_text(text):
+        return parse_graph(text)
+    g, labels = parse_edge_list(text)
+    if labels != [str(i) for i in range(len(labels))]:
+        print(f"label map: {dict(enumerate(labels))}", file=sys.stderr)
+    return g
 
 
 def _output(args):
@@ -140,8 +141,7 @@ def cmd_analyze(args) -> int:
     # a 2-tree is exactly a member built from triangles alone
     report["two_tree"] = dec is not None and dec.prism_count == 0
     cut, method = sc.find_stable_cut(g, rig, dec is not None)
-    payload = _stable_cut_payload(g, cut, method)
-    report["stable_cut"] = payload["cut"]
+    report["stable_cut"] = None if cut is None else sorted(cut.cut)
     report["stable_cut_method"] = method
     if args.count:
         report["nnac"] = str(col.count_nac(g))

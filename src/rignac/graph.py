@@ -228,8 +228,15 @@ def emit_edge_list(g: Graph) -> str:
     return "\n".join(f"{u} {v}" for u, v in g.edges)
 
 
+def is_edge_list_text(text: str) -> bool:
+    """`parse_graph`'s format rule: some line, comments stripped, has a pair."""
+    return any(len(raw.split("#", 1)[0].split()) >= 2 for raw in text.splitlines())
+
+
 def parse_graph(text: str) -> Graph:
     """Parse either format; graph6 iff no line carries a whitespace-separated pair."""
+    if is_edge_list_text(text):
+        return parse_edge_list(text)[0]
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -237,8 +244,6 @@ def parse_graph(text: str) -> Graph:
             lines.append(line)
     if not lines:
         raise GraphParseError("empty input")
-    if any(len(line.split()) >= 2 for line in lines):
-        return parse_edge_list(text)[0]
     if len(lines) != 1:
         raise GraphParseError("multiple single-token lines; cannot detect format")
     return parse_graph6(lines[0])

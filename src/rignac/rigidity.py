@@ -576,7 +576,9 @@ def recognize_gsc(g: Graph):
     """Decide membership in the triangle/prism gluing family.
 
     Returns a GscDecomposition on success, else GscNonMembership carrying a
-    witness stable cut (which must exist when the edge count matches).
+    witness stable cut, which must exist when the edge count matches: the
+    minimum one up to 24 vertices, else None (`find_stable_cut` is the route
+    to a cut at any size).
     Per-instance certification is by replaying the decomposition.
     """
     dec = gsc_decomposition(g)
@@ -584,8 +586,10 @@ def recognize_gsc(g: Graph):
         return dec
     if g.m != 2 * g.n - 3:
         return GscNonMembership("edge count")
-    from .stable_cut import exhaustive_stable_cut
+    from .stable_cut import EXHAUSTIVE_MAX_VERTICES, exhaustive_stable_cut
 
+    if g.n > EXHAUSTIVE_MAX_VERTICES:
+        return GscNonMembership("stable cut")
     witness = exhaustive_stable_cut(g)
     if witness is None:
         raise RuntimeError("peel failed but no stable cut exists; recognizer is incomplete")

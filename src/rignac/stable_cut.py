@@ -223,19 +223,19 @@ def exhaustive_stable_cut(
 ) -> Optional[StableCutResult]:
     """Minimum-cardinality stable cut meeting the constraints, or None.
 
-    Deterministic: lexicographically smallest among minimum size.  Documented
-    exponential search, limited to 24 vertices.
+    Deterministic: lexicographically smallest among minimum size.  Exponential
+    search, limited to 24 vertices above cut size 0 (one component search).
     """
-    if g.n > EXHAUSTIVE_MAX_VERTICES:
-        raise PreconditionError(
-            f"exhaustive search limited to {EXHAUSTIVE_MAX_VERTICES} vertices, got {g.n}"
-        )
     forbidden = set()
     if separate is not None:
         forbidden.update(separate)
     if avoid is not None:
         forbidden.add(avoid)
     for k in range(0, g.n - 1):
+        if k == 1 and g.n > EXHAUSTIVE_MAX_VERTICES:
+            raise PreconditionError(
+                f"exhaustive search limited to {EXHAUSTIVE_MAX_VERTICES} vertices, got {g.n}"
+            )
         for cand in combinations(range(g.n), k):
             s = frozenset(cand)
             if s & forbidden:
@@ -260,9 +260,9 @@ def exhaustive_stable_cut(
 def find_stable_cut(
     g: Graph, report: Optional[RigidityReport] = None, member: Optional[bool] = None
 ) -> tuple[Optional[StableCutResult], str]:
-    """(stable cut or None, method): a vertex neighbourhood, then Algorithm 1
-    on a flexible graph, then the gluing-family peel ("gsc"), then
-    exhaustive search; "skipped" above its size limit proves nothing.
+    """(stable cut or None, method): a vertex neighbourhood, Algorithm 1 on a
+    flexible graph, the gluing-family peel ("gsc"), then exhaustive search
+    (any size if g is disconnected); "skipped" above its limit proves nothing.
 
     `report` is g's rigidity report and `member` whether g is in the gluing
     family, when the caller already has them.  Algorithm 1 runs on the
@@ -277,7 +277,8 @@ def find_stable_cut(
         # deleting N(u) isolates u, so N(u) is a cut iff another vertex is left
         if g.n >= len(nbrs) + 2 and is_stable_set(g, nbrs):
             return StableCutResult(cut=frozenset(nbrs)), "neighbourhood"
-    if g.n >= 2 and is_connected(g):
+    connected = g.n >= 2 and is_connected(g)
+    if connected:
         if report is None:
             report = rigidity_report(g)
         if report.is_flexible:
@@ -293,7 +294,7 @@ def find_stable_cut(
             if member:
                 return None, "gsc"
             peeled_non_member = True
-    if g.n <= EXHAUSTIVE_MAX_VERTICES:
+    if g.n <= EXHAUSTIVE_MAX_VERTICES or not connected:
         result = exhaustive_stable_cut(g)
         if result is None and peeled_non_member:
             raise RuntimeError("peel failed but no stable cut exists; recognizer is incomplete")

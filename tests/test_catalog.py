@@ -101,12 +101,29 @@ class TestGeneration:
             for key in laman_keys[n]:
                 g = parse_graph6(key)
                 parent = _search_key([sorted(a) for a in g.adjacency])
-                assert parent == key
-                children, slow = _henneberg_children(parent), slow_henneberg_children(g)
+                assert parent[0] == key
+                children, slow = set(_henneberg_children(parent)), slow_henneberg_children(g)
                 assert children <= slow, key
                 union |= children
                 slow_union |= slow
             assert union == slow_union, n
+
+    def test_search_key_generators_are_automorphisms_of_the_key(self, laman_keys):
+        # the generators are rewritten from the searched graph's vertex ids
+        # into the key's labelling, whichever copy of the class was searched
+        rnd = random.Random(19)
+        for key in [k for n in range(3, 8) for k in laman_keys[n]]:
+            g = parse_graph6(key)
+            edges = set(g.edges)
+            for _ in range(3):
+                perm = list(range(g.n))
+                rnd.shuffle(perm)
+                h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+                found, gens = _search_key([list(a) for a in h.adjacency])
+                assert found == key
+                for gen in gens:
+                    assert sorted(gen) == list(range(g.n)), key
+                    assert {(min(gen[u], gen[v]), max(gen[u], gen[v])) for u, v in edges} == edges, key
 
     @staticmethod
     def _counted_generation(monkeypatch, n: int) -> tuple[list[str], int]:

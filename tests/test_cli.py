@@ -295,6 +295,17 @@ class TestStableCut:
             main(["stable-cut", *flags])
         assert exc.value.code == 2 and "not allowed with argument" in capsys.readouterr().err
 
+    def test_disconnected_graph_above_the_limit_gets_the_empty_cut(self, monkeypatch, capsys):
+        k13 = [(i, j) for i in range(13) for j in range(i + 1, 13)]
+        text = edge_text(Graph.from_edges(26, k13 + [(i + 13, j + 13) for i, j in k13]))
+        want = {"avoids": None, "components_after_removal": 2, "cut": [], "method": "exhaustive", "separates": None}
+        for flags in ([], ["--exhaustive"]):
+            code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut", *flags], text)
+            assert code == 0 and json.loads(out) == want, flags
+        code, out, _ = run_cli(monkeypatch, capsys, ["analyze"], text)
+        report = json.loads(out)
+        assert code == 0 and report["stable_cut"] == [] and report["stable_cut_method"] == "exhaustive"
+
     def test_exhaustive_none_exit_1(self, monkeypatch, capsys):
         k4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3"
         code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut", "--exhaustive"], k4)
@@ -382,6 +393,18 @@ class TestMisc:
             monkeypatch, capsys, ["rank", "--format", "edgelist"], "a b\nb c\nc a"
         )
         assert code == 0 and "label map" in err
+
+    def test_label_map_does_not_depend_on_the_format_flag(self, monkeypatch, capsys):
+        for text, labels in (("a b\nb c\nc a", "'a', 1: 'b', 2: 'c'"), ("5 7\n7 9\n9 5", "'5', 1: '7', 2: '9'")):
+            for command in ("rank", "components"):
+                runs = [run_cli(monkeypatch, capsys, [command, *flags], text) for flags in ([], ["--format", "edgelist"])]
+                assert runs[0] == runs[1], (text, command)
+                assert runs[0][2] == f"label map: {{0: {labels}}}\n", (text, command)
+        _, out, _ = run_cli(monkeypatch, capsys, ["components"], "5 7\n7 9\n9 5")
+        assert json.loads(out) == {"components": [[0, 1, 2]]}
+        for flags in ([], ["--format", "edgelist"]):
+            code, out, err = run_cli(monkeypatch, capsys, ["components", *flags], "0 1\n1 2\n2 0\n3 4")
+            assert code == 0 and err == "" and json.loads(out) == {"components": [[0, 1, 2], [3, 4]]}
 
     def test_selftest_passes(self, monkeypatch, capsys):
         code, out, _ = run_cli(monkeypatch, capsys, ["selftest"])

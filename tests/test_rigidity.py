@@ -422,6 +422,22 @@ class TestGscRecognition:
 
         assert is_stable_set(g2, out.stable_cut) and is_cut(g2, out.stable_cut)
 
+    def test_non_members_above_the_exhaustive_limit_get_no_witness(self):
+        # the 36-vertex eared and the 166-vertex prism-glued non-members: the
+        # minimum witness is searched up to 24 vertices only, and the size
+        # cap of that search does not surface
+        base = [(0, 1), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
+        eared = base + [e for w in range(6, 36) for e in ((0, w), (1, w))]
+        glued = base + [
+            e
+            for p in range(6, 166, 4)
+            for e in ((0, p), (1, p), (p + 1, p + 2), (p + 2, p + 3), (p + 1, p + 3), (0, p + 1), (1, p + 2), (p, p + 3))
+        ]
+        for n, edges in ((36, eared), (166, glued)):
+            g = Graph.from_edges(n, edges)
+            with deadline(0.5):
+                assert recognize_gsc(g) == GscNonMembership("stable cut"), n
+
     def test_disconnected_rejected(self):
         g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
         with pytest.raises(PreconditionError):

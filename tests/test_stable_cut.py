@@ -9,6 +9,7 @@ import pytest
 from rignac.graph import Graph, PreconditionError, is_connected, is_cut, is_stable_set, parse_graph6
 from rignac.rigidity import pebble_game, rigid_components, rigidity_report, rigidly_related_pairs
 from rignac.stable_cut import (
+    StableCutResult,
     _alg1,
     algorithm1_stable_cut,
     exhaustive_stable_cut,
@@ -422,6 +423,16 @@ class TestExhaustive:
     def test_empty_cut_for_disconnected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         assert exhaustive_stable_cut(g).cut == frozenset()
+
+    def test_empty_cut_above_the_size_limit(self):
+        # the empty cut is one component search, so the cap starts at size 1
+        k13 = [(i, j) for i in range(13) for j in range(i + 1, 13)]
+        g = Graph.from_edges(26, k13 + [(i + 13, j + 13) for i, j in k13])
+        assert exhaustive_stable_cut(g) == StableCutResult(frozenset())
+        assert exhaustive_stable_cut(g, separate=(0, 13)).cut == frozenset()
+        with pytest.raises(PreconditionError, match="24"):
+            exhaustive_stable_cut(g, separate=(0, 1))
+        assert find_stable_cut(g) == (StableCutResult(frozenset()), "exhaustive")
 
     def test_constraints(self):
         g = make_cycle(6)
