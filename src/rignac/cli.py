@@ -209,8 +209,16 @@ def cmd_stable_cut(args) -> int:
         if not 0 <= v < g.n:
             raise InputError(f"vertex {v} out of range for a graph on {g.n} vertices")
     if named:
-        result = sc.algorithm1_stable_cut(g, *named) if args.separate else sc.stable_cut_avoiding(g, args.avoid)
-        _emit(_stable_cut_payload(g, result, "algorithm1"), args)
+        separate = tuple(args.separate) if args.separate else None
+        parts = connected_components(g)
+        if len(parts) > 1 and not (separate and any(set(separate) <= part for part in parts)):
+            # a disconnected graph, with the pair (if any) in two parts: the empty cut
+            result, method = sc.exhaustive_stable_cut(g, separate=separate, avoid=args.avoid), "exhaustive"
+        elif separate:
+            result, method = sc.algorithm1_stable_cut(g, *separate), "algorithm1"
+        else:
+            result, method = sc.stable_cut_avoiding(g, args.avoid), "algorithm1"
+        _emit(_stable_cut_payload(g, result, method), args)
         return EXIT_OK
     if args.exhaustive:
         result = sc.exhaustive_stable_cut(g)

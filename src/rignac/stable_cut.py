@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .graph import (
     Graph,
@@ -47,8 +47,8 @@ def _validate_result(g: Graph, result: StableCutResult) -> StableCutResult:
     return result
 
 
-def _membership(comps: Components) -> dict[int, set[int]]:
-    """Vertex -> ids of the rigid components containing it."""
+def _membership(comps: Iterable[Iterable[int]]) -> dict[int, set[int]]:
+    """Vertex -> indices of the components containing it."""
     member: dict[int, set[int]] = {}
     for i, comp in enumerate(comps):
         for w in comp:
@@ -56,7 +56,9 @@ def _membership(comps: Components) -> dict[int, set[int]]:
     return member
 
 
-def _contracted_components(comps: Components, keep: int, removed: int, stats: dict) -> Components:
+def _contracted_components(
+    comps: Iterable[AbstractSet[int]], keep: int, removed: int, stats: dict
+) -> Components:
     """Rigid components of the component-completed graph with vertex
     `removed` merged into `keep`; every other vertex keeps its id.
 
@@ -71,6 +73,14 @@ def _contracted_components(comps: Components, keep: int, removed: int, stats: di
     component.  An image with fewer than two pins is a component by
     itself: it hangs at a cut vertex, and a rigid graph on three or more
     vertices is 2-connected.
+
+    Relabel lemma: rigid components share at most one vertex, so `keep`
+    and `removed` lie in exactly one common component C.  If either of
+    them lies in C alone, the images have the pins of `comps` up to
+    renaming `removed` to `keep`, so the same pin graph, whose game keeps
+    every body apart; the new rigid components are exactly the images, and
+    no game is needed (`_relabel`).  Only a contraction that merges two
+    pins can join bodies, and only that one comes here.
     """
     images = []
     for comp in comps:
@@ -107,6 +117,18 @@ def _contracted_components(comps: Components, keep: int, removed: int, stats: di
     return tuple(out) + tuple(frozenset(body) for body in merged.values())
 
 
+def _relabel(bodies: list[set[int]], member: dict[int, set[int]], keep: int, removed: int) -> None:
+    """Merge `removed` into `keep` in place, where one of them lies in a
+    single component: the bodies stay the rigid components (the relabel
+    lemma in `_contracted_components`).  Costs O(|member[removed]|).  The
+    common component holds the triangle at u that the contraction came
+    from, so it keeps two or more vertices and no component drops out."""
+    for c in member[removed]:
+        bodies[c].discard(removed)
+        bodies[c].add(keep)
+    member[keep] |= member.pop(removed)
+
+
 def _alg1(comps: Components, u: int, v: int, stats: dict) -> frozenset[int]:
     """Contraction loop in the input's vertex ids; returns the cut.
 
@@ -116,32 +138,52 @@ def _alg1(comps: Components, u: int, v: int, stats: dict) -> frozenset[int]:
     the two triangle edges at u, picking the contraction that keeps the
     merged vertex and v in different rigid components.  A contraction
     merges the larger endpoint into the smaller and renames nothing else;
-    v shares no rigid component with u, so it is never merged away.  The
-    components of a contraction come from a pebble game on the pins of its
-    component images only (`_contracted_components`), so a step costs time
-    linear in the components' total size plus a game on their shared
-    vertices, not a game on all n vertices: on a 400-vertex two-body graph
-    the loop's 199 levels take 0.05 s on one 2-core Xeon, against 1.2 s
-    with a full game per contraction.
+    v shares no rigid component with u, so it is never merged away.
+
+    The components live across levels as `bodies` (index -> vertex set)
+    and `member` (vertex -> indices).  A contraction with an endpoint in
+    one component only is a relabel of the two maps (`_relabel`); only one
+    that merges two pins plays a pin-graph game (`_contracted_components`),
+    after which the maps are rebuilt.  Whether a relabel separates is read
+    off the maps before any change, so a rejected first candidate needs no
+    undo.  A game's verdict depends only on which pins each body holds and
+    on v's bodies.  A relabel changes neither, beyond renaming a pin
+    `removed` to `keep`, and `removed` never comes back; so a refused pin
+    pair is not played again until a taken game rebuilds the maps.  On a 2 000-vertex two-body graph
+    the 999 levels play one game and take about 0.04 s on one Xeon core.
     """
+    bodies = [set(comp) for comp in comps]
+    member = _membership(bodies)
+    refused: set[tuple[int, int]] = set()  # pin pairs whose game joined keep to v
     while True:
         stats["calls"] += 1
-        member = _membership(comps)
-        nbrs = sorted(set().union(*(comps[c] for c in member[u])) - {u})
-        tri = next(
-            ((x1, x2) for i, x1 in enumerate(nbrs) for x2 in nbrs[i + 1 :] if member[x1] & member[x2]),
-            None,
-        )
-        if tri is None:
-            return frozenset(nbrs)
-        for xi in tri:
-            keep = min(u, xi)
-            comps2 = _contracted_components(comps, keep, max(u, xi), stats)
-            if not any(keep in comp and v in comp for comp in comps2):
+        # a triangle is rigid, so two neighbours of u in a common component
+        # share it with u: the first triangle edge at u, in sorted order,
+        # ends at the smallest neighbour in a component of three or more
+        big = [bodies[c] - {u} for c in member[u] if len(bodies[c]) > 2]
+        if not big:
+            return frozenset().union(*(bodies[c] for c in member[u])) - {u}
+        rest = min(big, key=min)
+        x1 = min(rest)
+        rest.discard(x1)
+        for xi in (x1, min(rest)):
+            keep, removed = min(u, xi), max(u, xi)
+            if (member[keep] | member[removed]) & member[v] or (keep, removed) in refused:
+                continue
+            if len(member[keep]) == 1 or len(member[removed]) == 1:
+                _relabel(bodies, member, keep, removed)
                 break
+            contracted = _contracted_components(bodies, keep, removed, stats)
+            if any(keep in comp and v in comp for comp in contracted):
+                refused.add((keep, removed))
+                continue
+            bodies = [set(comp) for comp in contracted]
+            member = _membership(bodies)
+            refused.clear()
+            break
         else:
             raise RuntimeError("neither contraction separates; flexibility invariant broken")
-        comps, u = comps2, keep
+        u = keep
 
 
 def _check_flexible_input(g: Graph, stats: dict) -> Components:
@@ -175,8 +217,9 @@ def algorithm1_stable_cut(
     at u, picking the contraction that keeps the merged vertex and v in
     different rigid components.  `stats`, if given, receives "calls"
     (contraction levels) and "pair_probes" (pebble searches, over the game
-    on g and the pin-graph game of every contraction tried; see
-    `_contracted_components`).
+    on g and the pin-graph games played: only a contraction that merges two
+    pins plays one, and a refused pin pair is not played again until the
+    next game is taken; see `_alg1`).
     """
     for w in (u, v):
         if not 0 <= w < g.n:

@@ -306,6 +306,26 @@ class TestStableCut:
         report = json.loads(out)
         assert code == 0 and report["stable_cut"] == [] and report["stable_cut_method"] == "exhaustive"
 
+    def test_named_vertices_in_a_disconnected_graph(self, monkeypatch, capsys):
+        # the empty cut separates vertices of two parts and avoids every vertex;
+        # a pair inside one part still needs a connected graph
+        k13 = [(i, j) for i in range(13) for j in range(i + 1, 13)]
+        two_k13 = edge_text(Graph.from_edges(26, k13 + [(i + 13, j + 13) for i, j in k13]))
+        triangle_and_path = "0 1\n1 2\n0 2\n3 4\n4 5"
+        for text, flags, separates, avoids in [
+            (two_k13, ["--separate", "0", "25"], [0, 25], None),
+            (two_k13, ["--avoid", "0"], None, 0),
+            (triangle_and_path, ["--separate", "5", "1"], [5, 1], None),
+            (triangle_and_path, ["--avoid", "4"], None, 4),
+        ]:
+            code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut", *flags], text)
+            payload = json.loads(out)
+            assert code == 0 and payload.pop("separates") == separates and payload.pop("avoids") == avoids
+            assert payload == {"components_after_removal": 2, "cut": [], "method": "exhaustive"}, flags
+        for text, pair in [(two_k13, ["0", "12"]), (triangle_and_path, ["3", "5"])]:
+            code, out, err = run_cli(monkeypatch, capsys, ["stable-cut", "--separate", *pair], text)
+            assert code == 3 and out == "" and "graph is not connected" in err, pair
+
     def test_exhaustive_none_exit_1(self, monkeypatch, capsys):
         k4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3"
         code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut", "--exhaustive"], k4)

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from rignac import stable_cut
 from rignac.graph import Graph, PreconditionError, is_connected, is_cut, is_stable_set, parse_graph6
 from rignac.rigidity import pebble_game, rigid_components, rigidity_report, rigidly_related_pairs
 from rignac.stable_cut import (
@@ -143,6 +145,15 @@ def biconnected_flexible_graphs(seed: int, count: int) -> list[Graph]:
     return graphs
 
 
+def fan_with_pendants(k: int, ends) -> Graph:
+    """Hub 0 over a path 1..k, with a pendant bar hanging off each path
+    vertex in `ends` (the pendants are k+1, k+2, ... in that order)."""
+    edges = [(0, i) for i in range(1, k + 1)]
+    edges += [(i, i + 1) for i in range(1, k)]
+    edges += [(end, k + 1 + j) for j, end in enumerate(ends)]
+    return Graph.from_edges(k + 1 + len(ends), edges)
+
+
 def first_partner(g: Graph, v: int) -> int:
     """The smallest vertex sharing no rigid component with v."""
     related = set().union(*(c for c in rigid_components(g, pebble_game(g)) if v in c))
@@ -228,17 +239,10 @@ class TestAlgorithm1:
             g = g.remove_edge_index(g.edge_index[(0, 1)])
             ladder_data.append((g.n, run(g, roles["x"], roles[f"a{k}"])))
 
-        def fan_with_pendant(k: int) -> Graph:
-            # hub 0 over a path 1..k, plus a pendant k+1 hanging off vertex k;
-            # the hub's completed component shrinks by one vertex per level
-            edges = [(0, i) for i in range(1, k + 1)]
-            edges += [(i, i + 1) for i in range(1, k)]
-            edges.append((k, k + 1))
-            return Graph.from_edges(k + 2, edges)
-
+        # the hub's completed component shrinks by one vertex per level
         fan_data = []
         for k in range(4, 14):
-            g = fan_with_pendant(k)
+            g = fan_with_pendants(k, [k])
             fan_data.append((g.n, run(g, 0, g.n - 1)))
 
         for data in (ladder_data, fan_data):
@@ -302,6 +306,73 @@ class TestPinCondensation:
                 self.assert_same_as_full_games(g, separable_pairs(g))
                 done += 1
 
+    def test_every_branch_of_the_contraction_step(self, monkeypatch):
+        # a relabel (an endpoint private to the one component C holding
+        # both) or a pin-graph game (two pins merge), each taken 100 times or
+        # more on a seeded corpus; C holds the triangle at u, so it never is
+        # a two-vertex body that drops out, and a triangle becomes a bar
+        seen: Counter = Counter()
+
+        def relabel(bodies, member, keep, removed):
+            (c,) = member[keep] & member[removed]
+            assert len(bodies[c]) >= 3 and min(map(len, (member[keep], member[removed]))) == 1
+            seen["removed private"] += len(member[removed]) == 1
+            seen["keep private"] += len(member[keep]) == 1
+            seen["triangle to bar"] += len(bodies[c]) == 3
+            real_relabel(bodies, member, keep, removed)
+
+        def game(bodies, keep, removed, stats):
+            assert min(sum(w in body for body in bodies) for w in (keep, removed)) > 1
+            seen["pin-pin game"] += 1
+            return real_game(bodies, keep, removed, stats)
+
+        real_relabel, real_game = stable_cut._relabel, stable_cut._contracted_components
+        monkeypatch.setattr(stable_cut, "_relabel", relabel)
+        monkeypatch.setattr(stable_cut, "_contracted_components", game)
+        rnd = random.Random(2020)
+        corpus = [(g, separable_pairs(g)) for g in random_flexible_connected(2021, 20, 6, 16)]
+        for _ in range(30):
+            g = random_two_body(rnd, rnd.randrange(8, 31))
+            corpus.append((g, [two_body_pair(g)] + rnd.sample(separable_pairs(g), 10)))
+        for k in range(4, 16):
+            ends = sorted(rnd.sample(range(1, k + 1), rnd.randrange(1, 4)))
+            for g in (make_cycle(k), fan_with_pendants(k, ends), fan_with_pendants(k, [1, k])):
+                corpus.append((g, separable_pairs(g)))
+        assert sum(self.assert_same_as_full_games(g, pairs) for g, pairs in corpus) > 3000
+        branches = ("removed private", "keep private", "triangle to bar", "pin-pin game")
+        assert min(seen[key] for key in branches) >= 100, seen
+
+    def test_a_refused_pin_pair_is_tried_again_after_a_game(self, monkeypatch):
+        # a game that joins bodies can turn a refused contraction into one
+        # that separates, so the loop forgets its refusals after each game
+        refused, taken = set(), []
+
+        def game(bodies, keep, removed, stats):
+            comps = real_game(bodies, keep, removed, stats)
+            if any(keep in comp and v in comp for comp in comps):
+                refused.add((keep, removed))
+            else:
+                taken.append((keep, removed))
+            return comps
+
+        def relabel(bodies, member, keep, removed):
+            taken.append((keep, removed))
+            real_relabel(bodies, member, keep, removed)
+
+        real_game, real_relabel = stable_cut._contracted_components, stable_cut._relabel
+        monkeypatch.setattr(stable_cut, "_contracted_components", game)
+        monkeypatch.setattr(stable_cut, "_relabel", relabel)
+        for key, pairs in [
+            ("KK?K?qA|SHGH", [(0, 4), (3, 4), (6, 4)]),
+            ("KE_QPoIGxSgC", [(8, 0)]),
+            ("L?abgqACGGcO`P", [(12, 10)]),
+        ]:
+            for u, v in pairs:
+                refused.clear()
+                taken.clear()
+                self.assert_same_as_full_games(parse_graph6(key), [(u, v)])
+                assert refused & set(taken), (key, u, v)
+
     def test_two_body_graph_on_400_vertices(self):
         # with a full game per contraction this took about 1.1 s on one Xeon
         # core, and 271 080 pebble searches
@@ -315,6 +386,31 @@ class TestPinCondensation:
         start = time.perf_counter()
         result = stable_cut_avoiding(g, v)
         assert time.perf_counter() - start < 0.5
+        assert v not in result.cut
+
+    def test_two_body_graph_on_2000_vertices(self, monkeypatch):
+        # with a pin-graph game per contraction this took about 0.9 s for
+        # each call on one Xeon core; the same refused pin pair comes first
+        # at 149 levels, and its game is played once
+        games = []
+
+        def game(*args):
+            games.append(args[1:3])
+            return real_game(*args)
+
+        real_game = stable_cut._contracted_components
+        monkeypatch.setattr(stable_cut, "_contracted_components", game)
+        g = random_two_body(random.Random(2000), 2000)
+        u, v = two_body_pair(g)
+        stats: dict = {}
+        start = time.perf_counter()
+        result = algorithm1_stable_cut(g, u, v, stats=stats)
+        assert time.perf_counter() - start < 0.3
+        assert _check_separates(g, result.cut, u, v) and stats["calls"] == 999
+        assert games == [(0, 850)]
+        start = time.perf_counter()
+        result = stable_cut_avoiding(g, v)
+        assert time.perf_counter() - start < 0.3
         assert v not in result.cut
 
     def test_pebble_search_count_repeats(self):
