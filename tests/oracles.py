@@ -559,6 +559,88 @@ def slow_two_tree_peel(g: Graph) -> list[int] | None:
     return order if b in adj[a] else None
 
 
+def _slow_prism_moves(adj: list[set[int]], t1: tuple[int, ...], t2: tuple[int, ...]) -> list:
+    """Every move that peels prism (t1, t2) off, vertex k of t1 matched to
+    vertex k of t2, whose new vertices all have live degree 3."""
+    from rignac.rigidity import GscStep
+
+    def free(vs: tuple[int, ...]) -> bool:
+        return all(len(adj[x]) == 3 for x in vs)
+
+    out = []
+    for face, kept in ((t1, t2), (t2, t1)):
+        if free(face):
+            kt = tuple(sorted(kept))
+            order = {kept[k]: face[k] for k in range(3)}
+            out.append(GscStep("prism", "triangle", kt, tuple(order[x] for x in kt)))
+    for face, other in ((t1, t2), (t2, t1)):
+        partner = dict(zip(face, other))
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            a, b = sorted((face[i], face[j]))
+            (p,) = set(face) - {a, b}
+            new = (p, partner[a], partner[b], partner[p])
+            if free(new):
+                out.append(GscStep("prism", "edge", (a, b), new, "triangle"))
+    for k in range(3):
+        a, b = t1[k], t2[k]
+        fa = tuple(x for x in t1 if x != a)
+        fb = tuple(t2[t1.index(x)] for x in fa)
+        if a > b:
+            a, b, fa, fb = b, a, fb, fa
+        if free(fa + fb):
+            out.append(GscStep("prism", "edge", (a, b), fa + fb, "matching"))
+    return out
+
+
+def _slow_live_prisms(adj: list[set[int]]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every prism of the live graph, keyed by its smaller triangle t1 as a
+    sorted triple and t2 as t1's matched images, in the order (t1, sorted
+    t2, t2)."""
+    found = set()
+    for x in range(len(adj)):
+        for y, z in combinations(sorted(adj[x]), 2):
+            if z not in adj[y]:
+                continue
+            tri = (x, y, z)
+            for xp in adj[x] - {y, z}:
+                for yp in adj[y] & adj[xp]:
+                    for zp in adj[z] & adj[xp] & adj[yp]:
+                        if yp in tri or zp in tri:
+                            continue
+                        partner = {x: xp, y: yp, z: zp, xp: x, yp: y, zp: z}
+                        t1 = min(tuple(sorted(tri)), tuple(sorted((xp, yp, zp))))
+                        found.add((t1, tuple(partner[v] for v in t1)))
+    return sorted(found, key=lambda p: (p[0], sorted(p[1]), p[1]))
+
+
+def slow_peel(g: Graph) -> list:
+    """The gluing-family peel's steps, rescanning the whole live graph at
+    each step: the smallest degree-2 vertex with adjacent neighbours, else
+    the first move of the first live prism (in `_slow_live_prisms`'s order)
+    that has one; stop when two vertices are left or nothing applies."""
+    from rignac.rigidity import GscStep
+
+    adj = [set(s) for s in g.adjacency]
+    left = g.n
+    steps = []
+    while left > 2:
+        w = next((w for w in range(g.n) if len(adj[w]) == 2 and min(adj[w]) in adj[max(adj[w])]), None)
+        if w is not None:
+            mv = GscStep("triangle", "edge", tuple(sorted(adj[w])), (w,))
+        else:
+            moves = [mv for t1, t2 in _slow_live_prisms(adj) for mv in _slow_prism_moves(adj, t1, t2)]
+            if not moves:
+                break
+            mv = moves[0]
+        for v in mv.new_vertices:
+            for u in adj[v]:
+                adj[u].discard(v)
+            adj[v] = set()
+        left -= len(mv.new_vertices)
+        steps.append(mv)
+    return steps
+
+
 
 def _live_triangles(adj: list[frozenset[int]], verts: set[int]) -> list[tuple[int, int, int]]:
     return [
@@ -972,6 +1054,22 @@ def random_two_body(rnd: random.Random, n: int) -> Graph:
     b1, b2 = rnd.sample(range(half, n), 2)
     edges.update([(a1, b1), (a2, b2)])
     return Graph.from_edges(n, edges)
+
+
+def non_member_graphs() -> dict[int, Graph]:
+    """Minimally rigid graphs outside the gluing family with no stable vertex
+    neighbourhood, by vertex count: a 6-vertex base, the base with 30 ears
+    on edge 0-1 (36 vertices), and the base with 40 prisms glued along edge
+    0-1 (166 vertices).  A peel removes the ears or the prisms, then the ear
+    at vertex 0, and gets stuck on the other five vertices."""
+    base = [(0, 1), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
+    eared = base + [e for w in range(6, 36) for e in ((0, w), (1, w))]
+    glued = base + [
+        e
+        for p in range(6, 166, 4)
+        for e in ((0, p), (1, p), (p + 1, p + 2), (p + 2, p + 3), (p + 1, p + 3), (0, p + 1), (1, p + 2), (p, p + 3))
+    ]
+    return {n: Graph.from_edges(n, edges) for n, edges in ((6, base), (36, eared), (166, glued))}
 
 
 def slow_make_gsc(steps: list) -> Graph:

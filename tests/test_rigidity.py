@@ -20,6 +20,7 @@ from rignac.rigidity import (
     GscNonMembership,
     GscStep,
     count_prism_subgraphs,
+    _peel,
     gsc_decomposition,
     is_2tree,
     pebble_game,
@@ -46,6 +47,7 @@ from oracles import (
     glue_random_pieces,
     grow_by_0extensions,
     iter_brute_stable_cuts,
+    non_member_graphs,
     random_0extension_graph,
     random_connected_graph,
     random_flexible_connected,
@@ -59,6 +61,7 @@ from oracles import (
     slow_0extension,
     slow_count_prism_subgraphs,
     slow_gsc_decomposition,
+    slow_peel,
     slow_rigid_components,
     slow_two_tree_peel,
 )
@@ -268,6 +271,46 @@ class TestComponentsAgainstSlowReference:
         assert report.component_count == 2989 and report.rank == 2 * 2000 - 3 - 1000
 
 
+class TestPeelOracle:
+    """`_peel` takes the same steps as `slow_peel`, which rescans the whole
+    live graph for the smallest ear and for the first live prism's first
+    move at every step."""
+
+    def assert_same_steps(self, g: Graph) -> None:
+        assert list(_peel(g)) == slow_peel(g), (g.n, g.edges)
+
+    def test_every_class_up_to_8(self, laman_keys, laman8_keys):
+        for key in [key for n in laman_keys for key in laman_keys[n]] + laman8_keys:
+            self.assert_same_steps(parse_graph6(key))
+
+    def test_2trees_up_to_4000_vertices(self):
+        rnd = random.Random(7500)
+        for seed, n in enumerate((2, 3, 10, 60, 400, 4000)):
+            g = make_2tree(seed, n)
+            for h in (g, relabelled(g, rnd)):
+                self.assert_same_steps(h)
+
+    def test_prism_chains_and_glued_members(self):
+        rnd = random.Random(7600)
+        for prisms in range(1, 16):
+            g = random_prism_chain(rnd, prisms)
+            for h in (g, relabelled(g, rnd), glue_random_pieces(rnd, g, 4)):
+                self.assert_same_steps(h)
+            self.assert_same_steps(random_gsc_member(rnd, prisms))
+
+    def test_non_members(self):
+        for g in non_member_graphs().values():
+            steps = list(_peel(g))
+            assert g.n - sum(len(s.new_vertices) for s in steps) == 5
+            assert steps == slow_peel(g)
+
+    def test_seeded_laman_graphs(self):
+        rnd = random.Random(7700)
+        for _ in range(60):
+            n = rnd.randrange(3, 60)
+            self.assert_same_steps(Graph.from_edges(n, random_laman_edges(rnd, list(range(n)))))
+
+
 class TestTwoTrees:
     def test_examples(self):
         assert is_2tree(Graph.from_edges(2, [(0, 1)]))
@@ -426,15 +469,9 @@ class TestGscRecognition:
         # the 36-vertex eared and the 166-vertex prism-glued non-members: the
         # minimum witness is searched up to 24 vertices only, and the size
         # cap of that search does not surface
-        base = [(0, 1), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
-        eared = base + [e for w in range(6, 36) for e in ((0, w), (1, w))]
-        glued = base + [
-            e
-            for p in range(6, 166, 4)
-            for e in ((0, p), (1, p), (p + 1, p + 2), (p + 2, p + 3), (p + 1, p + 3), (0, p + 1), (1, p + 2), (p, p + 3))
-        ]
-        for n, edges in ((36, eared), (166, glued)):
-            g = Graph.from_edges(n, edges)
+        for n, g in non_member_graphs().items():
+            if n < 36:
+                continue
             with deadline(0.5):
                 assert recognize_gsc(g) == GscNonMembership("stable cut"), n
 
