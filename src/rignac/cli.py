@@ -33,7 +33,14 @@ from .graph import (
     parse_graph,
     parse_graph6,
 )
-from .rigidity import gsc_decomposition, rank, recognize_0extension_graph, recognize_gsc, rigidity_report
+from .rigidity import (
+    gsc_decomposition,
+    member_report,
+    rank,
+    recognize_0extension_graph,
+    recognize_gsc,
+    rigidity_report,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -120,7 +127,10 @@ def cmd_analyze(args) -> int:
     connected = is_connected(g)
     report = {"n": g.n, "m": g.m, "connected": connected}
     report["blocks"] = len(blocks(g)) if all(g.adjacency) else None
-    rig = rigidity_report(g)
+    tight = connected and g.m == 2 * g.n - 3
+    # the peel comes first: a member needs no game, no scan and no search
+    dec = gsc_decomposition(g) if tight else None
+    rig = member_report(g.n) if dec is not None else rigidity_report(g)
     report.update(
         rank=rig.rank,
         rigid=rig.is_rigid,
@@ -128,14 +138,11 @@ def cmd_analyze(args) -> int:
         flexible=rig.is_flexible,
         rigid_components=len(rig.rigid_components),
     )
-    dec = None
-    if g.m == 2 * g.n - 3 and connected:
-        dec = gsc_decomposition(g)
-        if dec is not None:
-            report["gsc"] = {"member": True, "prisms": dec.prism_count}
-        else:
-            # a tight connected non-member has a stable cut (Le and Pfender)
-            report["gsc"] = {"member": False, "reason": "stable cut"}
+    if dec is not None:
+        report["gsc"] = {"member": True, "prisms": dec.prism_count}
+    elif tight:
+        # a tight connected non-member has a stable cut (Le and Pfender)
+        report["gsc"] = {"member": False, "reason": "stable cut"}
     else:
         report["gsc"] = {"member": False, "reason": "edge count"}
     # a 2-tree is exactly a member built from triangles alone

@@ -22,6 +22,7 @@ from .graph import (
     blocks,
     connected_components_without,
     induced_subgraph,
+    is_connected,
     is_stable_set,
 )
 from .rigidity import gsc_decomposition, rigidity_report
@@ -642,18 +643,21 @@ def _colouring_from_decomposition(g: Graph, dec) -> EdgeColouring:
 def construct_nac_minimally_rigid(g: Graph):
     """A NAC-colouring of a minimally rigid graph, or a 2-tree certificate.
 
-    One gluing-family peel: a member with no prism is a 2-tree, any other
-    member is coloured from its decomposition, whatever its size.  A
-    non-member's stable cut, from `find_stable_cut`, gives a NAP-colouring.
+    A connected graph with m = 2n-3 is peeled first, and a member plays no
+    pebble game: one with no prism is a 2-tree, any other is coloured from
+    its decomposition, whatever its size.  Only a graph that the peel does
+    not take is checked for minimal rigidity by a game, and a minimally
+    rigid non-member's stable cut, from `find_stable_cut`, gives a
+    NAP-colouring.
     """
-    report = rigidity_report(g)
-    if not report.is_minimally_rigid:
-        raise PreconditionError("input graph is not minimally rigid")
-    dec = gsc_decomposition(g)
+    dec = gsc_decomposition(g) if g.m == 2 * g.n - 3 and is_connected(g) else None
     if dec is not None:
         if dec.prism_count == 0:
             return TwoTreeCertificate(dec.peel_order)
         return _colouring_from_decomposition(g, dec)
+    report = rigidity_report(g)
+    if not report.is_minimally_rigid:
+        raise PreconditionError("input graph is not minimally rigid")
     result, _ = find_stable_cut(g, report, member=False)
     if result is None:
         raise PreconditionError(f"exhaustive search limited to {EXHAUSTIVE_MAX_VERTICES} vertices, got {g.n}")

@@ -236,6 +236,14 @@ def rigidity_report(g: Graph) -> RigidityReport:
     )
 
 
+def member_report(n: int) -> RigidityReport:
+    """The rigidity report of a gluing-family member on n >= 2 vertices,
+    with no game.  Every gluing step glues a rigid piece onto an edge or a
+    triangle of a rigid graph, so a member is rigid; it has 2n-3 edges, so
+    it is minimally rigid, and all of it is its one rigid component."""
+    return RigidityReport(2 * n - 3, (frozenset(range(n)),), True, True, False)
+
+
 # ---------------------------------------------------------------------------
 # 2-trees and extensions
 
@@ -406,23 +414,22 @@ def count_prism_subgraphs(g: Graph) -> int:
     return len(_live_prisms(list(g.adjacency), range(g.n)))
 
 
-def _prism_moves(adj: list[set[int]], t1: tuple[int, ...], t2: tuple[int, ...]) -> list[GscStep]:
+def _prism_moves(adj: list[set[int]], t1: tuple[int, ...], t2: tuple[int, ...]) -> Iterator[GscStep]:
     """Moves that peel prism (t1, t2) off, vertex k of t1 matched to vertex k of t2.
 
-    A move is listed only when its new vertices all have live degree 3, that
-    is, when they carry no edge outside the prism.
+    A move is yielded only when its new vertices all have live degree 3,
+    that is, when they carry no edge outside the prism.
     """
 
     def free(vs: tuple[int, ...]) -> bool:
         return all(len(adj[x]) == 3 for x in vs)
 
-    out = []
     # prism glued along a triangle: one face is internal (degree 3), other stays
     for face, kept in ((t1, t2), (t2, t1)):
         if free(face):
             kt = tuple(sorted(kept))
             order = {kept[k]: face[k] for k in range(3)}
-            out.append(GscStep("prism", "triangle", kt, tuple(order[x] for x in kt)))
+            yield GscStep("prism", "triangle", kt, tuple(order[x] for x in kt))
     # prism glued along one of its triangle edges
     for face, other in ((t1, t2), (t2, t1)):
         partner = dict(zip(face, other))
@@ -431,7 +438,7 @@ def _prism_moves(adj: list[set[int]], t1: tuple[int, ...], t2: tuple[int, ...]) 
             (p,) = set(face) - {a, b}
             new = (p, partner[a], partner[b], partner[p])
             if free(new):
-                out.append(GscStep("prism", "edge", (a, b), new, "triangle"))
+                yield GscStep("prism", "edge", (a, b), new, "triangle")
     # prism glued along one of its matching edges
     for k in range(3):
         a, b = t1[k], t2[k]
@@ -441,8 +448,7 @@ def _prism_moves(adj: list[set[int]], t1: tuple[int, ...], t2: tuple[int, ...]) 
             a, b, fa, fb = b, a, fb, fa
         new = fa + fb
         if free(new):
-            out.append(GscStep("prism", "edge", (a, b), new, "matching"))
-    return out
+            yield GscStep("prism", "edge", (a, b), new, "matching")
 
 
 def _live_prisms(adj: list, verts: Iterable[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -492,21 +498,24 @@ def _peel(g: Graph) -> Iterator[GscStep]:
     characterisation G is a member iff H is: any applicable move may be
     taken, and a peel that gets stuck above two vertices proves that g is
     not a member.
+
+    The ears wait in a min-heap.  Edges are only removed, so a vertex whose
+    degree falls to 2 with adjacent neighbours stays an ear until it loses
+    a neighbour, and any other degree-2 vertex never becomes one.  A vertex
+    is pushed when it becomes an ear, and an entry whose vertex is gone or
+    has lost a neighbour is dropped when it reaches the top; each step
+    costs O(log n) plus the removed vertices' degrees.
     """
     adj = [set(s) for s in g.adjacency]
     gone = [False] * g.n
-    deg2 = {v for v in range(g.n) if len(adj[v]) == 2}
+
+    def is_ear(v: int) -> bool:
+        a, b = adj[v]
+        return b in adj[a]
+
+    ears = [v for v in range(g.n) if len(adj[v]) == 2 and is_ear(v)]  # sorted, so a heap
     fresh3 = {v for v in range(g.n) if len(adj[v]) == 3}  # reached degree 3 since the last prism scan
     prisms: list = []  # heap of prism keys, in _live_prisms's order
-
-    def smallest_ear() -> Optional[int]:
-        best = None
-        for w in deg2:
-            if best is None or w < best:
-                a, b = adj[w]
-                if b in adj[a]:
-                    best = w
-        return best
 
     def first_prism_move() -> Optional[GscStep]:
         """The first move of the first live prism that has one.
@@ -524,15 +533,17 @@ def _peel(g: Graph) -> Iterator[GscStep]:
         while prisms:
             t1, _, t2 = heapq.heappop(prisms)
             if not any(gone[x] for x in t1 + t2):
-                moves = _prism_moves(adj, t1, t2)
-                if moves:
-                    return moves[0]
+                move = next(_prism_moves(adj, t1, t2), None)
+                if move is not None:
+                    return move
         return None
 
     left = g.n
     while left > 2:
-        w = smallest_ear()
-        if w is not None:
+        while ears and (gone[ears[0]] or len(adj[ears[0]]) != 2):
+            heapq.heappop(ears)
+        if ears:
+            w = heapq.heappop(ears)
             mv = GscStep("triangle", "edge", tuple(sorted(adj[w])), (w,))
         else:
             mv = first_prism_move()
@@ -540,12 +551,12 @@ def _peel(g: Graph) -> Iterator[GscStep]:
                 return
         for v in mv.new_vertices:
             gone[v] = True
-            deg2.discard(v)
             fresh3.discard(v)
             for u in adj[v]:
                 adj[u].remove(v)
                 d = len(adj[u])
-                (deg2.add if d == 2 else deg2.discard)(u)
+                if d == 2 and is_ear(u):
+                    heapq.heappush(ears, u)
                 (fresh3.add if d == 3 else fresh3.discard)(u)
         left -= len(mv.new_vertices)
         yield mv

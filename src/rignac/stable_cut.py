@@ -308,19 +308,25 @@ def find_stable_cut(
     (any size if g is disconnected); "skipped" above its limit proves nothing.
 
     `report` is g's rigidity report and `member` whether g is in the gluing
-    family, when the caller already has them.  Algorithm 1 runs on the
-    report's rigid components; it plays no second game on g.  A connected
-    rigid graph with m = 2n-3 has no stable cut exactly when the peel finds
-    a decomposition (Le and Pfender), so a member needs no search, and
-    exhaustive search must find a cut in a non-member.
+    family, when the caller already has them.  A connected graph with
+    m = 2n-3 has no stable cut exactly when the peel finds a decomposition
+    (Le and Pfender), so a member is answered at once, and when `member` is
+    not given such a graph is peeled before any scan or game.  Algorithm 1
+    runs on the report's rigid components; it plays no second game on g.
+    Exhaustive search must find a cut in a minimally rigid non-member.
     """
-    peeled_non_member = False
+    if member:
+        return None, "gsc"
+    connected = g.n >= 2 and is_connected(g)
+    if member is None and connected and g.m == 2 * g.n - 3:
+        if gsc_decomposition(g) is not None:
+            return None, "gsc"
     for u in range(g.n):
         nbrs = g.adjacency[u]
         # deleting N(u) isolates u, so N(u) is a cut iff another vertex is left
         if g.n >= len(nbrs) + 2 and is_stable_set(g, nbrs):
             return StableCutResult(cut=frozenset(nbrs)), "neighbourhood"
-    connected = g.n >= 2 and is_connected(g)
+    peeled_non_member = False
     if connected:
         if report is None:
             report = rigidity_report(g)
@@ -331,12 +337,8 @@ def find_stable_cut(
                 if v is not None:
                     stats = {"calls": 0, "pair_probes": 0}
                     return _separate(g, report.rigid_components, u, v, stats), "algorithm1"
-        elif report.is_minimally_rigid:
-            if member is None:
-                member = gsc_decomposition(g) is not None
-            if member:
-                return None, "gsc"
-            peeled_non_member = True
+        # a minimally rigid g is connected with m = 2n-3, and not a member here
+        peeled_non_member = report.is_minimally_rigid
     if g.n <= EXHAUSTIVE_MAX_VERTICES or not connected:
         result = exhaustive_stable_cut(g)
         if result is None and peeled_non_member:

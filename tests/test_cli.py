@@ -7,12 +7,21 @@ import time
 
 import pytest
 
-from rignac import cli
+from rignac import cli, rigidity
 from rignac.cli import main
 from rignac.graph import Graph, connected_components, emit_graph6, parse_graph, parse_graph6
 from rignac.constructions import fixtures, make_2tree, make_complete_bipartite, make_gk
+from rignac.rigidity import gsc_decomposition
 
-from oracles import brute_is_nap, deadline, dfs_nac_masks, random_graph, random_prism_chain, random_two_body
+from oracles import (
+    brute_is_nap,
+    deadline,
+    dfs_nac_masks,
+    non_member_graphs,
+    random_graph,
+    random_prism_chain,
+    random_two_body,
+)
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):
@@ -107,6 +116,40 @@ class TestAnalyze:
         assert code == 0 and report["minimally_rigid"]
         assert report["gsc"] == {"member": False, "reason": "stable cut"}
         assert report["stable_cut_method"] == "neighbourhood" and report["stable_cut"] is not None
+
+
+class TestMembersPlayNoGame:
+    """The peel answers for gluing-family members: `analyze`, `stable-cut`
+    and `nac construct` play the pebble game only on non-members."""
+
+    COMMANDS = (["analyze"], ["stable-cut"], ["nac", "construct"])
+
+    def games(self, monkeypatch, capsys, argv, g: Graph) -> int:
+        played = []
+        real = rigidity.pebble_game
+        monkeypatch.setattr(rigidity, "pebble_game", lambda h: played.append(h) or real(h))
+        run_cli(monkeypatch, capsys, argv, edge_text(g))
+        return len(played)
+
+    def test_members(self, monkeypatch, capsys):
+        for g in (make_2tree(61, 40), random_prism_chain(random.Random(62), 5)):
+            for argv in self.COMMANDS:
+                assert self.games(monkeypatch, capsys, argv, g) == 0, argv
+
+    def test_minimally_rigid_non_member(self, monkeypatch, capsys):
+        g = non_member_graphs()[6]
+        for argv in self.COMMANDS:
+            assert self.games(monkeypatch, capsys, argv, g) == 1, argv
+
+    def test_16000_vertex_2tree(self, monkeypatch, capsys):
+        g = make_2tree(7, 16000)
+        text = edge_text(g)
+        with deadline(2):
+            assert gsc_decomposition(g).prism_count == 0
+        for argv in (["nac", "construct"], ["analyze"]):
+            with deadline(2):
+                code, out, _ = run_cli(monkeypatch, capsys, argv, text)
+            assert code == (1 if argv[0] == "nac" else 0) and out, argv
 
 
 class TestNac:

@@ -572,8 +572,19 @@ class TestConstructiveColouring:
         assert is_nac(g, res)
 
     def test_requires_minimally_rigid(self):
-        with pytest.raises(PreconditionError):
-            construct_nac_minimally_rigid(make_cycle(4))
+        k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        k5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+        refused = [
+            make_cycle(4),
+            # connected with m = 2n-3, but flexible: K4 and a triangle at vertex 3
+            Graph.from_edges(6, k4 + [(3, 4), (3, 5), (4, 5)]),
+            # m = 2n-3, but disconnected: K5 and an edge
+            Graph.from_edges(7, k5 + [(5, 6)]),
+            Graph.from_edges(1, []),
+        ]
+        for g in refused:
+            with pytest.raises(PreconditionError, match="not minimally rigid"):
+                construct_nac_minimally_rigid(g)
 
     def test_whole_catalog(self, catalog6, catalog7):
         for entry in catalog6 + catalog7:
