@@ -62,9 +62,6 @@ class EdgeColouring:
     def blue_edges(self) -> list[int]:
         return [i for i in range(self.m) if not self.mask >> i & 1]
 
-    def complement(self) -> "EdgeColouring":
-        return EdgeColouring(self.m, self.mask ^ ((1 << self.m) - 1))
-
     def is_surjective(self) -> bool:
         return 0 < self.mask < (1 << self.m) - 1
 

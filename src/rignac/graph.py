@@ -83,14 +83,6 @@ class Graph:
             u, v = v, u
         return (u, v) in self.edge_index
 
-    def add_edge(self, u: int, v: int) -> "Graph":
-        if self.has_edge(u, v):
-            raise ValueError(f"edge ({u},{v}) already present")
-        return Graph.from_edges(self.n, list(self.edges) + [(u, v)])
-
-    def remove_edge_index(self, i: int) -> "Graph":
-        return Graph(self.n, self.edges[:i] + self.edges[i + 1 :])
-
     def __repr__(self) -> str:  # compact, deterministic
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
@@ -363,15 +355,6 @@ def is_stable_set(g: Graph, vertices: Iterable[int]) -> bool:
     return all(s.isdisjoint(g.adjacency[v]) for v in s)
 
 
-def is_cut(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff deleting the set leaves a disconnected graph (>= 2 components)."""
-    x = set(vertices)
-    for v in x:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    return len(connected_components_without(g, x)) >= 2
-
-
 # ---------------------------------------------------------------------------
 # separations
 
@@ -405,33 +388,6 @@ class Separation:
 
     def is_stable(self, g: Graph) -> bool:
         return is_stable_set(g, self.shared_vertices(g))
-
-
-# ---------------------------------------------------------------------------
-# contraction
-
-
-def contract_edge(g: Graph, e: int) -> tuple[Graph, int]:
-    """Contract edge index e to a simple graph; returns (graph, merged vertex id).
-
-    The merged vertex keeps the smaller endpoint's id; larger ids shift down.
-    """
-    if not 0 <= e < g.m:
-        raise ValueError(f"edge index {e} out of range")
-    u, v = g.edges[e]
-
-    def relabel(w: int) -> int:
-        if w == v:
-            return u
-        return w - 1 if w > v else w
-
-    edges = set()
-    for a, b in g.edges:
-        x, y = relabel(a), relabel(b)
-        if x == y:
-            continue
-        edges.add((min(x, y), max(x, y)))
-    return Graph.from_edges(g.n - 1, sorted(edges)), u
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +501,3 @@ def canonical_form(g: Graph) -> bytes:
     """
     cert = canonical_search(g.adjacency)[0]
     return certificate_graph6(g.n, cert).encode("ascii")
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    return canonical_form(g) == canonical_form(h)

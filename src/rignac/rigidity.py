@@ -190,10 +190,6 @@ class RigidityReport:
     is_minimally_rigid: bool
     is_flexible: bool
 
-    @property
-    def component_count(self) -> int:
-        return len(self.rigid_components)
-
 
 def rigid_components(g: Graph, state: PebbleState) -> tuple[frozenset[int], ...]:
     """Rigid components of g from its finished game `state`, ordered by
@@ -356,10 +352,6 @@ class GscDecomposition:
     @property
     def prism_count(self) -> int:
         return sum(1 for s in self.steps if s.piece == "prism")
-
-    @property
-    def depth(self) -> int:
-        return len(self.steps)
 
     @property
     def peel_order(self) -> tuple[int, ...]:

@@ -63,6 +63,59 @@ def _components_without(g: Graph, removed=()) -> list[set[int]]:
     return list(comps.values())
 
 
+def is_cut(g: Graph, vertices) -> bool:
+    """True iff deleting the set leaves two or more components."""
+    removed = set(vertices)
+    for v in removed:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    return len(_components_without(g, removed)) >= 2
+
+
+# ---------------------------------------------------------------------------
+# graph edits and isomorphism
+
+
+def add_edge(g: Graph, u: int, v: int) -> Graph:
+    if g.has_edge(u, v):
+        raise ValueError(f"edge ({u},{v}) already present")
+    return Graph.from_edges(g.n, list(g.edges) + [(u, v)])
+
+
+def remove_edge_index(g: Graph, i: int) -> Graph:
+    return Graph(g.n, g.edges[:i] + g.edges[i + 1 :])
+
+
+def contract_edge(g: Graph, e: int) -> tuple[Graph, int]:
+    """Contract edge index e to a simple graph; returns (graph, merged vertex id).
+
+    The merged vertex keeps the smaller endpoint's id; larger ids shift down.
+    """
+    if not 0 <= e < g.m:
+        raise ValueError(f"edge index {e} out of range")
+    u, v = g.edges[e]
+
+    def relabel(w: int) -> int:
+        if w == v:
+            return u
+        return w - 1 if w > v else w
+
+    edges = set()
+    for a, b in g.edges:
+        x, y = relabel(a), relabel(b)
+        if x != y:
+            edges.add((min(x, y), max(x, y)))
+    return Graph.from_edges(g.n - 1, sorted(edges)), u
+
+
+def are_isomorphic(g: Graph, h: Graph) -> bool:
+    """Isomorphism by `rignac.graph.canonical_form` (n <= 12); see
+    `brute_isomorphic` for a check that shares no code with it."""
+    from rignac.graph import canonical_form
+
+    return g.n == h.n and g.m == h.m and canonical_form(g) == canonical_form(h)
+
+
 # ---------------------------------------------------------------------------
 # colouring oracles
 

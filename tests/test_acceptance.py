@@ -25,7 +25,7 @@ from rignac.colouring import (
     is_nac,
     nnac_upper_bound,
 )
-from rignac.graph import Graph, blocks, canonical_form, is_cut, is_stable_set
+from rignac.graph import Graph, blocks, canonical_form, is_stable_set
 from rignac.rigidity import (
     GscDecomposition,
     recognize_gsc,
@@ -45,7 +45,7 @@ from rignac.constructions import (
     make_path,
 )
 
-from oracles import random_connected_graph, random_flexible_connected
+from oracles import is_cut, random_connected_graph, random_flexible_connected
 
 
 class _Timer:
@@ -227,7 +227,7 @@ def test_criterion_10_structural_property_suites(catalog6, catalog7):
                 continue
             nn = enumerate_nac(g)
             assert nn >= 3
-            assert nn >= math.ceil(math.log2(rep.component_count))
+            assert nn >= math.ceil(math.log2(len(rep.rigid_components)))
             done += 1
         # unique-colouring characterisation, both directions, n <= 7
         corpus: list[Graph] = [make_2tree(s, 4 + s % 3) for s in range(5)]

@@ -11,19 +11,16 @@ from rignac.graph import (
     Graph,
     GraphParseError,
     PreconditionError,
-    are_isomorphic,
     blocks,
     canonical_form,
     canonical_search,
     certificate_graph6,
     connected_components,
     connected_components_without,
-    contract_edge,
     emit_edge_list,
     emit_graph6,
     induced_subgraph,
     is_connected,
-    is_cut,
     is_stable_set,
     parse_edge_list,
     parse_graph,
@@ -31,7 +28,10 @@ from rignac.graph import (
 )
 
 from oracles import (
+    are_isomorphic,
     brute_is_biconnected,
+    contract_edge,
+    is_cut,
     brute_isomorphic,
     henneberg_extensions,
     random_connected_graph,
