@@ -303,9 +303,10 @@ def exhaustive_stable_cut(
 def find_stable_cut(
     g: Graph, report: Optional[RigidityReport] = None, member: Optional[bool] = None
 ) -> tuple[Optional[StableCutResult], str]:
-    """(stable cut or None, method): a vertex neighbourhood, Algorithm 1 on a
-    flexible graph, the gluing-family peel ("gsc"), then exhaustive search
-    (any size if g is disconnected); "skipped" above its limit proves nothing.
+    """(stable cut or None, method): the gluing-family peel ("gsc"), a
+    vertex neighbourhood, Algorithm 1 on a flexible graph, then exhaustive
+    search (any size if g is disconnected); "skipped" above its limit
+    proves nothing.
 
     `report` is g's rigidity report and `member` whether g is in the gluing
     family, when the caller already has them.  A connected graph with
@@ -318,15 +319,13 @@ def find_stable_cut(
     if member:
         return None, "gsc"
     connected = g.n >= 2 and is_connected(g)
-    if member is None and connected and g.m == 2 * g.n - 3:
-        if gsc_decomposition(g) is not None:
-            return None, "gsc"
+    if member is None and connected and g.m == 2 * g.n - 3 and gsc_decomposition(g) is not None:
+        return None, "gsc"
     for u in range(g.n):
         nbrs = g.adjacency[u]
         # deleting N(u) isolates u, so N(u) is a cut iff another vertex is left
         if g.n >= len(nbrs) + 2 and is_stable_set(g, nbrs):
             return StableCutResult(cut=frozenset(nbrs)), "neighbourhood"
-    peeled_non_member = False
     if connected:
         if report is None:
             report = rigidity_report(g)
@@ -337,11 +336,10 @@ def find_stable_cut(
                 if v is not None:
                     stats = {"calls": 0, "pair_probes": 0}
                     return _separate(g, report.rigid_components, u, v, stats), "algorithm1"
-        # a minimally rigid g is connected with m = 2n-3, and not a member here
-        peeled_non_member = report.is_minimally_rigid
     if g.n <= EXHAUSTIVE_MAX_VERTICES or not connected:
         result = exhaustive_stable_cut(g)
-        if result is None and peeled_non_member:
+        # a minimally rigid g is connected with m = 2n-3, and the peel did not take it
+        if result is None and connected and report.is_minimally_rigid:
             raise RuntimeError("peel failed but no stable cut exists; recognizer is incomplete")
         return result, "exhaustive"
     return None, "skipped"
