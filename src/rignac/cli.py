@@ -126,10 +126,13 @@ def cmd_analyze(args) -> int:
     g = _load_graph(args)
     connected = is_connected(g)
     report = {"n": g.n, "m": g.m, "connected": connected}
-    report["blocks"] = len(blocks(g)) if all(g.adjacency) else None
     tight = connected and g.m == 2 * g.n - 3
     # the peel comes first: a member needs no game, no scan and no search
     dec = gsc_decomposition(g) if tight else None
+    if dec is not None:
+        report["blocks"] = 1  # a member has no stable cut, so no cut vertex
+    else:
+        report["blocks"] = len(blocks(g)) if all(g.adjacency) else None
     rig = member_report(g.n) if dec is not None else rigidity_report(g)
     report.update(
         rank=rig.rank,

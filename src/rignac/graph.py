@@ -112,44 +112,41 @@ def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
     0..n-1 in order of first appearance.  Returns the graph and the label
     table (index -> original token).
     """
-    order: dict[str, int] = {}
-    raw_edges: list[tuple[str, str, int]] = []
+    tokens: list[str] = []  # both tokens of every edge line, in input order
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
-            raise GraphParseError(f"line {lineno}: expected two tokens, got {line!r}")
-        a, b = parts
-        if a == b:
-            raise GraphParseError(f"line {lineno}: loop at {a!r}")
-        for tok in (a, b):
-            if tok not in order:
-                order[tok] = len(order)
-        raw_edges.append((a, b, lineno))
-    if not order:
+            raise GraphParseError(f"line {lineno}: expected two tokens, got {raw.split('#', 1)[0].strip()!r}")
+        if parts[0] == parts[1]:
+            raise GraphParseError(f"line {lineno}: loop at {parts[0]!r}")
+        tokens += parts
+    if not tokens:
         raise GraphParseError("empty edge list")
+    order = dict.fromkeys(tokens)  # in order of first appearance
     try:
-        ints = {tok: int(tok) for tok in order}
+        ints = [int(tok) for tok in order]
     except ValueError:
         ints = None
-    if ints is not None and sorted(ints.values()) == list(range(len(order))):
-        labels = {tok: val for tok, val in ints.items()}
-    else:
-        labels = order
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for a, b, lineno in raw_edges:
-        u, v = labels[a], labels[b]
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise GraphParseError(f"line {lineno}: duplicate edge {a!r} {b!r}")
-        seen.add((u, v))
-        edges.append((u, v))
-    table = [tok for tok, _ in sorted(labels.items(), key=lambda kv: kv[1])]
-    return Graph.from_edges(len(labels), edges), table
+    if ints is None or sorted(ints) != list(range(len(order))):
+        ints = range(len(order))
+    labels = dict(zip(order, ints))
+    ends = [labels[tok] for tok in tokens]
+    edges = [(u, v) if u < v else (v, u) for u, v in zip(ends[::2], ends[1::2])]
+    edges.sort()
+    if len(set(edges)) < len(edges):
+        # distinct tokens get distinct labels, so the first token pair that
+        # repeats in input order names the duplicate
+        seen: set[frozenset[str]] = set()
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            parts = raw.split("#", 1)[0].split()
+            pair = frozenset(parts)
+            if pair in seen:
+                raise GraphParseError(f"line {lineno}: duplicate edge {parts[0]!r} {parts[1]!r}")
+            if parts:
+                seen.add(pair)
+    return Graph(len(labels), tuple(edges)), sorted(labels, key=labels.__getitem__)
 
 
 _G6_HEADER = ">>graph6<<"
@@ -170,21 +167,16 @@ def parse_graph6(text: str) -> Graph:
     need = (nbits + 5) // 6
     if len(body) != need:
         raise GraphParseError(f"graph6 body length {len(body)}, expected {need} for n={n}")
-    bits: list[int] = []
+    cert = 0  # the body as one integer, read as `certificate_graph6` writes it
     for ch in body:
         val = ord(ch) - 63
         if val < 0 or val > 63:
             raise GraphParseError(f"invalid graph6 character {ch!r}")
-        for k in range(5, -1, -1):
-            bits.append((val >> k) & 1)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph.from_edges(n, edges)
+        cert = cert << 6 | val
+    cert >>= 6 * need - nbits
+    top = nbits - 1  # pair {q, p}, q < p, sits at bit top - p(p-1)/2 - q
+    edges = ((q, p) for q in range(n) for p in range(q + 1, n) if cert >> top - p * (p - 1) // 2 - q & 1)
+    return Graph(n, tuple(edges))
 
 
 def _pair_shifts(n: int) -> list[list[int]]:

@@ -3,6 +3,7 @@ with the implementation paths they check."""
 
 from __future__ import annotations
 
+import bisect
 import random
 import signal
 from contextlib import contextmanager
@@ -368,6 +369,18 @@ def brute_rigid_components(g: Graph) -> set[frozenset[int]]:
         s for s in rigid_sets if not any(s < t for t in rigid_sets)
     }
     return maximal
+
+
+def index_order_game(g: Graph):
+    """The finished pebble game after offering g's edges in index order,
+    each as (smaller end, larger end): `rigidity.pebble_game` without its
+    minimum-degree peel order."""
+    from rignac.rigidity import PebbleState
+
+    state = PebbleState(g.n)
+    for u, v in g.edges:
+        state.try_accept(u, v)
+    return state
 
 
 def slow_rigid_components(g: Graph) -> tuple[frozenset[int], ...]:
@@ -1083,17 +1096,23 @@ def random_laman_edges(rnd: random.Random, vertices: list[int]) -> set[tuple[int
     """A minimally rigid graph on `vertices` by Henneberg steps: a triangle,
     then 0-extensions and 1-extensions."""
     a, b, c = sorted(vertices[:3])
-    edges = {(a, b), (a, c), (b, c)}
+    edges = [(a, b), (a, c), (b, c)]  # kept sorted
+    pos = {v: i for i, v in enumerate(vertices)}
     for i in range(3, len(vertices)):
-        w, old = vertices[i], vertices[:i]
+        w = vertices[i]
         if rnd.random() < 0.5:
-            ends = rnd.sample(old, 2)
+            ends = rnd.sample(vertices[:i], 2)
         else:
-            x, y = rnd.choice(sorted(edges))
-            edges.remove((x, y))
-            ends = [x, y, rnd.choice([t for t in old if t not in (x, y)])]
-        edges.update((min(t, w), max(t, w)) for t in ends)
-    return edges
+            # choices by index, drawn as rnd.choice draws from the sorted
+            # edges and from the earlier vertices other than x and y
+            x, y = edges.pop(rnd.choice(range(len(edges))))
+            j = rnd.choice(range(i - 2))
+            for p in sorted((pos[x], pos[y])):
+                j += j >= p
+            ends = [x, y, vertices[j]]
+        for t in ends:
+            bisect.insort(edges, (min(t, w), max(t, w)))
+    return set(edges)
 
 
 def random_two_body(rnd: random.Random, n: int) -> Graph:

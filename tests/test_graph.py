@@ -81,6 +81,33 @@ class TestParsing:
         with pytest.raises(GraphParseError, match="line 2"):
             parse_graph("0 1\n0 1 2")
 
+    def test_errors_keep_their_messages(self):
+        cases = {
+            "0 1\n0 1 2": "line 2: expected two tokens, got '0 1 2'",
+            "0 1\n  3   # tail": "line 2: expected two tokens, got '3'",
+            "0 1\n2 2": "line 2: loop at '2'",
+            "a b\nb c\n# c\nc b\na b": "line 4: duplicate edge 'c' 'b'",
+            "0 1\n1 2 # x\n\n2 1\n1 0\n0 1": "line 4: duplicate edge '2' '1'",
+            "# only\n\n": "empty edge list",
+        }
+        for text, message in cases.items():
+            with pytest.raises(GraphParseError) as err:
+                parse_edge_list(text)
+            assert str(err.value) == message
+
+    def test_shuffled_edge_lists_against_from_edges(self):
+        rnd = random.Random(2205)
+        for _ in range(40):
+            n = rnd.randrange(2, 30)
+            g = random_graph(rnd, n, rnd.randrange(1, 3 * n))
+            pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in g.edges]
+            rnd.shuffle(pairs)
+            h, labels = parse_edge_list("\n".join(f"x{u} x{v}  # e" for u, v in pairs))
+            assert h == Graph.from_edges(h.n, [(labels.index(f"x{u}"), labels.index(f"x{v}")) for u, v in pairs])
+            if all(g.adjacency):
+                h, labels = parse_edge_list("\n".join(f"{u} {v}" for u, v in pairs))
+                assert h == g and labels == [str(v) for v in range(n)]
+
     def test_autodetect_graph6(self):
         g = parse_graph("D?{")
         assert g == parse_graph6("D?{")
@@ -120,6 +147,24 @@ class TestGraph6:
             parse_graph6("D?")  # truncated body
         with pytest.raises(GraphParseError):
             parse_graph6("D?{{")  # oversized body
+        cases = {
+            "  ": "empty graph6 string",
+            "~??": "unsupported graph6 vertex count byte '~'",
+            "D?": "graph6 body length 1, expected 2 for n=5",
+            "D?>": "invalid graph6 character '>'",
+            "D\x7f?": "invalid graph6 character '\\x7f'",
+        }
+        for text, message in cases.items():
+            with pytest.raises(GraphParseError) as err:
+                parse_graph6(text)
+            assert str(err.value) == message
+
+    def test_parse_matches_networkx_up_to_62_vertices(self):
+        rnd = random.Random(2206)
+        for n in list(range(0, 14)) + [30, 47, 62]:
+            pairs = list(combinations(range(n), 2))
+            g = Graph.from_edges(n, rnd.sample(pairs, rnd.randrange(0, len(pairs) + 1)))
+            assert parse_graph6(nx.to_graph6_bytes(_to_nx(g), header=False).decode()) == g
 
     def test_edge_list_round_trip(self):
         g = k4()

@@ -48,6 +48,7 @@ from oracles import (
     deadline,
     generic_matrix_rank,
     generic_related_pairs,
+    index_order_game,
     glue_random_pieces,
     grow_by_0extensions,
     iter_brute_stable_cuts,
@@ -273,6 +274,91 @@ class TestComponentsAgainstSlowReference:
         with deadline(1.0):
             report = rigidity_report(g)
         assert len(report.rigid_components) == 2989 and report.rank == 2 * 2000 - 3 - 1000
+
+
+def with_isolated(g: Graph, k: int) -> Graph:
+    """g followed by k vertices with no edges."""
+    return Graph(g.n + k, g.edges)
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    return Graph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
+
+
+class TestPeelOrderGame:
+    """`pebble_game` offers the edges in minimum-degree peel order.  The
+    rank and the rigid components, as sets and in order, equal those of
+    the game that offers them in index order (`index_order_game`)."""
+
+    @staticmethod
+    def assert_same(g: Graph) -> None:
+        state, ref = pebble_game(g), index_order_game(g)
+        assert len(state.accepted) == len(ref.accepted), (g.n, g.edges)
+        assert rigid_components(g, state) == rigid_components(g, ref), (g.n, g.edges)
+
+    def test_every_class_up_to_8_with_and_without_each_edge(self, laman_keys, laman8_keys):
+        for key in [key for n in laman_keys for key in laman_keys[n]] + laman8_keys:
+            g = parse_graph6(key)
+            self.assert_same(g)
+            for i in range(g.m):
+                self.assert_same(remove_edge_index(g, i))
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    if not g.has_edge(u, v):
+                        self.assert_same(add_edge(g, u, v))
+
+    def test_seeded_laman_graphs_minus_and_plus_edges(self):
+        rnd = random.Random(2201)
+        for n in (6, 10, 25, 60, 150, 300):
+            for _ in range(3):
+                edges = sorted(random_laman_edges(rnd, list(range(n))))
+                self.assert_same(Graph.from_edges(n, edges))
+                for drop in range(1, min(11, len(edges))):
+                    self.assert_same(Graph.from_edges(n, rnd.sample(edges, len(edges) - drop)))
+                present = set(edges)
+                absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
+                self.assert_same(Graph.from_edges(n, edges + rnd.sample(absent, n // 10)))
+
+    def test_two_body_graphs_plain_and_relabelled(self):
+        rnd = random.Random(2202)
+        for n in (8, 13, 40, 101, 300, 1000):
+            g = random_two_body(rnd, n)
+            self.assert_same(g)
+            self.assert_same(relabelled(g, rnd))
+
+    def test_random_graphs_by_density(self):
+        rnd = random.Random(2203)
+        for ratio in (1.5, 2, 2.5, 3, 4, 6):
+            for n in (5, 12, 30, 80, 200):
+                for _ in range(3):
+                    self.assert_same(random_graph(rnd, n, int(ratio * n)))
+
+    def test_disconnected_graphs_and_isolated_vertices(self):
+        rnd = random.Random(2204)
+        corpus = [Graph(n, ()) for n in range(1, 5)]
+        for _ in range(20):
+            a = Graph.from_edges(12, random_laman_edges(rnd, list(range(12))))
+            b = random_two_body(rnd, rnd.randrange(8, 30))
+            c = random_graph(rnd, 15, rnd.randrange(10, 60))
+            corpus += [disjoint_union(a, b), disjoint_union(c, a), with_isolated(b, 3)]
+            corpus += [relabelled(with_isolated(disjoint_union(b, c), 2), rnd)]
+        assert any(not g.adjacency[w] for g in corpus for w in range(g.n))
+        assert all(len(connected_components(g)) > 1 for g in corpus if g.n > 1)
+        for g in corpus:
+            self.assert_same(g)
+
+    def test_searches_per_edge_on_construction_ordered_graphs(self):
+        # peel order makes at most 1.08 searches per edge on these graphs;
+        # index order made 1.67-1.77, so the bound is 1.1
+        rnd = random.Random(2200)
+        for n in (500, 1000, 2000, 4000):
+            graphs = [
+                random_two_body(rnd, n),
+                Graph.from_edges(n, random_laman_edges(rnd, list(range(n)))),
+                make_2tree(n, n),
+            ]
+            for g in graphs + [relabelled(g, rnd) for g in graphs]:
+                assert pebble_game(g).searches <= 1.1 * g.m, (n, pebble_game(g).searches, g.m)
 
 
 class TestPeelOracle:
