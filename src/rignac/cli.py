@@ -267,16 +267,20 @@ def cmd_construct(args) -> int:
         elif family == "wheel":
             g = cons.make_wheel(int(p[0]))
         elif family == "gsc":
-            g = cons.make_gsc(json.loads(p[0]))
+            script = json.loads(p[0])
+            if not isinstance(script, list):
+                raise ValueError(f"a gsc script is a JSON list of steps, got {p[0]!r}")
+            g = cons.make_gsc(script)
         elif family == "fixture":
             g = cons.fixtures()[p[0]].graph
         else:
             print(f"unknown family {family!r}", file=sys.stderr)
             return EXIT_USAGE
-    except (IndexError, KeyError, ValueError) as exc:
+        text = emit_graph6(g) if args.emit == "graph6" else emit_edge_list(g)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         print(f"bad construct parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(emit_graph6(g) if args.emit == "graph6" else emit_edge_list(g), args)
+    _emit(text, args)
     return EXIT_OK
 
 

@@ -28,22 +28,21 @@ class PebbleState:
 
     Every vertex keeps pebbles[v] + len(out[v]) == 2, where out[v] lists
     the heads of v's accepted edges as the game directs them, so out[v]
-    holds at most two vertices.  Searches mark the vertices they visit in
-    one stamp list instead of allocating a visited set, and the reverse
-    adjacency is built by the first `component` call and kept up to date
-    by later reversals.  `searches` counts the pebble searches made so far.
-    Single-owner; not safe for concurrent mutation.
+    holds at most two vertices.  The state keeps no in-edges: each tail of
+    an edge into v is a neighbour of v in the played graph, which
+    `component` reads instead.  Searches mark the vertices they visit in
+    one stamp list instead of allocating a visited set.  `searches` counts
+    the pebble searches made so far.  Single-owner; not safe for
+    concurrent mutation.
     """
 
-    __slots__ = ("n", "pebbles", "out", "accepted", "searches", "_into", "_mark", "_stamp", "_prev")
+    __slots__ = ("pebbles", "out", "accepted", "searches", "_mark", "_stamp", "_prev")
 
     def __init__(self, n: int) -> None:
-        self.n = n
         self.pebbles = [2] * n
         self.out: list[list[int]] = [[] for _ in range(n)]
         self.accepted: list[tuple[int, int]] = []
         self.searches = 0
-        self._into: Optional[list[set[int]]] = None  # tails of each vertex's out-edges
         self._mark = [0] * n  # the stamp of the last search that visited each vertex
         self._stamp = 0
         self._prev = [0] * n  # search tree of the current gather
@@ -68,14 +67,10 @@ class PebbleState:
                 if pebbles[y]:
                     pebbles[y] -= 1
                     pebbles[target] += 1
-                    into = self._into
                     while y != target:
                         x = prev[y]
                         out[x].remove(y)
                         out[y].append(x)
-                        if into is not None:
-                            into[y].remove(x)
-                            into[x].add(y)
                         y = x
                     return True
                 stack.append(y)
@@ -96,35 +91,32 @@ class PebbleState:
             self.pebbles[u] -= 1
             self.out[u].append(v)
             self.accepted.append((u, v))
-            self._into = None
             return True
         return False
 
-    def component(self, u: int, v: int) -> frozenset[int]:
+    def component(self, u: int, v: int, adj: tuple[frozenset[int], ...]) -> frozenset[int]:
         """Vertex set of the rigid component spanned by the dependent pair (u,v).
 
         Call on a finished game with u,v rigidly related (for instance an
         edge of the played graph), so exactly three pebbles can be gathered
-        on them.  A vertex lies in the component iff it reaches no other
-        free pebble along out-edges.  The component starts as everything
-        reachable from {u, v}; then each unsettled in-neighbour w of a
-        component vertex starts a search along out-edges.  The search stops
-        at the first vertex with a free pebble or known to reach one, and
-        its current path reaches that pebble; the other vertices it visited
-        stay unsettled.  A search that ends without stopping reached only
-        component vertices, so every vertex it visited joins.  Every
-        component vertex outside the start reaches it along a path of
-        component vertices: its reach has no free pebble, so by (2,3)-
-        sparsity the reach meets the start.
+        on them; `adj` is the played graph's adjacency.  A vertex lies in
+        the component iff it reaches no other free pebble along out-edges.
+        The component starts as everything reachable from {u, v}; then each
+        unsettled graph neighbour w of a component vertex starts a search
+        along out-edges.  The search stops at the first vertex with a free
+        pebble or known to reach one, and its current path reaches that
+        pebble; the other vertices it visited stay unsettled.  A search
+        that ends without stopping reached only component vertices, so
+        every vertex it visited joins, whatever vertex it started from.
+        Every component vertex outside the start reaches it along a path
+        of component vertices (its reach has no free pebble, so by (2,3)-
+        sparsity the reach meets the start); the path's last vertex outside
+        the grown set is an in-neighbour, so a graph neighbour, of a vertex
+        in it, and its search joins.  A neighbour that is no in-neighbour is
+        an out-neighbour, already grown, or the end of a rejected edge.
         """
         self._collect(u, v)
         out, pebbles, mark = self.out, self.pebbles, self._mark
-        into = self._into
-        if into is None:
-            into = self._into = [set() for _ in range(self.n)]
-            for x, heads in enumerate(out):
-                for y in heads:
-                    into[y].add(x)
         self._stamp += 2
         rigid, floppy = self._stamp - 1, self._stamp
         comp = [u, v]
@@ -135,7 +127,7 @@ class PebbleState:
                     mark[y] = rigid
                     comp.append(y)
         for x in comp:
-            for w in into[x]:
+            for w in adj[x]:
                 if mark[w] == rigid or mark[w] == floppy or pebbles[w]:
                     continue
                 self._stamp += 1
@@ -259,7 +251,7 @@ def rigid_components(g: Graph, state: PebbleState) -> tuple[frozenset[int], ...]
     for u, v in g.edges:
         if any(c in member[v] for c in member[u]):
             continue
-        comp = state.component(u, v)
+        comp = state.component(u, v, g.adjacency)
         for w in comp:
             member[w].append(len(comps))
         comps.append(comp)

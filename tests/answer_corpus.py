@@ -3,9 +3,11 @@ in-process, one line per run.
 
 A line is the command, the input id, the exit code and the sha256 of
 stdout, separated by tabs.  Timing fields (`millis`) are dropped from
-stdout before hashing.  `test_answer_corpus.py` rebuilds the lines and
-compares them with `answer_corpus.txt`; a change that means to change an
-answer regenerates the file, and its diff names the runs that changed:
+stdout before hashing.  Every input gets the runs of `commands`, and the
+`catalog` runs, which read no input, come last with input id "-".
+`test_answer_corpus.py` rebuilds the lines and compares them with
+`answer_corpus.txt`; a change that means to change an answer regenerates
+the file, and its diff names the runs that changed:
 
     PYTHONPATH=src python3 tests/answer_corpus.py
 """
@@ -18,22 +20,58 @@ import io
 import json
 import random
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Iterator
 
 HERE = Path(__file__).resolve().parent
 DATA = HERE / "answer_corpus.txt"
 
-COMMANDS = (("analyze",), ("rank",), ("stable-cut",), ("nac", "construct"))
+CATALOG_RUNS = [["catalog", "--n", str(n), flag] for n in range(3, 7) for flag in ("--histogram", "--check-conjecture")]
+CATALOG_RUNS.append(["catalog", "--n", "6", "--histogram", "--threads", "2"])
+
+
+def commands(n: int) -> Iterator[list[str]]:
+    """The runs made on an input with n vertices (0 if it does not parse).
+    A pair of vertices is named by the input alone: 0 and n - 1, which lie
+    in different bodies of a two-body graph.  Exhaustive search takes
+    seconds on a 20-vertex graph without a stable cut, so it is run on
+    small inputs only."""
+    yield from (["analyze"], ["rank"], ["stable-cut"], ["nac", "construct"], ["components"])
+    if n <= 16:
+        yield ["stable-cut", "--exhaustive"]
+    if n >= 2:
+        yield ["stable-cut", "--separate", "0", str(n - 1)]
+        yield ["stable-cut", "--avoid", "0"]
+    if n <= 12:
+        yield from (["nac", "count"], ["nac", "exists"], ["nap", "exists"])
+    if n <= 10:
+        yield from (["nac", "list"], ["nap", "list"])
+
+
+def vertex_count(text: str) -> int:
+    from rignac.graph import GraphParseError, parse_graph
+
+    try:
+        return parse_graph(text).n
+    except GraphParseError:
+        return 0
 
 
 def inputs() -> Iterator[tuple[str, str]]:
     """(input id, stdin text) for every input of the corpus."""
     from rignac.catalog import minimally_rigid_graph6
-    from rignac.constructions import make_2tree
-    from rignac.graph import Graph, emit_edge_list
+    from rignac.constructions import make_2tree, make_complete
+    from rignac.graph import Graph, emit_edge_list, emit_graph6
 
-    from oracles import non_member_graphs, random_gsc_member, random_prism_chain, random_two_body, relabelled
+    from oracles import (
+        non_member_graphs,
+        random_flexible_connected,
+        random_gsc_member,
+        random_prism_chain,
+        random_two_body,
+        relabelled,
+    )
 
     for n in range(3, 8):
         for key in minimally_rigid_graph6(n):
@@ -57,6 +95,23 @@ def inputs() -> Iterator[tuple[str, str]]:
     # K5 and a disjoint edge: m = 2n - 3, but not connected
     k5_k2 = [(a, b) for a in range(5) for b in range(a + 1, 5)] + [(5, 6)]
     yield "disconnected:k5+k2", emit_edge_list(Graph.from_edges(7, k5_k2))
+    for i, g in enumerate(random_flexible_connected(2301, 12, 4, 20)):
+        yield f"flexible:{i}", emit_edge_list(g)
+    bases = {
+        "k4": make_complete(4),
+        "two-body:12": random_two_body(random.Random(0), 12),
+        "prism-chain:1": random_prism_chain(random.Random(0), 1),
+    }
+    for name, g in bases.items():
+        for k in (1, 3):
+            yield f"isolated:{name}+{k}", emit_graph6(Graph(g.n + k, g.edges))
+    yield "isolated:k1", emit_graph6(Graph(1, ()))
+    yield "isolated:empty5", emit_graph6(Graph(5, ()))
+    yield "named:k4", "a b\nb c\nc a\na d\nb d\nc d"
+    for seed, n in ((0, 20), (1, 12)):
+        g = relabelled(random_two_body(random.Random(seed), n), random.Random(seed))
+        yield f"named:two-body:{seed}:{n}", "\n".join(f"v{u} v{w}" for u, w in g.edges)
+    yield "parse-error:three-tokens", "0 1\n1 2\n2 0 3"
 
 
 def _without_millis(out: str) -> str:
@@ -88,13 +143,19 @@ def run(argv: list[str], text: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+@cache
+def corpus_runs() -> tuple[tuple[str, str, int, str], ...]:
+    """(command, input id, exit code, stdout) of every run, in file order."""
+    runs = [(argv, ident, text) for ident, text in inputs() for argv in commands(vertex_count(text))]
+    runs += [(argv, "-", "") for argv in CATALOG_RUNS]
+    return tuple((" ".join(argv), ident, *run(argv, text)) for argv, ident, text in runs)
+
+
 def corpus_lines() -> list[str]:
     lines = []
-    for ident, text in inputs():
-        for command in COMMANDS:
-            code, out = run(list(command), text)
-            digest = hashlib.sha256(_without_millis(out).encode()).hexdigest()
-            lines.append(f"{' '.join(command)}\t{ident}\t{code}\t{digest}")
+    for command, ident, code, out in corpus_runs():
+        digest = hashlib.sha256(_without_millis(out).encode()).hexdigest()
+        lines.append(f"{command}\t{ident}\t{code}\t{digest}")
     return lines
 
 

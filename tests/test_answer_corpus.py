@@ -1,6 +1,8 @@
 from __future__ import annotations
 
-from answer_corpus import DATA, corpus_lines
+import json
+
+from answer_corpus import DATA, corpus_lines, corpus_runs
 
 
 def test_answers_match_the_pinned_corpus():
@@ -11,5 +13,14 @@ def test_answers_match_the_pinned_corpus():
 
 
 def test_corpus_reaches_every_exit_code_of_its_commands():
-    codes = {(line.split("\t")[0], line.split("\t")[2]) for line in DATA.read_text().splitlines()}
-    assert {("stable-cut", c) for c in "013"} | {("nac construct", c) for c in "013"} <= codes
+    runs = corpus_runs()
+    # every mode of stable-cut counts as stable-cut
+    codes = {(command.split(" --")[0], code) for command, _, code, _ in runs}
+    assert {("stable-cut", c) for c in range(4)} | {("nac construct", c) for c in range(4)} <= codes
+    methods = {json.loads(out)["method"] for command, _, _, out in runs if command.startswith("stable-cut") and out}
+    assert methods == {"gsc", "neighbourhood", "algorithm1", "exhaustive", "skipped"}
+
+
+def test_two_catalog_workers_answer_as_one():
+    answers = {command: (code, out) for command, _, code, out in corpus_runs() if command.startswith("catalog")}
+    assert answers["catalog --n 6 --histogram --threads 2"] == answers["catalog --n 6 --histogram"]

@@ -404,6 +404,26 @@ class TestConstruct:
         code, _, err = run_cli(monkeypatch, capsys, ["construct", "moebius", "5"])
         assert code == 2
 
+    @staticmethod
+    def assert_bad_parameters(monkeypatch, capsys, argv, detail):
+        code, out, err = run_cli(monkeypatch, capsys, argv)
+        assert code == 2 and out == "" and err.startswith("bad construct parameters:") and detail in err, err
+
+    def test_path_too_long_for_graph6_exit_2(self, monkeypatch, capsys):
+        argv = ["construct", "path", "100", "--emit", "graph6"]
+        self.assert_bad_parameters(monkeypatch, capsys, argv, "62 vertices")
+
+    def test_complete_too_large_for_graph6_exit_2(self, monkeypatch, capsys):
+        argv = ["construct", "complete", "70", "--emit", "graph6"]
+        self.assert_bad_parameters(monkeypatch, capsys, argv, "62 vertices")
+
+    def test_gsc_glue_site_not_a_list_exit_2(self, monkeypatch, capsys):
+        argv = ["construct", "gsc", '[["triangle","edge",5]]']
+        self.assert_bad_parameters(monkeypatch, capsys, argv, "not iterable")
+
+    def test_gsc_script_not_a_list_exit_2(self, monkeypatch, capsys):
+        self.assert_bad_parameters(monkeypatch, capsys, ["construct", "gsc", "{}"], "JSON list of steps")
+
 
 class TestCatalogCommand:
     def test_histogram(self, monkeypatch, capsys):

@@ -227,6 +227,14 @@ def cycle(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def bouquet(piece: Graph, k: int) -> Graph:
+    """k copies of `piece` sharing its vertex 0: of triangles, a friendship
+    graph; of edges, a star."""
+    size = piece.n - 1
+    edges = [(a and a + i * size, b + i * size) for i in range(k) for a, b in piece.edges]
+    return Graph.from_edges(1 + k * size, edges)
+
+
 class TestComponentsAgainstSlowReference:
     """Components grown from their pair against one search of the whole
     game per component (`slow_rigid_components`): the same sets in the same
@@ -254,7 +262,13 @@ class TestComponentsAgainstSlowReference:
         corpus += [random_two_body(rnd, rnd.randrange(8, 61)) for _ in range(60)]
         corpus += [cycle(n) for n in range(3, 43)]
         corpus += [random_graph(rnd, n, rnd.randrange(0, 3 * n)) for n in (rnd.randrange(2, 31) for _ in range(120))]
-        assert len(corpus) >= 400
+        # dense and hub graphs, where many edges are rejected by the game
+        sizes = [(f, rnd.randrange(2 * f + 1, 31)) for f in (4, 6, 10) for _ in range(10)]
+        dense = [random_graph(rnd, n, f * n) for f, n in sizes]
+        dense += [make_complete(n) for n in range(4, 11)]
+        dense += [bouquet(make_complete(3), 5), bouquet(make_complete(2), 8), bouquet(make_complete(5), 4)]
+        corpus += dense + [with_isolated(g, 2) for g in dense]
+        assert len(corpus) >= 480
         assert any(len(connected_components(g)) > 1 for g in corpus)
         assert any(not g.adjacency[w] for g in corpus for w in range(g.n))
         for g in corpus:
