@@ -47,9 +47,15 @@ class CatalogEntry:
         return parse_graph6(self.graph6)
 
 
+def _nnac(g6: str) -> int:
+    """The number of NAC-colourings of the class with key g6: the one
+    per-class count of the histogram and of `_classify`."""
+    return count_nac(parse_graph6(g6))
+
+
 def _classify(g6: str) -> CatalogEntry:
+    nnac = _nnac(g6)
     g = parse_graph6(g6)
-    nnac = count_nac(g)
     dec = gsc_decomposition(g)
     member = dec is not None
     zext, opens = recognize_0extension_graph(g)
@@ -232,29 +238,40 @@ def enumerate_minimally_rigid(
     return list(_fan_out(_classify, keys, workers))
 
 
-def nnac_histogram(entries: list[CatalogEntry]) -> tuple[dict[int, int], int]:
-    """Exact histogram nnac -> class count, and the maximum attained value."""
+def _fold(counts: Iterable[int]) -> tuple[dict[int, int], int]:
     hist: dict[int, int] = {}
-    for e in entries:
-        hist[e.nnac] = hist.get(e.nnac, 0) + 1
+    for nnac in counts:
+        hist[nnac] = hist.get(nnac, 0) + 1
     return hist, max(hist) if hist else 0
 
 
+def nnac_histogram(entries: list[CatalogEntry]) -> tuple[dict[int, int], int]:
+    """Exact histogram nnac -> class count, and the maximum attained value."""
+    return _fold(e.nnac for e in entries)
+
+
 def histogram_report(
-    n: int, allow_large: bool = False, entries: Optional[list[CatalogEntry]] = None
+    n: int,
+    allow_large: bool = False,
+    entries: Optional[list[CatalogEntry]] = None,
+    workers: int = 1,
 ) -> dict:
     """Histogram plus a flagged comparison against published 6-vertex counts.
 
-    The published reference counts for 6 vertices sum to 14 classes while regeneration
-    is the arbiter; any per-bucket deviation is reported, never silently
-    dropped.
+    Without `entries` it classifies nothing: it counts the NAC-colourings of
+    each class, fanned out over `workers` processes as in
+    `enumerate_minimally_rigid`.  The published reference counts for 6
+    vertices sum to 14 classes while regeneration is the arbiter; any
+    per-bucket deviation is reported, never silently dropped.
     """
     if entries is None:
-        entries = enumerate_minimally_rigid(n, allow_large)
-    hist, mx = nnac_histogram(entries)
+        keys = minimally_rigid_graph6(n, allow_large, workers)
+        hist, mx = _fold(_fan_out(_nnac, keys, workers))
+    else:
+        hist, mx = nnac_histogram(entries)
     report = {
         "n": n,
-        "classes": len(entries),
+        "classes": sum(hist.values()),
         "histogram": {str(k): v for k, v in sorted(hist.items())},
         "max_nnac": mx,
     }

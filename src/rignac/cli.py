@@ -285,10 +285,16 @@ def cmd_construct(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    """`--out` receives the catalog file; the reports always go to stdout."""
-    entries = cat.enumerate_minimally_rigid(
-        args.n, allow_large=args.allow_large, workers=args.threads
-    )
+    """`--out` receives the catalog file; the reports always go to stdout.
+    Only `--out` and `--check-conjecture` classify the classes; the key
+    list reads the keys alone, and the histogram alone their NAC counts."""
+    entries = None
+    if args.out or args.check_conjecture:
+        entries = cat.enumerate_minimally_rigid(args.n, args.allow_large, args.threads)
+    elif not args.histogram:
+        keys = cat.minimally_rigid_graph6(args.n, args.allow_large, args.threads)
+        _emit({"n": args.n, "classes": keys}, None)
+        return EXIT_OK
     if args.out:
         try:
             cat.save_catalog(entries, args.n, args.out)
@@ -296,7 +302,7 @@ def cmd_catalog(args) -> int:
             raise InputError(f"cannot write {args.out}: {exc.strerror}") from exc
         print(f"wrote {len(entries)} entries", file=sys.stderr)
     if args.histogram:
-        _emit(cat.histogram_report(args.n, entries=entries), None)
+        _emit(cat.histogram_report(args.n, args.allow_large, entries, args.threads), None)
     if args.check_conjecture:
         main_v = cat.check_conjecture_61(entries)
         alt_v = cat.check_conjecture_61(entries, prism_subgraph_reading=True)
@@ -309,8 +315,6 @@ def cmd_catalog(args) -> int:
             None,
         )
         return EXIT_OK if not main_v else EXIT_NEGATIVE
-    if not args.out and not args.histogram:
-        _emit({"n": args.n, "classes": [e.graph6 for e in entries]}, None)
     return EXIT_OK
 
 

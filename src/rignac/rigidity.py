@@ -247,13 +247,14 @@ def rigid_components(g: Graph, state: PebbleState) -> tuple[frozenset[int], ...]
     """Rigid components of g from its finished game `state`, ordered by
     smallest contained edge index.  Every edge lies in exactly one of them."""
     comps: list[frozenset[int]] = []
-    member: list[list[int]] = [[] for _ in range(g.n)]  # vertex -> ids of its components
+    member: list[set[int]] = [set() for _ in range(g.n)]  # vertex -> ids of its components
     for u, v in g.edges:
-        if any(c in member[v] for c in member[u]):
+        # iterates the smaller of the two sets, so a hub's ids are not walked
+        if not member[u].isdisjoint(member[v]):
             continue
         comp = state.component(u, v, g.adjacency)
         for w in comp:
-            member[w].append(len(comps))
+            member[w].add(len(comps))
         comps.append(comp)
     return tuple(comps)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import AbstractSet, Iterable, Optional
 
@@ -117,16 +118,37 @@ def _contracted_components(
     return tuple(out) + tuple(frozenset(body) for body in merged.values())
 
 
-def _relabel(bodies: list[set[int]], member: dict[int, set[int]], keep: int, removed: int) -> None:
+def _relabel(
+    bodies: list[set[int]], member: dict[int, set[int]], heaps: list[list[int]], keep: int, removed: int
+) -> None:
     """Merge `removed` into `keep` in place, where one of them lies in a
     single component: the bodies stay the rigid components (the relabel
-    lemma in `_contracted_components`).  Costs O(|member[removed]|).  The
-    common component holds the triangle at u that the contraction came
-    from, so it keeps two or more vertices and no component drops out."""
+    lemma in `_contracted_components`).  Costs O(|member[removed]|), plus
+    a heap push for each body that `keep` joins.  The common component
+    holds the triangle at u that the contraction came from, so it keeps two
+    or more vertices and no component drops out."""
     for c in member[removed]:
-        bodies[c].discard(removed)
-        bodies[c].add(keep)
+        body = bodies[c]
+        body.discard(removed)
+        if keep not in body:
+            body.add(keep)
+            heappush(heaps[c], keep)
     member[keep] |= member.pop(removed)
+
+
+def _two_least(heap: list[int], body: set[int], u: int) -> list[int]:
+    """The two smallest vertices other than u of body, which has three or
+    more.  `heap` holds each vertex of body once, and vertices that have
+    left it, which are dropped when they reach the top: a vertex leaves a
+    body only when it is merged away, so it never returns."""
+    top: list[int] = []
+    while len(top) < 3:
+        w = heappop(heap)
+        if w in body:
+            top.append(w)
+    for w in top:
+        heappush(heap, w)
+    return [w for w in top if w != u][:2]
 
 
 def _alg1(comps: Components, u: int, v: int, stats: dict) -> frozenset[int]:
@@ -140,38 +162,38 @@ def _alg1(comps: Components, u: int, v: int, stats: dict) -> frozenset[int]:
     merges the larger endpoint into the smaller and renames nothing else;
     v shares no rigid component with u, so it is never merged away.
 
-    The components live across levels as `bodies` (index -> vertex set)
-    and `member` (vertex -> indices).  A contraction with an endpoint in
-    one component only is a relabel of the two maps (`_relabel`); only one
+    The components live across levels as `bodies` (index -> vertex set),
+    `member` (vertex -> indices) and `heaps` (index -> the body's vertices
+    in a heap, for its smallest ones).  A contraction with an endpoint in
+    one component only is a relabel of the maps (`_relabel`); only one
     that merges two pins plays a pin-graph game (`_contracted_components`),
     after which the maps are rebuilt.  Whether a relabel separates is read
     off the maps before any change, so a rejected first candidate needs no
     undo.  A game's verdict depends only on which pins each body holds and
     on v's bodies.  A relabel changes neither, beyond renaming a pin
     `removed` to `keep`, and `removed` never comes back; so a refused pin
-    pair is not played again until a taken game rebuilds the maps.  On a 2 000-vertex two-body graph
-    the 999 levels play one game and take about 0.04 s on one Xeon core.
+    pair is not played again until a taken game rebuilds the maps.  A
+    level costs its relabel plus O(log n) per heap entry popped.
     """
     bodies = [set(comp) for comp in comps]
     member = _membership(bodies)
+    heaps = [sorted(body) for body in bodies]
     refused: set[tuple[int, int]] = set()  # pin pairs whose game joined keep to v
     while True:
         stats["calls"] += 1
         # a triangle is rigid, so two neighbours of u in a common component
         # share it with u: the first triangle edge at u, in sorted order,
-        # ends at the smallest neighbour in a component of three or more
-        big = [bodies[c] - {u} for c in member[u] if len(bodies[c]) > 2]
+        # ends at the smallest neighbour in a component of three or more;
+        # components through u share no other vertex, so that one is unique
+        big = [_two_least(heaps[c], bodies[c], u) for c in member[u] if len(bodies[c]) > 2]
         if not big:
             return frozenset().union(*(bodies[c] for c in member[u])) - {u}
-        rest = min(big, key=min)
-        x1 = min(rest)
-        rest.discard(x1)
-        for xi in (x1, min(rest)):
+        for xi in min(big):
             keep, removed = min(u, xi), max(u, xi)
             if (member[keep] | member[removed]) & member[v] or (keep, removed) in refused:
                 continue
             if len(member[keep]) == 1 or len(member[removed]) == 1:
-                _relabel(bodies, member, keep, removed)
+                _relabel(bodies, member, heaps, keep, removed)
                 break
             contracted = _contracted_components(bodies, keep, removed, stats)
             if any(keep in comp and v in comp for comp in contracted):
@@ -179,6 +201,7 @@ def _alg1(comps: Components, u: int, v: int, stats: dict) -> frozenset[int]:
                 continue
             bodies = [set(comp) for comp in contracted]
             member = _membership(bodies)
+            heaps = [sorted(body) for body in bodies]
             refused.clear()
             break
         else:

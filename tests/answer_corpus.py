@@ -5,11 +5,16 @@ A line is the command, the input id, the exit code and the sha256 of
 stdout, separated by tabs.  Timing fields (`millis`) are dropped from
 stdout before hashing.  Every input gets the runs of `commands`, and the
 `catalog` runs, which read no input, come last with input id "-".
+A `catalog` run with `--out F` writes F in a temporary directory, and
+its hash covers stdout followed by F's bytes.
 `test_answer_corpus.py` rebuilds the lines and compares them with
-`answer_corpus.txt`; a change that means to change an answer regenerates
-the file, and its diff names the runs that changed:
+`answer_corpus.txt`.  `--check` does the same without writing: it prints
+each changed run (command, input id, old and new exit code) and each line
+that was added or went missing, and exits 1 on any difference.  A change
+that means to change an answer regenerates the file, and its diff names
+the runs that changed:
 
-    PYTHONPATH=src python3 tests/answer_corpus.py
+    PYTHONPATH=src python3 tests/answer_corpus.py [--check]
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import io
 import json
 import random
 import sys
+import tempfile
 from functools import cache
 from pathlib import Path
 from typing import Iterator
@@ -29,6 +35,12 @@ DATA = HERE / "answer_corpus.txt"
 
 CATALOG_RUNS = [["catalog", "--n", str(n), flag] for n in range(3, 7) for flag in ("--histogram", "--check-conjecture")]
 CATALOG_RUNS.append(["catalog", "--n", "6", "--histogram", "--threads", "2"])
+CATALOG_RUNS += [["catalog", "--n", str(n)] for n in range(3, 8)]
+CATALOG_RUNS += [
+    ["catalog", "--n", "7", "--histogram"],
+    ["catalog", "--n", "6", "--histogram", "--check-conjecture"],
+    ["catalog", "--n", "6", "--out", "F", "--histogram"],
+]
 
 
 def commands(n: int) -> Iterator[list[str]]:
@@ -143,12 +155,23 @@ def run(argv: list[str], text: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def run_catalog(argv: list[str]) -> tuple[int, str]:
+    """`run` for a catalog command; the file named F, if any, is written in
+    a temporary directory and its bytes follow stdout."""
+    if "F" not in argv:
+        return run(argv, "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "catalog.jsonl"
+        code, out = run([str(path) if a == "F" else a for a in argv], "")
+        return code, out + (path.read_bytes().decode() if path.exists() else "")
+
+
 @cache
 def corpus_runs() -> tuple[tuple[str, str, int, str], ...]:
     """(command, input id, exit code, stdout) of every run, in file order."""
     runs = [(argv, ident, text) for ident, text in inputs() for argv in commands(vertex_count(text))]
-    runs += [(argv, "-", "") for argv in CATALOG_RUNS]
-    return tuple((" ".join(argv), ident, *run(argv, text)) for argv, ident, text in runs)
+    answers = [(" ".join(argv), ident, *run(argv, text)) for argv, ident, text in runs]
+    return tuple(answers + [(" ".join(argv), "-", *run_catalog(argv)) for argv in CATALOG_RUNS])
 
 
 def corpus_lines() -> list[str]:
@@ -159,6 +182,29 @@ def corpus_lines() -> list[str]:
     return lines
 
 
+def differences(want: list[str], got: list[str]) -> list[str]:
+    """What differs between the pinned lines `want` and the rebuilt `got`,
+    one message per run: a changed answer names its command, input id and
+    old and new exit code; a run only one side has is printed whole."""
+    old = {tuple(line.split("\t")[:2]): line for line in want}
+    new = {tuple(line.split("\t")[:2]): line for line in got}
+    out = []
+    for key, line in new.items():
+        if key not in old:
+            out.append(f"added: {line}")
+        elif old[key] != line:
+            code_was, code_is = old[key].split("\t")[2], line.split("\t")[2]
+            out.append(f"changed: {key[0]} on {key[1]}: exit {code_was} -> {code_is}")
+    out += [f"missing: {line}" for key, line in old.items() if key not in new]
+    if not out and list(old) != list(new):
+        out.append("same runs in a different order")
+    return out
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        diff = differences(DATA.read_text().splitlines(), corpus_lines())
+        print("\n".join(diff) or f"{DATA.name}: no differences")
+        sys.exit(1 if diff else 0)
     DATA.write_text("\n".join(corpus_lines()) + "\n")
     print(f"wrote {DATA}", file=sys.stderr)

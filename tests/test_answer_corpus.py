@@ -2,14 +2,24 @@ from __future__ import annotations
 
 import json
 
-from answer_corpus import DATA, corpus_lines, corpus_runs
+from answer_corpus import DATA, corpus_lines, corpus_runs, differences
 
 
 def test_answers_match_the_pinned_corpus():
-    want = DATA.read_text().splitlines()
-    got = corpus_lines()
-    changed = [(w, g) for w, g in zip(want, got) if w != g]
-    assert not changed and len(got) == len(want), changed[:5]
+    diff = differences(DATA.read_text().splitlines(), corpus_lines())
+    assert not diff, diff[:5]
+
+
+def test_differences_name_each_changed_added_and_missing_run():
+    want = ["rank\ta\t0\tx", "rank\tb\t0\ty", "nac count\ta\t0\tz"]
+    assert differences(want, want) == []
+    got = ["rank\ta\t3\tw", "nac count\ta\t0\tz", "nac list\ta\t0\tv"]
+    assert differences(want, got) == [
+        "changed: rank on a: exit 0 -> 3",
+        "added: nac list\ta\t0\tv",
+        "missing: rank\tb\t0\ty",
+    ]
+    assert differences(want, want[::-1]) == ["same runs in a different order"]
 
 
 def test_corpus_reaches_every_exit_code_of_its_commands():

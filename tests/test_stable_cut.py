@@ -9,7 +9,7 @@ import pytest
 
 from rignac import stable_cut
 from rignac.graph import Graph, PreconditionError, is_connected, is_stable_set, parse_graph6
-from rignac.rigidity import pebble_game, rigid_components, rigidity_report, rigidly_related_pairs
+from rignac.rigidity import pebble_game, rank, rigid_components, rigidity_report, rigidly_related_pairs
 from rignac.stable_cut import (
     StableCutResult,
     _alg1,
@@ -315,13 +315,13 @@ class TestPinCondensation:
         # a two-vertex body that drops out, and a triangle becomes a bar
         seen: Counter = Counter()
 
-        def relabel(bodies, member, keep, removed):
+        def relabel(bodies, member, heaps, keep, removed):
             (c,) = member[keep] & member[removed]
             assert len(bodies[c]) >= 3 and min(map(len, (member[keep], member[removed]))) == 1
             seen["removed private"] += len(member[removed]) == 1
             seen["keep private"] += len(member[keep]) == 1
             seen["triangle to bar"] += len(bodies[c]) == 3
-            real_relabel(bodies, member, keep, removed)
+            real_relabel(bodies, member, heaps, keep, removed)
 
         def game(bodies, keep, removed, stats):
             assert min(sum(w in body for body in bodies) for w in (keep, removed)) > 1
@@ -357,9 +357,9 @@ class TestPinCondensation:
                 taken.append((keep, removed))
             return comps
 
-        def relabel(bodies, member, keep, removed):
+        def relabel(bodies, member, heaps, keep, removed):
             taken.append((keep, removed))
-            real_relabel(bodies, member, keep, removed)
+            real_relabel(bodies, member, heaps, keep, removed)
 
         real_game, real_relabel = stable_cut._contracted_components, stable_cut._relabel
         monkeypatch.setattr(stable_cut, "_contracted_components", game)
@@ -414,6 +414,28 @@ class TestPinCondensation:
         result = stable_cut_avoiding(g, v)
         assert time.perf_counter() - start < 0.3
         assert v not in result.cut
+
+    def test_two_body_graph_on_8000_vertices_within_3x_of_rank(self):
+        # each level reads the two smallest vertices of a body off a heap;
+        # scanning the bodies with `min` took 0.86 s here against rank's
+        # 0.08 s on one Xeon core.  Best of five for each, interleaved, so
+        # that a stall of the machine does not decide the ratio
+        g = random_two_body(random.Random(8000), 8000)
+        u, v = two_body_pair(g)
+        assert (u, v) == (0, 4000)
+
+        def seconds(fn) -> float:
+            start = time.perf_counter()
+            fn()
+            return time.perf_counter() - start
+
+        stats = {"calls": 0, "pair_probes": 0}
+        alg1_s, rank_s = [], []
+        for _ in range(5):
+            alg1_s.append(seconds(lambda: algorithm1_stable_cut(g, u, v, stats=stats)))
+            rank_s.append(seconds(lambda: rank(g)))
+        assert min(alg1_s) < 3 * min(rank_s) and min(alg1_s) < 1.0, (alg1_s, rank_s)
+        assert stats == {"calls": 5 * 3999, "pair_probes": 5 * 16927}
 
     def test_pebble_search_count_repeats(self):
         # the searches follow each vertex's out-list in insertion order, so
