@@ -303,8 +303,9 @@ def _vertex_order(g: Graph) -> list[int]:
     return order
 
 
-def _frontier_levels(g: Graph) -> tuple[list[list[int]], list[tuple]]:
-    """The units (triangle classes) in programme order, and one level per unit.
+def _frontier_levels(g: Graph, classes: list[list[int]]) -> tuple[list[list[int]], list[tuple]]:
+    """The units (g's triangle classes, `classes`) in programme order, and
+    one level per unit.
 
     A unit is placed when the last of its vertices arrives in
     `_vertex_order`; units completed by the same vertex follow their
@@ -313,40 +314,41 @@ def _frontier_levels(g: Graph) -> tuple[list[list[int]], list[tuple]]:
     after unit k, in increasing order), then the vertices unit k reaches
     first.  A level is (the frontier size, the local numbers of the new
     vertices, the unit's edges as local pairs, the local numbers of the
-    next frontier in increasing vertex order).
+    next frontier in increasing vertex order, the local numbers of the
+    unit's frontier vertices).  An edge with an end in no other unit is left
+    out: that end is new and leaves with the level, so the edge can neither
+    close an almost cycle nor carry a pair to the next frontier.
     """
-    classes = triangle_classes(g)
+    edges = g.edges
+    verts = [{x for i in unit for x in edges[i]} for unit in classes]
     at_vertex: list[list[int]] = [[] for _ in range(g.n)]
-    missing = []
-    for k, unit in enumerate(classes):
-        verts = {x for i in unit for x in g.edges[i]}
-        missing.append(len(verts))
-        for x in verts:
+    missing = [len(vs) for vs in verts]
+    for k, vs in enumerate(verts):
+        for x in vs:
             at_vertex[x].append(k)
-    units = []
+    order = []  # class indices in programme order
     for v in _vertex_order(g):
         for k in at_vertex[v]:
             missing[k] -= 1
             if not missing[k]:
-                units.append(classes[k])
+                order.append(k)
     first = [-1] * g.n
     last = [-1] * g.n
-    for k, unit in enumerate(units):
-        for i in unit:
-            for x in g.edges[i]:
-                if first[x] < 0:
-                    first[x] = k
-                last[x] = k
+    for k, c in enumerate(order):
+        for x in verts[c]:
+            if first[x] < 0:
+                first[x] = k
+            last[x] = k
     levels = []
     frontier: list[int] = []
-    for k, unit in enumerate(units):
-        fresh = sorted({x for i in unit for x in g.edges[i] if first[x] == k})
-        local = {x: pos for pos, x in enumerate(frontier + fresh)}
-        edges = [(local[u], local[v]) for u, v in (g.edges[i] for i in unit)]
+    for k, c in enumerate(order):
         size = len(frontier)
+        local = {x: pos for pos, x in enumerate(frontier + sorted(x for x in verts[c] if first[x] == k))}
+        touched = [local[x] for x in verts[c] if first[x] < k]
+        carried = [(local[u], local[v]) for u, v in (edges[i] for i in classes[c]) if first[u] < last[u] and first[v] < last[v]]
         frontier = sorted(x for x in local if last[x] > k)
-        levels.append((size, tuple(range(size, len(local))), edges, [local[x] for x in frontier]))
-    return units, levels
+        levels.append((size, tuple(range(size, len(local))), carried, [local[x] for x in frontier], touched))
+    return [classes[c] for c in order], levels
 
 
 # A counter state is one flat tuple: the blue and the red label of each
@@ -359,65 +361,80 @@ def _frontier_levels(g: Graph) -> tuple[list[list[int]], list[tuple]]:
 # one large triangle class does not widen.
 
 
-def _colour_unit(key: tuple, colour: int, level: tuple, stride: int) -> Optional[tuple]:
-    """The next state after colouring the level's unit, or None if it is rejected.
+def _colour_level(key: tuple, level: tuple, stride: int, colours: tuple) -> list:
+    """The children of a state, one per colour in `colours` and in that
+    order: the next state after colouring the level's unit that colour, or
+    None if it is rejected.
 
-    A new vertex takes its local number as label, which no frontier label
-    reaches; the unit's edges add pairs to a list, since they may hold such
-    labels, and every label is renamed through a list indexed by label."""
-    size, new, edges, keep = level
-    mine = (key[size : 2 * size] if colour else key[:size]) + new
-    theirs = (key[:size] if colour else key[size : 2 * size]) + new
-    width = len(mine)
-    root = list(range(width))  # union-find over the labels of `mine`
-    added = []
-    for a, b in edges:
-        ta, tb = theirs[a], theirs[b]
-        if ta == tb:
-            return None  # the edge closes an almost cycle of the other colour
-        added.append((ta, tb))
-        ra, rb = mine[a], mine[b]
-        while root[ra] != ra:
-            ra = root[ra]
-        while root[rb] != rb:
-            rb = root[rb]
-        root[ra] = rb
-    for x in range(width if len(edges) > 1 else 0):  # one edge leaves each label a step from its root
-        while root[root[x]] != root[x]:
-            root[x] = root[root[x]]
-    mine_new, theirs_new = [-1] * width, [-1] * width  # label -> kept label
-    mine_kept, theirs_kept, mine_count, theirs_count = [], [], 0, 0
-    for x in keep:
-        r, t = root[mine[x]], theirs[x]
-        if mine_new[r] < 0:
-            mine_new[r], mine_count = mine_count, mine_count + 1
-        if theirs_new[t] < 0:
-            theirs_new[t], theirs_count = theirs_count, theirs_count + 1
-        mine_kept.append(mine_new[r])
-        theirs_kept.append(theirs_new[t])
-    pairs, mine_mask = key[-2 + colour], 0
-    while pairs:
-        low = pairs & -pairs
-        pairs ^= low
-        a, b = divmod(low.bit_length() - 1, stride)
-        a, b = root[a], root[b]
-        if a == b:
-            return None  # a merge traps an edge of the other colour
-        a, b = mine_new[a], mine_new[b]
-        if a >= 0 and b >= 0:
-            mine_mask |= 1 << (a * stride + b if a < b else b * stride + a)
-    pairs, theirs_mask = key[-1 - colour], 0
-    while pairs:
-        low = pairs & -pairs
-        pairs ^= low
-        added.append(divmod(low.bit_length() - 1, stride))
-    for a, b in added:
-        a, b = theirs_new[a], theirs_new[b]
-        if a >= 0 and b >= 0:
-            theirs_mask |= 1 << (a * stride + b if a < b else b * stride + a)
-    if colour == RED:
-        return (*theirs_kept, *mine_kept, 1, theirs_mask, mine_mask)
-    return (*mine_kept, *theirs_kept, key[-3], mine_mask, theirs_mask)
+    The key is sliced once for both colours.  A new vertex takes its local
+    number as label, which no frontier label reaches.  A unit is connected,
+    so its colour joins the labels of all its vertices into one component.
+    A child is refused as soon as a unit edge lies in one component of the
+    other colour or the join traps a pair, before any label is renamed.
+    With no next frontier the child is the final state (has_red, 0, 0)."""
+    size, new, edges, keep, touched = level
+    labels = (key[:size] + new, key[size : 2 * size] + new)  # blue, red
+    width = len(labels[0])
+    fresh = (1 << width) - (1 << size)  # the labels of the new vertices
+    children: list = []
+    for colour in colours:
+        mine, theirs = labels[colour], labels[1 - colour]
+        child, added = None, []
+        for a, b in edges:
+            ta, tb = theirs[a], theirs[b]
+            if ta == tb:
+                break  # the edge closes an almost cycle of the other colour
+            added.append((ta, tb))
+        else:
+            joined = fresh  # the labels of `mine` that the unit joins
+            for x in touched:
+                joined |= 1 << mine[x]
+            pairs, carried = key[-2 + colour], []
+            while pairs:
+                low = pairs & -pairs
+                pairs ^= low
+                a, b = divmod(low.bit_length() - 1, stride)
+                if joined >> a & joined >> b & 1:
+                    break  # the join traps an edge of the other colour
+                carried.append((a, b))
+            else:
+                has_red = 1 if colour == RED else key[-3]
+                if not keep:
+                    child = (has_red, 0, 0)
+                else:
+                    rep = (joined & -joined).bit_length() - 1  # the joined component's label
+                    mine_new, theirs_new = [-1] * width, [-1] * width  # label -> kept label
+                    mine_kept, theirs_kept, mine_count, theirs_count = [], [], 0, 0
+                    for x in keep:
+                        r, t = mine[x], theirs[x]
+                        if joined >> r & 1:
+                            r = rep
+                        if mine_new[r] < 0:
+                            mine_new[r], mine_count = mine_count, mine_count + 1
+                        if theirs_new[t] < 0:
+                            theirs_new[t], theirs_count = theirs_count, theirs_count + 1
+                        mine_kept.append(mine_new[r])
+                        theirs_kept.append(theirs_new[t])
+                    mine_mask = 0
+                    for a, b in carried:
+                        a, b = mine_new[rep if joined >> a & 1 else a], mine_new[rep if joined >> b & 1 else b]
+                        if a >= 0 and b >= 0:
+                            mine_mask |= 1 << (a * stride + b if a < b else b * stride + a)
+                    pairs, theirs_mask = key[-1 - colour], 0
+                    while pairs:
+                        low = pairs & -pairs
+                        pairs ^= low
+                        added.append(divmod(low.bit_length() - 1, stride))
+                    for a, b in added:
+                        a, b = theirs_new[a], theirs_new[b]
+                        if a >= 0 and b >= 0:
+                            theirs_mask |= 1 << (a * stride + b if a < b else b * stride + a)
+                    if colour == RED:
+                        child = (*theirs_kept, *mine_kept, has_red, theirs_mask, mine_mask)
+                    else:
+                        child = (*mine_kept, *theirs_kept, has_red, mine_mask, theirs_mask)
+        children.append(child)
+    return children
 
 
 def _frontier_pass(
@@ -433,9 +450,14 @@ def _frontier_pass(
     (has_red, 0, 0).  If `links` is a list, each level appends its
     back-links to it: for each of the level's states, in order, the flat
     ints 2 * parent + colour of the steps into it, where parent indexes
-    the previous level's states.
+    the previous level's states.  A graph whose edges form one unit has
+    no NAC-colouring: it returns no units and no final states, and counts
+    the start state as expanded.
     """
-    units, levels = _frontier_levels(g)
+    classes = triangle_classes(g)
+    if len(classes) == 1:
+        return [], {}, 1
+    units, levels = _frontier_levels(g, classes)
     stride = max((len(level[3]) for level in levels), default=0)
     states: dict[tuple, int] = {(0, 0, 0): 1}
     expanded = 0
@@ -444,8 +466,7 @@ def _frontier_pass(
         nxt: dict[tuple, int] = {}
         back: dict[tuple, list[int]] = {}
         for parent, (key, mult) in enumerate(states.items()):
-            for colour in colours:
-                child = _colour_unit(key, colour, level, stride)
+            for colour, child in zip(colours, _colour_level(key, level, stride, colours)):
                 if child is not None:
                     nxt[child] = nxt.get(child, 0) + mult
                     if links is not None:

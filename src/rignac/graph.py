@@ -9,7 +9,7 @@ package refers to edges through those indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 
@@ -70,6 +70,11 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         return tuple(frozenset(s) for s in adj)
+
+    @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        """Connected components, ordered by smallest vertex; searched once."""
+        return tuple(connected_components_without(self))
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -179,14 +184,15 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def _pair_shifts(n: int) -> list[list[int]]:
+@cache
+def _pair_shifts(n: int) -> tuple[tuple[int, ...], ...]:
     """shifts[p][q] for q < p: the bit of pair {q, p} in a graph6 certificate.
 
     graph6 lists the pairs column by column (p = 1..n-1, q = 0..p-1), first
-    pair in the most significant bit.
+    pair in the most significant bit.  Built once per n.
     """
     top = n * (n - 1) // 2 - 1
-    return [[top - p * (p - 1) // 2 - q for q in range(p)] for p in range(n)]
+    return tuple(tuple(top - p * (p - 1) // 2 - q for q in range(p)) for p in range(n))
 
 
 def certificate_graph6(n: int, cert: int) -> str:
@@ -268,11 +274,11 @@ def connected_components_without(g: Graph, removed: Iterable[int] = ()) -> list[
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Vertex partition into connected components, ordered by smallest vertex."""
-    return connected_components_without(g)
+    return list(g.components)
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components_without(g)) <= 1
+    return len(g.components) <= 1
 
 
 def blocks(g: Graph) -> list[frozenset[int]]:
@@ -411,9 +417,11 @@ def canonical_search(nbrs: Sequence[Iterable[int]]) -> tuple[int, list[list[int]
     """Canonical certificate of a graph, generators of its automorphism group
     and the canonical labelling.
 
-    ``nbrs[v]`` holds the neighbours of vertex v.  After each refinement the
-    search individualises, in vertex order, each vertex of the smallest colour
-    with more than one vertex.  A leaf's certificate is the graph6 bit string
+    ``nbrs[v]`` holds the neighbours of vertex v.  The root starts at the
+    degree partition, coloured by the rank of each vertex's degree: the
+    colours that a refinement pass makes from one cell.  After each
+    refinement the search individualises, in vertex order, each vertex of
+    the smallest colour with more than one vertex.  A leaf's certificate is the graph6 bit string
     of its labelling read as one integer, so the smallest certificate is the
     graph6 minimum.  A leaf whose certificate equals the first or the best
     leaf's gives an automorphism; a child is skipped when its vertex lies in
@@ -480,7 +488,9 @@ def canonical_search(nbrs: Sequence[Iterable[int]]) -> tuple[int, list[list[int]
             explored.append(w)
             visit([2 * c + (u != w) for u, c in enumerate(colours)], cells + 1, prefix + [w])
 
-    visit([0] * n, 1, [])
+    degrees = [len(nb) for nb in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    visit([rank[d] for d in degrees], len(rank), [])
     assert best is not None
     return best[0], gens, best[1]
 

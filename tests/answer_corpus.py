@@ -79,7 +79,9 @@ def inputs() -> Iterator[tuple[str, str]]:
     from oracles import (
         non_member_graphs,
         random_flexible_connected,
+        random_graph,
         random_gsc_member,
+        random_laman_edges,
         random_prism_chain,
         random_two_body,
         relabelled,
@@ -124,6 +126,17 @@ def inputs() -> Iterator[tuple[str, str]]:
         g = relabelled(random_two_body(random.Random(seed), n), random.Random(seed))
         yield f"named:two-body:{seed}:{n}", "\n".join(f"v{u} v{w}" for u, w in g.edges)
     yield "parse-error:three-tokens", "0 1\n1 2\n2 0 3"
+    # rigid graphs with 1-4 redundant edges, and dense random graphs
+    for seed in range(2):
+        rnd = random.Random(2500 + seed)
+        for n in range(6, 13):
+            edges = random_laman_edges(rnd, list(range(n)))
+            extra = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+            edges |= set(rnd.sample(extra, 1 + (n + seed) % 4))
+            yield f"redundant:{seed}:{n}", emit_edge_list(Graph.from_edges(n, edges))
+        for n in range(6, 13):
+            g = random_graph(rnd, n, rnd.randrange(2 * n, 3 * n + 1))
+            yield f"dense:{seed}:{n}", emit_edge_list(g)
 
 
 def _without_millis(out: str) -> str:

@@ -474,6 +474,56 @@ def slow_canonical_form(g: Graph) -> bytes:
     return best[0]
 
 
+def zero_root_canonical_search(nbrs) -> tuple[int, list[list[int]], list[int]]:
+    """`rignac.graph.canonical_search` with its root at one cell, all
+    colours zero, so the first refinement pass finds the degree partition;
+    the same pruned search otherwise (certificate, generators, labelling)."""
+    from rignac.graph import _pair_shifts, _refine
+
+    n = len(nbrs)
+    shifts = _pair_shifts(n)
+    gens: list[list[int]] = []
+    first = best = None
+
+    def visit(colours: list[int], cells: int, prefix: list[int]) -> None:
+        nonlocal first, best
+        colours, cells = _refine(nbrs, colours, cells)
+        if cells == n:
+            cert = sum(1 << shifts[p][colours[w]] for v, p in enumerate(colours) for w in nbrs[v] if colours[w] < p)
+            if first is None:
+                first = best = (cert, colours)
+                return
+            ref = first if cert == first[0] else best if cert == best[0] else None
+            if ref is not None:
+                at = [0] * n
+                for v, p in enumerate(colours):
+                    at[p] = v
+                gens.append([at[p] for p in ref[1]])
+            elif cert < best[0]:
+                best = (cert, colours)
+            return
+        target = min(c for c in set(colours) if colours.count(c) > 1)
+        orbit = list(range(n))
+        used = 0
+        explored: list[int] = []
+        for w in [v for v in range(n) if colours[v] == target]:
+            if explored:
+                for gen in gens[used:]:
+                    if all(gen[p] == p for p in prefix):
+                        for v in range(n):
+                            a, b = orbit[v], orbit[gen[v]]
+                            if a != b:
+                                orbit = [a if o == b else o for o in orbit]
+                used = len(gens)
+                if any(orbit[w] == orbit[x] for x in explored):
+                    continue
+            explored.append(w)
+            visit([2 * c + (u != w) for u, c in enumerate(colours)], cells + 1, prefix + [w])
+
+    visit([0] * n, 1, [])
+    return best[0], gens, best[1]
+
+
 def henneberg_extensions(g: Graph) -> list[Graph]:
     """Every 0-extension (new vertex n on a vertex pair) and 1-extension
     (edge xy replaced by new vertex n on x, y and a third vertex z) of g."""

@@ -152,6 +152,38 @@ class TestMembersPlayNoGame:
             assert code == (1 if argv[0] == "nac" else 0) and out, argv
 
 
+class TestOneComponentSearch:
+    """A graph's connected components are searched once and cached on it:
+    a tight non-member under `analyze` reads them at the CLI, in the
+    rigidity report and in the stable-cut search, and `stable-cut
+    --separate` at the CLI and in Algorithm 1."""
+
+    def whole_graph_searches(self, monkeypatch, capsys, argv, g: Graph) -> int:
+        from rignac import graph
+
+        calls = []
+        real = graph.connected_components_without
+
+        def spy(h, removed=()):
+            removed = list(removed)
+            if not removed:
+                calls.append(h)
+            return real(h, removed)
+
+        monkeypatch.setattr(graph, "connected_components_without", spy)
+        code, _, _ = run_cli(monkeypatch, capsys, argv, edge_text(g))
+        assert code == 0, argv
+        return len(calls)
+
+    def test_one_search_per_command(self, monkeypatch, capsys):
+        for g in non_member_graphs().values():
+            assert self.whole_graph_searches(monkeypatch, capsys, ["analyze"], g) == 1
+        for n in (12, 40):
+            g = random_two_body(random.Random(n), n)
+            argv = ["stable-cut", "--separate", "0", str(n - 1)]
+            assert self.whole_graph_searches(monkeypatch, capsys, argv, g) == 1
+
+
 class TestNac:
     def test_count_raw(self, monkeypatch, capsys):
         code, out, _ = run_cli(monkeypatch, capsys, ["nac", "count", "--raw"], PRISM_EDGES)

@@ -91,16 +91,17 @@ def spy_on_states(monkeypatch) -> dict:
     """Record every stride the frontier programme passes and the bit length
     of the widest pair mask it makes."""
     seen: dict = {"strides": set(), "bits": 0}
-    real = colouring._colour_unit
+    real = colouring._colour_level
 
-    def spy(key, colour, level, stride):
-        child = real(key, colour, level, stride)
+    def spy(key, level, stride, colours):
+        children = real(key, level, stride, colours)
         seen["strides"].add(stride)
-        if child is not None:
-            seen["bits"] = max(seen["bits"], child[-2].bit_length(), child[-1].bit_length())
-        return child
+        for child in children:
+            if child is not None:
+                seen["bits"] = max(seen["bits"], child[-2].bit_length(), child[-1].bit_length())
+        return children
 
-    monkeypatch.setattr(colouring, "_colour_unit", spy)
+    monkeypatch.setattr(colouring, "_colour_level", spy)
     return seen
 
 
@@ -670,7 +671,7 @@ class TestUnitOrder:
         for g in graphs:
             order = _vertex_order(g)
             assert order[0] == g.edges[0][0] and sorted(order) == list(range(g.n))
-            units, levels = _frontier_levels(g)
+            units, levels = _frontier_levels(g, triangle_classes(g))
             assert sorted(units) == triangle_classes(g) and len(levels) == len(units)
         assert _vertex_order(Graph.from_edges(3, [])) == [0, 1, 2]
 
@@ -794,7 +795,7 @@ class TestFrontierCounter:
         while done < 4:
             n = rnd.randrange(16, 21)
             g = random_connected_graph(rnd, n, rnd.randrange(2 * n, 3 * n))
-            _, levels = _frontier_levels(g)
+            _, levels = _frontier_levels(g, triangle_classes(g))
             if max(len(level[3]) for level in levels) < 9:
                 continue
             masks = nac_masks(g)
@@ -815,7 +816,7 @@ class TestFrontierCounter:
             name = {0: a, 3: b}
             glued = [(name.get(u, size + u), name.get(v, size + v)) for u, v in piece.edges if (u, v) != (0, 3)]
             g = Graph.from_edges(size + 6, list(tree.edges) + glued)
-            _, levels = _frontier_levels(g)
+            _, levels = _frontier_levels(g, triangle_classes(g))
             assert max(level[0] + len(level[1]) for level in levels) >= size
             assert max(len(level[3]) for level in levels) == 4
             assert _frontier_count(g)[0] == count_nac(g) == count_nac(piece) == 15
@@ -827,6 +828,50 @@ class TestFrontierCounter:
         stats: dict = {}
         assert count_nac(make_2tree(42, 1500), stats) == 0
         assert stats["states"] == 1
+
+    def test_one_unit_counts_zero_without_levels(self, monkeypatch):
+        # a graph whose edges form one triangle class is coloured blue
+        # throughout, so the programme is never laid out
+        def refuse(*args):
+            raise AssertionError("_frontier_levels reached")
+
+        monkeypatch.setattr(colouring, "_frontier_levels", refuse)
+        graphs = [make_2tree(seed, n) for seed in range(3) for n in (3, 5, 9)]
+        graphs += [make_complete(5), make_wheel(7), make_2tree(43, 1500)]
+        for g in graphs:
+            assert len(triangle_classes(g)) == 1
+            stats: dict = {}
+            assert count_nac(g, stats) == 0 and stats["states"] == 1, g.edges
+            assert _frontier_count(g) == (0, 1) and nac_masks(g) == []
+
+    def test_last_unit_with_several_edges_against_brute_force(self, monkeypatch):
+        # the last level only decides acceptance: its unit's edges are
+        # checked against the other colour and its join against the pairs;
+        # both refusals and acceptances there must occur
+        last = {"refused": 0, "accepted": 0}
+        real = colouring._colour_level
+
+        def spy(key, level, stride, colours):
+            children = real(key, level, stride, colours)
+            if not level[3]:
+                last["refused"] += children.count(None)
+                last["accepted"] += len(children) - children.count(None)
+            return children
+
+        monkeypatch.setattr(colouring, "_colour_level", spy)
+        rnd = random.Random(2502)
+        done = 0
+        while done < 60:
+            n = rnd.randrange(5, 9)
+            g = random_connected_graph(rnd, n, rnd.randrange(n, min(14, n * (n - 1) // 2) + 1))
+            units, _ = _frontier_levels(g, triangle_classes(g))
+            if len(units) < 2 or len(units[-1]) < 3:
+                continue
+            want = [mask for mask in range(0, 1 << g.m, 2) if brute_is_nac(g, mask)]
+            assert count_nac(g) == _frontier_count(g)[0] == brute_nnac(g) == len(want), g.edges
+            assert sorted(nac_masks(g)) == want, g.edges
+            done += 1
+        assert min(last.values()) >= 100, last
 
     def test_requires_an_edge(self):
         with pytest.raises(PreconditionError):

@@ -38,6 +38,7 @@ from oracles import (
     random_graph,
     relabelled,
     slow_canonical_form,
+    zero_root_canonical_search,
 )
 
 
@@ -496,6 +497,27 @@ class TestCanonicalSearch:
         edges = set(g.edges)
         for gen in gens:
             assert {(min(gen[u], gen[v]), max(gen[u], gen[v])) for u, v in g.edges} == edges
+
+    def test_degree_partition_root_matches_the_zero_root(self, laman_keys, laman8_keys):
+        # the root's degree partition is what the first refinement pass makes
+        # from all zeros, so certificate, generators and labelling all agree
+        graphs = [parse_graph6(k) for n in laman_keys for k in laman_keys[n]]
+        graphs += [parse_graph6(k) for k in laman8_keys]
+        graphs += [
+            Graph.from_edges(12, [(0, i) for i in range(1, 12)]),
+            Graph.from_edges(12, [(i, j) for i in range(6) for j in range(6, 12)]),
+            Graph.from_edges(12, [(3 * t + a, 3 * t + b) for t in range(4) for a, b in ((0, 1), (0, 2), (1, 2))]),
+        ]
+        # regular graphs, whose degree partition is one cell
+        graphs += [Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 13)]
+        graphs += [Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]), k4(), _petersen()]
+        # isolated vertices
+        graphs += [Graph(5, ()), Graph(1, ()), Graph(6, k4().edges), Graph(9, _petersen().edges[:7])]
+        rnd = random.Random(2501)
+        graphs += [random_graph(rnd, n, rnd.randrange(0, n * (n - 1) // 2 + 1)) for n in (rnd.randrange(1, 13) for _ in range(100))]
+        assert sum(not all(g.adjacency) for g in graphs) >= 10
+        for g in graphs:
+            assert canonical_search(g.adjacency) == zero_root_canonical_search(g.adjacency), g.edges
 
     def test_generators_generate_the_automorphism_group(self, laman_keys):
         graphs = [parse_graph6(k) for k in laman_keys[6]] + _random_graphs(7, 40)
