@@ -27,20 +27,12 @@ from .graph import (
     connected_components_without,
     emit_edge_list,
     emit_graph6,
-    is_connected,
     is_edge_list_text,
     parse_edge_list,
     parse_graph,
     parse_graph6,
 )
-from .rigidity import (
-    gsc_decomposition,
-    member_report,
-    rank,
-    recognize_0extension_graph,
-    recognize_gsc,
-    rigidity_report,
-)
+from .rigidity import gsc_decomposition, rank, recognize_0extension_graph, rigidity_report
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -124,16 +116,14 @@ def _stable_cut_payload(g: Graph, result: Optional[sc.StableCutResult], method: 
 
 def cmd_analyze(args) -> int:
     g = _load_graph(args)
-    connected = is_connected(g)
-    report = {"n": g.n, "m": g.m, "connected": connected}
-    tight = connected and g.m == 2 * g.n - 3
-    # the peel comes first: a member needs no game, no scan and no search
-    dec = gsc_decomposition(g) if tight else None
+    answers = sc.Answers(g)
+    dec = answers.decomposition
+    report = {"n": g.n, "m": g.m, "connected": answers.connected}
     if dec is not None:
         report["blocks"] = 1  # a member has no stable cut, so no cut vertex
     else:
         report["blocks"] = len(blocks(g)) if all(g.adjacency) else None
-    rig = member_report(g.n) if dec is not None else rigidity_report(g)
+    rig = answers.report
     report.update(
         rank=rig.rank,
         rigid=rig.is_rigid,
@@ -143,14 +133,15 @@ def cmd_analyze(args) -> int:
     )
     if dec is not None:
         report["gsc"] = {"member": True, "prisms": dec.prism_count}
-    elif tight:
-        # a tight connected non-member has a stable cut (Le and Pfender)
+    elif g.m == 2 * g.n - 3:
+        # a non-member with 2n-3 edges has a stable cut: the empty one when
+        # it is disconnected, else by Le and Pfender
         report["gsc"] = {"member": False, "reason": "stable cut"}
     else:
         report["gsc"] = {"member": False, "reason": "edge count"}
     # a 2-tree is exactly a member built from triangles alone
     report["two_tree"] = dec is not None and dec.prism_count == 0
-    cut, method = sc.find_stable_cut(g, rig, dec is not None)
+    cut, method = answers.stable_cut
     report["stable_cut"] = None if cut is None else sorted(cut.cut)
     report["stable_cut_method"] = method
     if args.count:
@@ -234,7 +225,7 @@ def cmd_stable_cut(args) -> int:
         result = sc.exhaustive_stable_cut(g)
         _emit(_stable_cut_payload(g, result, "exhaustive"), args)
         return EXIT_OK if result else EXIT_NEGATIVE
-    result, method = sc.find_stable_cut(g)
+    result, method = sc.Answers(g).stable_cut
     payload = _stable_cut_payload(g, result, method)
     if method == "skipped":
         # nothing was proven either way: a refusal, not a negative answer
@@ -334,7 +325,7 @@ def _selftest_rows() -> list[tuple[str, object, object]]:
     rows.append(("gk2-open-steps", 2, recognize_0extension_graph(gk2)[1]))
     rows.append(("two-triangles-blocks", 1, col.count_nac(_two_triangles())))
     rows.append(("upper-bound-n6", 35, col.nnac_upper_bound(6)))
-    rows.append(("prism-gsc-prisms", 1, recognize_gsc(prism).prism_count))
+    rows.append(("prism-gsc-prisms", 1, gsc_decomposition(prism).prism_count))
     entries6 = cat.enumerate_minimally_rigid(6)
     rows.append(("catalog-n6-classes", 13, len(entries6)))
     rows.append(("conjecture-n6-violations", 0, len(cat.check_conjecture_61(entries6))))

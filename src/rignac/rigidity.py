@@ -285,14 +285,6 @@ def rigidity_report(g: Graph) -> RigidityReport:
     )
 
 
-def member_report(n: int) -> RigidityReport:
-    """The rigidity report of a gluing-family member on n >= 2 vertices,
-    with no game.  Every gluing step glues a rigid piece onto an edge or a
-    triangle of a rigid graph, so a member is rigid; it has 2n-3 edges, so
-    it is minimally rigid, and all of it is its one rigid component."""
-    return RigidityReport(2 * n - 3, (frozenset(range(n)),), True, True, False)
-
-
 # ---------------------------------------------------------------------------
 # 2-trees and extensions
 
@@ -633,8 +625,8 @@ def recognize_gsc(g: Graph):
 
     Returns a GscDecomposition on success, else GscNonMembership carrying a
     witness stable cut, which must exist when the edge count matches: the
-    minimum one up to 24 vertices, else None (`find_stable_cut` is the route
-    to a cut at any size).
+    minimum one up to 24 vertices, else None (`stable_cut.Answers` is the
+    route to a cut at any size).
     Per-instance certification is by replaying the decomposition.
     """
     dec = gsc_decomposition(g)

@@ -1,11 +1,13 @@
 """Stable cuts: the contraction algorithm for flexible graphs, the
-avoid-a-vertex variant for 2-connected inputs, and exhaustive search.
+avoid-a-vertex variant for 2-connected inputs, exhaustive search, and
+`Answers`, one record per graph: the peel, then the game, then the search.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations
 from typing import AbstractSet, Iterable, Optional
@@ -18,7 +20,7 @@ from .graph import (
     is_connected,
     is_stable_set,
 )
-from .rigidity import RigidityReport, gsc_decomposition, pebble_game, rigid_components, rigidity_report
+from .rigidity import GscDecomposition, RigidityReport, gsc_decomposition, pebble_game, rigid_components, rigidity_report
 
 EXHAUSTIVE_MAX_VERTICES = 24
 
@@ -323,46 +325,62 @@ def exhaustive_stable_cut(
     return None
 
 
-def find_stable_cut(
-    g: Graph, report: Optional[RigidityReport] = None, member: Optional[bool] = None
-) -> tuple[Optional[StableCutResult], str]:
-    """(stable cut or None, method): the gluing-family peel ("gsc"), a
-    vertex neighbourhood, Algorithm 1 on a flexible graph, then exhaustive
-    search (any size if g is disconnected); "skipped" above its limit
-    proves nothing.
-
-    `report` is g's rigidity report and `member` whether g is in the gluing
-    family, when the caller already has them.  A connected graph with
-    m = 2n-3 has no stable cut exactly when the peel finds a decomposition
-    (Le and Pfender), so a member is answered at once, and when `member` is
-    not given such a graph is peeled before any scan or game.  Algorithm 1
-    runs on the report's rigid components; it plays no second game on g.
-    Exhaustive search must find a cut in a minimally rigid non-member.
+class Answers:
+    """The structural answers about g, each computed on first read and kept.
+    `tight` is connected with m = 2n-3: by Le and Pfender such a graph has
+    no stable cut exactly when the peel finds a decomposition, so only a
+    tight graph is peeled, and a member plays no game and scans nothing.
     """
-    if member:
-        return None, "gsc"
-    connected = g.n >= 2 and is_connected(g)
-    if member is None and connected and g.m == 2 * g.n - 3 and gsc_decomposition(g) is not None:
-        return None, "gsc"
-    for u in range(g.n):
-        nbrs = g.adjacency[u]
-        # deleting N(u) isolates u, so N(u) is a cut iff another vertex is left
-        if g.n >= len(nbrs) + 2 and is_stable_set(g, nbrs):
-            return StableCutResult(cut=frozenset(nbrs)), "neighbourhood"
-    if connected:
-        if report is None:
-            report = rigidity_report(g)
-        if report.is_flexible:
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+        self.connected = is_connected(g)
+        self.tight = self.connected and g.m == 2 * g.n - 3
+
+    @cached_property
+    def decomposition(self) -> Optional[GscDecomposition]:
+        """The gluing-family build script, or None for a non-member."""
+        return gsc_decomposition(self.g) if self.tight else None
+
+    @cached_property
+    def report(self) -> RigidityReport:
+        """The rigidity report.  A member's needs no game: each gluing step
+        glues a rigid piece onto an edge or a triangle of a rigid graph, so a
+        member, with 2n-3 edges, is minimally rigid and one rigid component."""
+        n = self.g.n
+        if self.decomposition is not None:
+            return RigidityReport(2 * n - 3, (frozenset(range(n)),), True, True, False)
+        return rigidity_report(self.g)
+
+    @cached_property
+    def stable_cut(self) -> tuple[Optional[StableCutResult], str]:
+        """(stable cut or None, method): the peel ("gsc"), a vertex
+        neighbourhood, Algorithm 1 on the report's rigid components (no second
+        game), then exhaustive search, at any size if g is disconnected, which
+        must find a cut in a tight non-member; "skipped" proves nothing."""
+        g = self.g
+        if self.decomposition is not None:
+            return None, "gsc"
+        for u in range(g.n):
+            nbrs = g.adjacency[u]
+            # deleting N(u) isolates u, so N(u) is a cut iff another vertex is left
+            if g.n >= len(nbrs) + 2 and is_stable_set(g, nbrs):
+                return StableCutResult(cut=frozenset(nbrs)), "neighbourhood"
+        if self.connected and g.n >= 2 and self.report.is_flexible:
+            comps = self.report.rigid_components
             for u in range(g.n):
-                related = set().union(*(c for c in report.rigid_components if u in c))
+                related = set().union(*(c for c in comps if u in c))
                 v = next((v for v in range(u + 1, g.n) if v not in related), None)
                 if v is not None:
-                    stats = {"calls": 0, "pair_probes": 0}
-                    return _separate(g, report.rigid_components, u, v, stats), "algorithm1"
-    if g.n <= EXHAUSTIVE_MAX_VERTICES or not connected:
-        result = exhaustive_stable_cut(g)
-        # a minimally rigid g is connected with m = 2n-3, and the peel did not take it
-        if result is None and connected and report.is_minimally_rigid:
-            raise RuntimeError("peel failed but no stable cut exists; recognizer is incomplete")
-        return result, "exhaustive"
-    return None, "skipped"
+                    return _separate(g, comps, u, v, {"calls": 0, "pair_probes": 0}), "algorithm1"
+        if g.n <= EXHAUSTIVE_MAX_VERTICES or not self.connected:
+            result = exhaustive_stable_cut(g)
+            if result is None and self.tight:
+                raise RuntimeError("peel failed but no stable cut exists; recognizer is incomplete")
+            return result, "exhaustive"
+        return None, "skipped"
+
+
+def find_stable_cut(g: Graph) -> tuple[Optional[StableCutResult], str]:
+    """`Answers(g).stable_cut`: the cut (or None) and the method that found it."""
+    return Answers(g).stable_cut

@@ -1178,6 +1178,16 @@ def random_two_body(rnd: random.Random, n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def two_trees_with_bars() -> Graph:
+    """Two 40-vertex 2-trees joined by two disjoint bars (m = 2n - 4): no
+    vertex neighbourhood is stable, so Algorithm 1 gives its stable cut."""
+    from rignac.constructions import make_2tree
+
+    left, right = make_2tree(31, 40), make_2tree(32, 40)
+    bars = [(0, 40), (7, 53)]
+    return Graph.from_edges(80, list(left.edges) + [(a + 40, b + 40) for a, b in right.edges] + bars)
+
+
 def non_member_graphs() -> dict[int, Graph]:
     """Minimally rigid graphs outside the gluing family with no stable vertex
     neighbourhood, by vertex count: a 6-vertex base, the base with 30 ears

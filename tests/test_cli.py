@@ -4,10 +4,11 @@ import io
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from rignac import cli, rigidity
+from rignac import cli, rigidity, stable_cut
 from rignac.cli import main
 from rignac.graph import Graph, connected_components, emit_graph6, parse_graph, parse_graph6
 from rignac.constructions import fixtures, make_2tree, make_complete_bipartite, make_gk
@@ -21,6 +22,7 @@ from oracles import (
     random_graph,
     random_prism_chain,
     random_two_body,
+    two_trees_with_bars,
 )
 
 
@@ -62,6 +64,9 @@ PRISM_GLUED_NON_MEMBER_EDGES = NON_MEMBER_EDGES + "".join(
     f"\n0 {p}\n1 {p}\n{q} {r}\n{r} {t}\n{q} {t}\n0 {q}\n1 {r}\n{p} {t}"
     for p, q, r, t in ((w, w + 1, w + 2, w + 3) for w in range(6, 166, 4))
 )
+
+# K5 and a disjoint edge: m = 2n - 3, but not connected
+K5_K2 = Graph.from_edges(7, [(a, b) for a in range(5) for b in range(a + 1, 5)] + [(5, 6)])
 
 
 class TestAnalyze:
@@ -109,6 +114,15 @@ class TestAnalyze:
         assert report["gsc"] == {"member": False, "reason": "stable cut"}
         assert report["stable_cut"] == [2, 5] and report["stable_cut_method"] == "exhaustive"
 
+    def test_disconnected_graph_with_2n_minus_3_edges_has_a_cut(self, monkeypatch, capsys):
+        # the edge count matches, and the empty set (among others) is a
+        # stable cut, so the gluing-family reason is the cut
+        code, out, _ = run_cli(monkeypatch, capsys, ["analyze"], edge_text(K5_K2))
+        report = json.loads(out)
+        assert code == 0 and not report["connected"] and (report["n"], report["m"]) == (7, 11)
+        assert report["gsc"] == {"member": False, "reason": "stable cut"}
+        assert report["stable_cut"] is not None
+
     def test_large_non_member_needs_no_witness_search(self, monkeypatch, capsys):
         g, _ = make_gk(12)  # 26 vertices, above the exhaustive search limit
         code, out, _ = run_cli(monkeypatch, capsys, ["analyze"], edge_text(g))
@@ -120,26 +134,61 @@ class TestAnalyze:
 
 class TestMembersPlayNoGame:
     """The peel answers for gluing-family members: `analyze`, `stable-cut`
-    and `nac construct` play the pebble game only on non-members."""
+    and `nac construct` play the pebble game only on non-members, and each
+    peels and plays at most once per graph."""
 
     COMMANDS = (["analyze"], ["stable-cut"], ["nac", "construct"])
 
-    def games(self, monkeypatch, capsys, argv, g: Graph) -> int:
-        played = []
-        real = rigidity.pebble_game
-        monkeypatch.setattr(rigidity, "pebble_game", lambda h: played.append(h) or real(h))
+    def peels_and_games(self, monkeypatch, capsys, argv, g: Graph) -> tuple[int, int]:
+        """Peels of g and pebble games on g; Algorithm 1's pin-graph games
+        are on other graphs and are not counted."""
+        calls = Counter()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(h):
+                calls[name] += h == g
+                return real(h)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(rigidity, "_peel")
+        spy(rigidity, "pebble_game")
+        spy(stable_cut, "pebble_game")
         run_cli(monkeypatch, capsys, argv, edge_text(g))
-        return len(played)
+        return calls["_peel"], calls["pebble_game"]
 
     def test_members(self, monkeypatch, capsys):
         for g in (make_2tree(61, 40), random_prism_chain(random.Random(62), 5)):
             for argv in self.COMMANDS:
-                assert self.games(monkeypatch, capsys, argv, g) == 0, argv
+                assert self.peels_and_games(monkeypatch, capsys, argv, g) == (1, 0), argv
 
     def test_minimally_rigid_non_member(self, monkeypatch, capsys):
         g = non_member_graphs()[6]
         for argv in self.COMMANDS:
-            assert self.games(monkeypatch, capsys, argv, g) == 1, argv
+            assert self.peels_and_games(monkeypatch, capsys, argv, g) == (1, 1), argv
+
+    def test_flexible_graph_answered_by_algorithm1(self, monkeypatch, capsys):
+        # m = 2n - 4, so nothing is peeled; the one game gives the components
+        g = two_trees_with_bars()
+        for argv in self.COMMANDS:
+            assert self.peels_and_games(monkeypatch, capsys, argv, g) == (0, 1), argv
+        _, out, _ = run_cli(monkeypatch, capsys, ["stable-cut"], edge_text(g))
+        assert json.loads(out)["method"] == "algorithm1"
+
+    def test_stable_neighbourhood_needs_no_game(self, monkeypatch, capsys):
+        # a tight non-member whose cut is a vertex neighbourhood: `stable-cut`
+        # never reads the rigidity report, so the record plays no game for it
+        g, _ = make_gk(2)
+        assert self.peels_and_games(monkeypatch, capsys, ["stable-cut"], g) == (1, 0)
+        assert self.peels_and_games(monkeypatch, capsys, ["analyze"], g) == (1, 1)
+        assert self.peels_and_games(monkeypatch, capsys, ["nac", "construct"], g) == (1, 1)
+
+    def test_disconnected_graph_is_not_peeled(self, monkeypatch, capsys):
+        want = {"analyze": (0, 1), "stable-cut": (0, 0), "nac": (0, 1)}
+        for argv in self.COMMANDS:
+            assert self.peels_and_games(monkeypatch, capsys, argv, K5_K2) == want[argv[0]], argv
 
     def test_16000_vertex_2tree(self, monkeypatch, capsys):
         g = make_2tree(7, 16000)

@@ -19,7 +19,7 @@ from rignac.stable_cut import (
     is_biconnected,
     stable_cut_avoiding,
 )
-from rignac.constructions import make_2tree, make_cycle, make_gk, make_path
+from rignac.constructions import make_cycle, make_gk, make_path
 
 from oracles import (
     brute_stable_cuts,
@@ -30,6 +30,7 @@ from oracles import (
     random_two_body,
     remove_edge_index,
     slow_alg1,
+    two_trees_with_bars,
 )
 
 
@@ -506,12 +507,11 @@ class TestAvoiding:
 
 class TestFindStableCut:
     def test_flexible_branch_plays_no_second_game(self, monkeypatch):
-        # two 2-trees joined by two bars: no vertex neighbourhood is stable,
-        # so Algorithm 1 answers, on the rigid components of the report
-        left, right = make_2tree(31, 40), make_2tree(32, 40)
-        bars = [(0, 40), (7, 53)]
-        g = Graph.from_edges(80, list(left.edges) + [(a + 40, b + 40) for a, b in right.edges] + bars)
-        report = rigidity_report(g)
+        # no vertex neighbourhood is stable, so Algorithm 1 answers, on the
+        # rigid components of the record's report
+        g = two_trees_with_bars()
+        answers = stable_cut.Answers(g)
+        report = answers.report
         games = []
 
         def counted(h):
@@ -520,10 +520,12 @@ class TestFindStableCut:
             return pebble_game(h)
 
         monkeypatch.setattr("rignac.stable_cut.pebble_game", counted)
-        result, method = find_stable_cut(g, report)
-        assert method == "algorithm1" and games == []
+        monkeypatch.setattr("rignac.rigidity.pebble_game", counted)
+        result, method = answers.stable_cut
+        assert method == "algorithm1" and games == [] and answers.report is report
         u, v = result.separated_pair
         assert result == algorithm1_stable_cut(g, u, v) and len(games) == 1
+        assert find_stable_cut(g) == (result, method)
 
 
 class TestExhaustive:
