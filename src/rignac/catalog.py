@@ -48,13 +48,13 @@ class CatalogEntry:
 
 
 def _nnac(g6: str) -> int:
-    """The number of NAC-colourings of the class with key g6: the one
-    per-class count of the histogram and of `_classify`."""
+    """The number of NAC-colourings of the class with key g6: `_nnacs`
+    runs it once per closed-ear root."""
     return count_nac(parse_graph6(g6))
 
 
-def _classify(g6: str) -> CatalogEntry:
-    nnac = _nnac(g6)
+def _classify(item: tuple[str, int]) -> CatalogEntry:
+    g6, nnac = item
     g = parse_graph6(g6)
     dec = gsc_decomposition(g)
     member = dec is not None
@@ -133,11 +133,13 @@ def _deletable(nbrs: list[list[int]]) -> list[int]:
     return [v for v, t in inv.items() if t == top]
 
 
-def _henneberg_children(parent: tuple[str, tuple]) -> dict[str, tuple]:
+def _henneberg_children(parent: tuple[str, tuple]) -> tuple[dict[str, tuple], dict[str, str]]:
     """Keys and generators (`_search_key`) of the one-vertex extensions of
     the tight graph parent (a key and its generators) whose new vertex passes
     the canonical-deletion filter (`_deletable`): 0-extensions, and
     1-extensions whose child has no degree-2 vertex.  Only those are searched.
+    Second, each of these children that a 0-extension on an edge of the
+    parent (a closed ear) forms, mapped to the parent's key (`_nnacs`).
 
     Automorphic extensions give isomorphic children, so one choice per orbit
     of the parent's automorphism group is extended.
@@ -173,15 +175,16 @@ def _henneberg_children(parent: tuple[str, tuple]) -> dict[str, tuple]:
         child = [list(a) for a in adj] + [[u, v]]
         child[u].append(n)
         child[v].append(n)
-        grown.append(child)
+        grown.append((child, g.has_edge(u, v)))
     for x, y, z in triples:
         child = [list(a) for a in adj] + [[x, y, z]]
         child[x].remove(y)
         child[y].remove(x)
         for w in (x, y, z):
             child[w].append(n)
-        grown.append(child)
-    return dict(_search_key(child) for child in grown if n in _deletable(child))
+        grown.append((child, False))
+    kept = [(_search_key(child), ear) for child, ear in grown if n in _deletable(child)]
+    return dict(key for key, _ in kept), {key[0]: g6 for key, ear in kept if ear}
 
 
 def _fan_out(fn: Callable, items: list, workers: int) -> Iterator:
@@ -198,6 +201,11 @@ def _fan_out(fn: Callable, items: list, workers: int) -> Iterator:
         yield from map(fn, items)
 
 
+class _Level(list):
+    """Sorted keys, and `root`: a class that a closed ear reaches maps to the
+    end of its chain of closed-ear parents (`_henneberg_children`)."""
+
+
 def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) -> list[str]:
     """Canonical graph6 keys of all minimally rigid isomorphism classes.
 
@@ -210,7 +218,8 @@ def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) 
     searched once: a level is a dict from key to the automorphism generators
     that the next level's orbit choices need, and the last level keeps keys
     only.  Generation can fan out over parent graphs; per-parent children are
-    merged, and the sorted output is identical for every worker count.
+    merged, and the sorted output is identical for every worker count.  The
+    list carries each class's closed-ear root (`_Level`) for `_nnacs`.
     """
     limit = OPT_IN_MAX_N if allow_large else DEFAULT_MAX_N
     if not 3 <= n <= limit:
@@ -218,24 +227,44 @@ def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) 
             f"catalog supports 3 <= n <= {limit}"
             + ("" if allow_large else f" ({OPT_IN_MAX_N} behind allow_large)")
         )
-    level = dict([_search_key([[1, 2], [0, 2], [0, 1]])])
+    level, root = dict([_search_key([[1, 2], [0, 2], [0, 1]])]), {}
     for size in range(4, n + 1):
-        nxt: dict = {}
-        for children in _fan_out(_henneberg_children, sorted(level.items()), workers):
+        nxt, below, root = {}, root, {}
+        for children, closed in _fan_out(_henneberg_children, sorted(level.items()), workers):
             nxt.update(children if size < n else dict.fromkeys(children))
+            root.update((key, below.get(p, p)) for key, p in closed.items())
         level = nxt
     for g6 in level:
         g = parse_graph6(g6)
         if g.m != 2 * g.n - 3 or rank(g) != 2 * g.n - 3:
             raise RuntimeError(f"generated class {g6} is not minimally rigid")
-    return sorted(level)
+    keys = _Level(sorted(level))
+    keys.root = root
+    return keys
+
+
+def _nnacs(keys: _Level, workers: int) -> list[int]:
+    """The NAC counts of keys, in order: `count_nac` runs once per distinct
+    closed-ear root, fanned out over the sorted roots; a class takes its root's.
+
+    Lemma: if w has degree 2 and adjacent neighbours a, b, nnac(G) =
+    nnac(G - w).  A NAC-colouring gives a triangle one colour (Grasegger,
+    Legerský and Schicho), so restriction to G - w is a bijection whose
+    inverse colours wa and wb as ab: a cycle through w but not ab, closed
+    by ab instead, is a cycle of G - w with one edge of ab's colour fewer,
+    so if that one is monochromatic or has two edges of each, so has it."""
+    roots = [keys.root.get(k, k) for k in keys]
+    distinct = sorted(set(roots))
+    nnac = dict(zip(distinct, _fan_out(_nnac, distinct, workers)))
+    return [nnac[r] for r in roots]
 
 
 def enumerate_minimally_rigid(
     n: int, allow_large: bool = False, workers: int = 1
 ) -> list[CatalogEntry]:
+    """Every class classified in full, with its NAC count from `_nnacs`."""
     keys = minimally_rigid_graph6(n, allow_large, workers)
-    return list(_fan_out(_classify, keys, workers))
+    return list(_fan_out(_classify, list(zip(keys, _nnacs(keys, workers))), workers))
 
 
 def _fold(counts: Iterable[int]) -> tuple[dict[int, int], int]:
@@ -258,15 +287,14 @@ def histogram_report(
 ) -> dict:
     """Histogram plus a flagged comparison against published 6-vertex counts.
 
-    Without `entries` it classifies nothing: it counts the NAC-colourings of
-    each class, fanned out over `workers` processes as in
-    `enumerate_minimally_rigid`.  The published reference counts for 6
-    vertices sum to 14 classes while regeneration is the arbiter; any
-    per-bucket deviation is reported, never silently dropped.
+    Without `entries` it classifies nothing: it reads the NAC counts of
+    `_nnacs`, one `count_nac` per closed-ear root fanned out over `workers`
+    processes.  The published reference counts for 6 vertices sum to 14
+    classes while regeneration is the arbiter; any per-bucket deviation is
+    reported, never silently dropped.
     """
     if entries is None:
-        keys = minimally_rigid_graph6(n, allow_large, workers)
-        hist, mx = _fold(_fan_out(_nnac, keys, workers))
+        hist, mx = _fold(_nnacs(minimally_rigid_graph6(n, allow_large, workers), workers))
     else:
         hist, mx = nnac_histogram(entries)
     report = {

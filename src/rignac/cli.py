@@ -109,7 +109,7 @@ def _stable_cut_payload(g: Graph, result: Optional[sc.StableCutResult], method: 
         "cut": sorted(result.cut),
         "separates": list(result.separated_pair) if result.separated_pair else None,
         "avoids": result.avoided_vertex,
-        "components_after_removal": len(connected_components_without(g, result.cut)),
+        "components_after_removal": result.components or len(connected_components_without(g, result.cut)),
         "method": method,
     }
 

@@ -6,7 +6,7 @@ avoid-a-vertex variant for 2-connected inputs, exhaustive search, and
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations
@@ -32,6 +32,7 @@ class StableCutResult:
     cut: frozenset[int]
     separated_pair: Optional[tuple[int, int]] = None
     avoided_vertex: Optional[int] = None
+    components: Optional[int] = field(default=None, compare=False)  # of g - cut, if the search counted them
 
 
 def _validate_result(g: Graph, result: StableCutResult) -> StableCutResult:
@@ -47,7 +48,7 @@ def _validate_result(g: Graph, result: StableCutResult) -> StableCutResult:
             raise RuntimeError(f"cut fails to separate {u} and {v}")
     if result.avoided_vertex is not None and result.avoided_vertex in result.cut:
         raise RuntimeError("cut contains the vertex it must avoid")
-    return result
+    return replace(result, components=len(comps))
 
 
 def _membership(comps: Iterable[Iterable[int]]) -> dict[int, set[int]]:
@@ -321,6 +322,7 @@ def exhaustive_stable_cut(
                 cut=s,
                 separated_pair=separate,
                 avoided_vertex=avoid,
+                components=len(comps),
             )
     return None
 

@@ -30,7 +30,7 @@ from rignac.rigidity import rank
 from rignac.constructions import make_complete_bipartite
 from rignac.stable_cut import exhaustive_stable_cut
 
-from oracles import slow_henneberg_children, slow_minimally_rigid_graph6
+from oracles import remove_vertices, slow_henneberg_children, slow_minimally_rigid_graph6
 
 # sha256 of the sorted keys joined by newlines
 KEYS_SHA256 = {
@@ -95,15 +95,23 @@ class TestGeneration:
         # one extension per orbit of the parent's automorphisms, and no edge
         # split whose child has a degree-2 vertex, loses no class of the level;
         # the returned keys are plain strings, so the parent's generators come
-        # from a fresh search
+        # from a fresh search; a child linked to the parent loses a closed ear
+        # that passes the deletion filter and gives the parent back
         for n in range(3, 8):
             union, slow_union = set(), set()
             for key in laman_keys[n]:
                 g = parse_graph6(key)
                 parent = _search_key([sorted(a) for a in g.adjacency])
                 assert parent[0] == key
-                children, slow = set(_henneberg_children(parent)), slow_henneberg_children(g)
+                children, closed = _henneberg_children(parent)
+                children, slow = set(children), slow_henneberg_children(g)
                 assert children <= slow, key
+                for child, p in closed.items():
+                    c = parse_graph6(child)
+                    nbrs = [sorted(a) for a in c.adjacency]
+                    ears = [w for w in _deletable(nbrs) if len(nbrs[w]) == 2 and c.has_edge(*nbrs[w])]
+                    assert p == key and child in children
+                    assert any(canonical_form(remove_vertices(c, [w])[0]).decode() == key for w in ears), child
                 union |= children
                 slow_union |= slow
             assert union == slow_union, n
@@ -148,6 +156,26 @@ class TestGeneration:
         assert searches == 830
         assert _digest(keys) == KEYS_SHA256[8]
 
+    @staticmethod
+    def _counted_histogram(monkeypatch, n: int) -> tuple[dict, int]:
+        import rignac.catalog as catalog
+
+        calls = []
+        count = catalog.count_nac
+
+        def counted(g):
+            calls.append(g)
+            return count(g)
+
+        monkeypatch.setattr(catalog, "count_nac", counted)
+        return histogram_report(n, allow_large=True), len(calls)
+
+    def test_histogram_count_nac_calls_n8(self, monkeypatch):
+        # deterministic: one count per closed-ear root; one per class takes 608
+        report, counts = self._counted_histogram(monkeypatch, 8)
+        assert report["classes"] == 608
+        assert counts == 284
+
     def test_keys_leave_as_plain_strings(self, laman_keys, laman8_keys):
         # the generators a key carries inside generation stay there
         assert all(type(k) is str for n in range(3, 8) for k in laman_keys[n])
@@ -159,6 +187,16 @@ class TestGeneration:
         assert len(keys) == 7222
         assert searches == 9748
         assert _digest(keys) == KEYS_SHA256[9]
+
+    @pytest.mark.skipif(
+        not os.environ.get("RIGNAC_LARGE_TESTS"),
+        reason="opt-in: ~5 s (set RIGNAC_LARGE_TESTS=1)",
+    )
+    def test_histogram_count_nac_calls_n9(self, monkeypatch):
+        # one count per closed-ear root; one per class takes 7 222
+        report, counts = self._counted_histogram(monkeypatch, 9)
+        assert report["histogram"] == {str(k): v for k, v in sorted(PUBLISHED_HISTOGRAM_9.items())}
+        assert counts == 3491
 
     def test_deletion_filter_commutes_with_relabelling(self, laman_keys, laman8_keys):
         # the filter reads the graph, not its vertex ids, so a child's new

@@ -232,6 +232,25 @@ class TestOneComponentSearch:
             argv = ["stable-cut", "--separate", "0", str(n - 1)]
             assert self.whole_graph_searches(monkeypatch, capsys, argv, g) == 1
 
+    def test_stable_cut_searches_g_minus_the_cut_once(self, monkeypatch, capsys):
+        # the validated result carries its component count to the payload
+        from rignac import graph
+
+        removed_sets = []
+        real = graph.connected_components_without
+
+        def spy(h, removed=()):
+            removed_sets.append(frozenset(removed))
+            return real(h, removed)
+
+        for module in (graph, stable_cut, cli):
+            monkeypatch.setattr(module, "connected_components_without", spy)
+        argv = ["stable-cut", "--separate", "0", "79"]
+        code, out, _ = run_cli(monkeypatch, capsys, argv, edge_text(two_trees_with_bars()))
+        payload = json.loads(out)
+        assert code == 0 and payload["method"] == "algorithm1" and payload["components_after_removal"] == 2
+        assert [s for s in removed_sets if s] == [frozenset(payload["cut"])]
+
 
 class TestNac:
     def test_count_raw(self, monkeypatch, capsys):
