@@ -194,12 +194,11 @@ def cmd_nac(args) -> int:
 
 def cmd_nap(args) -> int:
     g = _load_graph(args)
-    masks = col.nap_masks(g)
     if args.action == "exists":
-        found = next(masks, None) is not None
+        found = col.has_nap_colouring(g)
         _emit("true" if found else "false", args)
         return EXIT_OK if found else EXIT_NEGATIVE
-    _write_listing(args, masks, g.m)
+    _write_listing(args, col.nap_masks(g), g.m)
     return EXIT_OK
 
 
@@ -225,14 +224,12 @@ def cmd_stable_cut(args) -> int:
         result = sc.exhaustive_stable_cut(g)
         _emit(_stable_cut_payload(g, result, "exhaustive"), args)
         return EXIT_OK if result else EXIT_NEGATIVE
-    result, method = sc.Answers(g).stable_cut
+    answers = sc.Answers(g)
+    result, method = answers.stable_cut
     payload = _stable_cut_payload(g, result, method)
     if method == "skipped":
         # nothing was proven either way: a refusal, not a negative answer
-        payload["reason"] = (
-            "no stable cut found without exhaustive search, which is limited to "
-            f"{sc.EXHAUSTIVE_MAX_VERTICES} vertices"
-        )
+        payload["reason"] = answers.refusal
         _emit(payload, args)
         return EXIT_PRECONDITION
     _emit(payload, args)

@@ -8,26 +8,24 @@ colour-swap involution.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 from math import comb
 from operator import getitem
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .graph import (
     Graph,
     PreconditionError,
     Separation,
+    _vertex_order,
     blocks,
     connected_components_without,
     induced_subgraph,
     is_stable_set,
 )
-from .stable_cut import EXHAUSTIVE_MAX_VERTICES, Answers
+from .stable_cut import BLUE, MIXED, RED, Answers, _labellings
 
-RED = 1
-BLUE = 0
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
@@ -146,39 +144,16 @@ def is_nac(g: Graph, c: EdgeColouring) -> bool:
 def is_nap(g: Graph, c: EdgeColouring) -> bool:
     """Surjective, all triangles monochromatic, no alternating 3-edge path.
 
-    Equivalent endvertex criterion: every edge has an endpoint all of whose
-    incident edges share one colour.  Tested on the red-edge mask by the
-    predicate that `nap_masks` filters with.
+    Equivalent endvertex criterion: no edge joins two mixed vertices, those
+    with red edges and blue edges.
     """
     _check_length(g, c)
-    return _nap_predicate(g)(c.mask)
-
-
-def _nap_predicate(g: Graph) -> Callable[[int], bool]:
-    """Whether a red-edge mask of g is a NAP-colouring.
-
-    `inc[v]` is the mask of the edges at v, so v is mixed (sees both
-    colours) exactly when `0 < mask & inc[v] < inc[v]`; a surjective mask
-    is NAP when no edge joins two mixed vertices.  The masks are built
-    once, and each test costs O(n + m) with no per-edge bit test.
-    """
-    inc = [0] * g.n
-    for i, (u, v) in enumerate(g.edges):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
-    full = (1 << g.m) - 1
-    edges = g.edges
-
-    def nap(mask: int) -> bool:
-        if not 0 < mask < full:
-            return False
-        mixed = [0 < mask & x < x for x in inc]
-        for u, v in edges:
-            if mixed[u] and mixed[v]:
-                return False
-        return True
-
-    return nap
+    reds = [0] * g.n  # red edges at each vertex
+    for i in c.red_edges():
+        for x in g.edges[i]:
+            reds[x] += 1
+    mixed = [0 < reds[x] < len(g.adjacency[x]) for x in range(g.n)]
+    return c.is_surjective() and not any(mixed[u] and mixed[v] for u, v in g.edges)
 
 
 def nap_from_separation(g: Graph, sep: Separation) -> EdgeColouring:
@@ -246,59 +221,6 @@ def triangle_classes(g: Graph) -> list[list[int]]:
     for i in range(g.m):
         classes.setdefault(find(i), []).append(i)
     return list(classes.values())
-
-
-def _vertex_order(g: Graph) -> list[int]:
-    """A greedy vertex order that keeps the frontier small.
-
-    The frontier is the set of visited vertices with an unvisited
-    neighbour.  The order starts at the first endpoint of edge 0, then
-    repeatedly takes the unvisited vertex whose arrival grows the frontier
-    least, ties going to more visited neighbours and then to the smaller
-    index: the vertex-separation heuristic of frontier-based search
-    (Kawahara, Inoue, Iwashita and Minato, IEICE Trans. Fundamentals 2017).
-    A heap holds each vertex's key and gets a fresh entry whenever the key
-    changes; stale entries are skipped, so the order costs O(m log m).
-    """
-    adj = g.adjacency
-    unseen = [len(adj[v]) for v in range(g.n)]  # unvisited neighbours
-    closing = [0] * g.n  # visited neighbours whose last unvisited neighbour v is
-    visited = [False] * g.n
-    order: list[int] = []
-
-    def key(v: int) -> tuple[int, int, int]:
-        return ((unseen[v] > 0) - closing[v], unseen[v] - len(adj[v]), v)
-
-    def last_unvisited(w: int) -> int:
-        return next(x for x in adj[w] if not visited[x])
-
-    def visit(v: int) -> None:
-        visited[v] = True
-        order.append(v)
-        changed = []
-        for w in adj[v]:
-            unseen[w] -= 1
-            if not visited[w]:
-                changed.append(w)
-            elif unseen[w] == 1:
-                changed.append(last_unvisited(w))
-                closing[changed[-1]] += 1
-        if unseen[v] == 1:
-            changed.append(last_unvisited(v))
-            closing[changed[-1]] += 1
-        for w in changed:
-            heapq.heappush(heap, key(w))
-
-    heap = [key(v) for v in range(g.n)]
-    heapq.heapify(heap)
-    if g.m:
-        visit(g.edges[0][0])
-    while heap:
-        entry = heapq.heappop(heap)
-        v = entry[2]
-        if not visited[v] and entry == key(v):
-            visit(v)
-    return order
 
 
 def _frontier_levels(g: Graph, classes: list[list[int]]) -> tuple[list[list[int]], list[tuple]]:
@@ -483,25 +405,22 @@ def _frontier_count(g: Graph) -> tuple[int, int]:
     return states.get((1, 0, 0), 0), expanded
 
 
-def _frontier_masks(g: Graph, first_only: bool) -> tuple[list[int], int]:
-    """(red-edge masks of the NAC-colourings with edge 0 blue, states expanded).
-
-    Each path of back-links from the accepting final state to the start
-    spells one colouring, and distinct paths spell distinct colourings.
-    The paths are walked backwards a level at a time, keeping for each
-    state the masks of the accepting path suffixes that start there, one
-    mask per path (only the first path with `first_only`); grouping by
-    state keeps no per-path record besides the mask.  The masks come out
-    in the order of an edge-by-edge search that tries red before blue:
-    descending by the mask read with edge 0 as its highest bit.
+def _spell(links: list, reds: list[int], states: dict, accept: tuple, first_only: bool, m: int) -> list[int]:
+    """The sorted red-edge masks that a programme's back-links `links` (as
+    `_frontier_pass` fills them) spell on the paths from its final state
+    `accept` to the start; a step of colour 1 into level k adds the edges
+    `reds[k]`, and distinct paths spell distinct colourings.  The paths are
+    walked backwards a level at a time, keeping for each state the masks of
+    the accepting path suffixes that start there, one mask per path (only
+    the first path with `first_only`); grouping by state keeps no per-path
+    record besides the mask.  The masks come out in the order of an
+    edge-by-edge search that tries red before blue: descending by the mask
+    read with edge 0 as its highest bit.
     """
-    links: list[list[list[int]]] = []
-    units, states, expanded = _frontier_pass(g, links)
-    suffixes = {j: [0] for j, key in enumerate(states) if key == (1, 0, 0)}
-    for unit in reversed(units):
+    suffixes = {j: [0] for j, key in enumerate(states) if key == accept}
+    for red in reversed(reds):
         if first_only:
             suffixes = {j: tails[:1] for j, tails in list(suffixes.items())[:1]}
-        red = sum(1 << i for i in unit)
         back = links.pop()
         prev: dict[int, list[int]] = {}
         for j, tails in suffixes.items():
@@ -509,12 +428,21 @@ def _frontier_masks(g: Graph, first_only: bool) -> tuple[list[int], int]:
                 prev.setdefault(link >> 1, []).extend([mask | red for mask in tails] if link & 1 else tails)
         suffixes = prev
     masks = suffixes.get(0, [])[: 1 if first_only else None]
-    size = (g.m + 7) // 8  # bits reversed over whole bytes sort as the m-bit reversal does
+    size = (m + 7) // 8  # bits reversed over whole bytes sort as the m-bit reversal does
     masks.sort(
         key=lambda mask: int.from_bytes(mask.to_bytes(size, "little").translate(_BIT_REVERSED), "big"),
         reverse=True,
     )
-    return masks, expanded
+    return masks
+
+
+def _frontier_masks(g: Graph, first_only: bool) -> tuple[list[int], int]:
+    """(red-edge masks of the NAC-colourings with edge 0 blue, states
+    expanded), spelled from `_frontier_pass`'s back-links."""
+    links: list[list[list[int]]] = []
+    units, states, expanded = _frontier_pass(g, links)
+    reds = [sum(1 << i for i in unit) for unit in units]
+    return _spell(links, reds, states, (1, 0, 0), first_only, g.m), expanded
 
 
 def enumerate_nac(
@@ -573,10 +501,28 @@ def nac_masks(g: Graph) -> list[int]:
     return _frontier_masks(g, False)[0]
 
 
-def nap_masks(g: Graph) -> Iterator[int]:
-    """`nac_masks` filtered lazily to the NAP-colourings, which are all
-    NAC-colourings; the filter stops where the caller stops reading."""
-    return filter(_nap_predicate(g), nac_masks(g))
+def _nap_labellings(g: Graph, links: Optional[list] = None) -> tuple[list[int], dict[tuple, int]]:
+    """`stable_cut._labellings` with edge 0 blue: both its ends blue or mixed."""
+    if g.m < 1:
+        raise PreconditionError("enumeration requires at least one edge")
+    return _labellings(g, dict.fromkeys(g.edges[0], (BLUE, MIXED)), links)
+
+
+def nap_masks(g: Graph) -> list[int]:
+    """Red-edge masks of the NAP-colourings with edge 0 blue, in the order
+    of `nac_masks`.  They are the labellings of `stable_cut._labellings`
+    read at the edges, where an edge is red exactly when an end is, so a
+    red vertex adds the edges at it to the mask."""
+    links: list[list[list[int]]] = []
+    order, states = _nap_labellings(g, links)
+    index = g.edge_index
+    reds = [sum(1 << index[min(v, w), max(v, w)] for w in g.adjacency[v]) for v in order]
+    return _spell(links, reds, states, (3,), False, g.m)
+
+
+def has_nap_colouring(g: Graph) -> bool:
+    """Whether g has a NAP-colouring: one labelling pass, with no listing."""
+    return (3,) in _nap_labellings(g)[1]
 
 
 def count_nac(g: Graph, stats: Optional[dict] = None) -> int:
@@ -663,7 +609,8 @@ def construct_nac_minimally_rigid(g: Graph):
     prism is a 2-tree, any other is coloured from its decomposition,
     whatever its size.  Only a graph that the peel does not take is checked
     for minimal rigidity by a game, and a minimally rigid non-member's
-    stable cut gives a NAP-colouring.
+    stable cut gives a NAP-colouring; where the cut search is "skipped" the
+    graph is refused with `Answers.refusal`.
     """
     answers = Answers(g)
     dec = answers.decomposition
@@ -675,7 +622,7 @@ def construct_nac_minimally_rigid(g: Graph):
         raise PreconditionError("input graph is not minimally rigid")
     result, _ = answers.stable_cut
     if result is None:
-        raise PreconditionError(f"exhaustive search limited to {EXHAUSTIVE_MAX_VERTICES} vertices, got {g.n}")
+        raise PreconditionError(answers.refusal)
     return nap_from_separation(g, separation_from_stable_cut(g, result.cut))
 
 

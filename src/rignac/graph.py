@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 
@@ -338,6 +339,59 @@ def blocks(g: Graph) -> list[frozenset[int]]:
                         result.append(block)
     result.sort(key=min)
     return [frozenset(b) for b in result]
+
+
+def _vertex_order(g: Graph) -> list[int]:
+    """A greedy vertex order that keeps the frontier small.
+
+    The frontier is the set of visited vertices with an unvisited
+    neighbour.  The order starts at the first endpoint of edge 0, then
+    repeatedly takes the unvisited vertex whose arrival grows the frontier
+    least, ties going to more visited neighbours and then to the smaller
+    index: the vertex-separation heuristic of frontier-based search
+    (Kawahara, Inoue, Iwashita and Minato, IEICE Trans. Fundamentals 2017).
+    A heap holds each vertex's key and gets a fresh entry whenever the key
+    changes; stale entries are skipped, so the order costs O(m log m).
+    """
+    adj = g.adjacency
+    unseen = [len(adj[v]) for v in range(g.n)]  # unvisited neighbours
+    closing = [0] * g.n  # visited neighbours whose last unvisited neighbour v is
+    visited = [False] * g.n
+    order: list[int] = []
+
+    def key(v: int) -> tuple[int, int, int]:
+        return ((unseen[v] > 0) - closing[v], unseen[v] - len(adj[v]), v)
+
+    def last_unvisited(w: int) -> int:
+        return next(x for x in adj[w] if not visited[x])
+
+    def visit(v: int) -> None:
+        visited[v] = True
+        order.append(v)
+        changed = []
+        for w in adj[v]:
+            unseen[w] -= 1
+            if not visited[w]:
+                changed.append(w)
+            elif unseen[w] == 1:
+                changed.append(last_unvisited(w))
+                closing[changed[-1]] += 1
+        if unseen[v] == 1:
+            changed.append(last_unvisited(v))
+            closing[changed[-1]] += 1
+        for w in changed:
+            heappush(heap, key(w))
+
+    heap = [key(v) for v in range(g.n)]
+    heapify(heap)
+    if g.m:
+        visit(g.edges[0][0])
+    while heap:
+        entry = heappop(heap)
+        v = entry[2]
+        if not visited[v] and entry == key(v):
+            visit(v)
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -625,8 +625,8 @@ def recognize_gsc(g: Graph):
 
     Returns a GscDecomposition on success, else GscNonMembership carrying a
     witness stable cut, which must exist when the edge count matches: the
-    minimum one up to 24 vertices, else None (`stable_cut.Answers` is the
-    route to a cut at any size).
+    minimum one, from `stable_cut.exhaustive_stable_cut`, which raises
+    PreconditionError past its state budget.
     Per-instance certification is by replaying the decomposition.
     """
     dec = gsc_decomposition(g)
@@ -634,10 +634,8 @@ def recognize_gsc(g: Graph):
         return dec
     if g.m != 2 * g.n - 3:
         return GscNonMembership("edge count")
-    from .stable_cut import EXHAUSTIVE_MAX_VERTICES, exhaustive_stable_cut
+    from .stable_cut import exhaustive_stable_cut
 
-    if g.n > EXHAUSTIVE_MAX_VERTICES:
-        return GscNonMembership("stable cut")
     witness = exhaustive_stable_cut(g)
     if witness is None:
         raise RuntimeError("peel failed but no stable cut exists; recognizer is incomplete")

@@ -1,5 +1,6 @@
 """Stable cuts: the contraction algorithm for flexible graphs, the
-avoid-a-vertex variant for 2-connected inputs, exhaustive search, and
+avoid-a-vertex variant for 2-connected inputs, exhaustive search by a
+vertex-labelling programme that also spells the NAP-colourings, and
 `Answers`, one record per graph: the peel, then the game, then the search.
 """
 
@@ -9,12 +10,12 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import combinations
 from typing import AbstractSet, Iterable, Optional
 
 from .graph import (
     Graph,
     PreconditionError,
+    _vertex_order,
     blocks,
     connected_components_without,
     is_connected,
@@ -22,7 +23,10 @@ from .graph import (
 )
 from .rigidity import GscDecomposition, RigidityReport, gsc_decomposition, pebble_game, rigid_components, rigidity_report
 
-EXHAUSTIVE_MAX_VERTICES = 24
+# Vertex labels of `_labellings`; a mixed code adds bit 0 once it has a
+# blue neighbour and bit 1 once it has a red one.
+BLUE, RED, MIXED = 0, 1, 4
+LABEL_BUDGET = 1 << 15  # states per level of `_labellings`
 
 Components = tuple[frozenset[int], ...]
 
@@ -285,46 +289,117 @@ def stable_cut_avoiding(g: Graph, v: int) -> StableCutResult:
     return _separate(g, comps, u, v, stats, avoid=v)
 
 
-def exhaustive_stable_cut(
-    g: Graph,
-    separate: Optional[tuple[int, int]] = None,
-    avoid: Optional[int] = None,
-) -> Optional[StableCutResult]:
-    """Minimum-cardinality stable cut meeting the constraints, or None.
+def _step(key: tuple, label: int, at: list[int], done: list[int], keep: list[int]) -> Optional[tuple]:
+    """The next state when the level's vertex, one past the frontier, takes
+    `label`, or None; `at`, `done` and `keep` are positions in `key`."""
+    codes = list(key)
+    for i in at:
+        x = codes[i]
+        if label & MIXED:
+            if x & MIXED:
+                return None
+            label |= 1 << x
+        elif x & MIXED:
+            codes[i] = x | 1 << label
+        elif x != label:
+            return None
+    codes.append(key[-1] if label & MIXED else key[-1] | 1 << label)
+    codes[-2] = label
+    if any(MIXED <= codes[i] < MIXED | 3 for i in done):
+        return None  # a mixed vertex leaves without a red and a blue neighbour
+    return tuple(map(codes.__getitem__, keep))
 
-    Deterministic: lexicographically smallest among minimum size.  Exponential
-    search, limited to 24 vertices above cut size 0 (one component search).
+
+def _split(adj: tuple[frozenset[int], ...], nbrs: frozenset[int]) -> bool:
+    """Whether the subgraph induced on `nbrs` is disconnected."""
+    seen, stack = {min(nbrs)}, [min(nbrs)]
+    while stack:
+        for y in adj[stack.pop()] & nbrs:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) < len(nbrs)
+
+
+def _labellings(g: Graph, allowed: dict, links: Optional[list] = None) -> tuple[list[int], dict[tuple, int]]:
+    """Label the non-isolated vertices red, blue or mixed, so that mixed
+    vertices are pairwise non-adjacent, adjacent unmixed ones agree, each
+    mixed one has a red and a blue neighbour (so its neighbourhood is
+    disconnected), and both colours occur: the NAP-colourings, read at the
+    vertices.  The mixed set is a stable cut, and every least stable cut
+    is one.  `allowed.get(v)` narrows the labels of v.
+
+    One level per vertex, in `_vertex_order`.  A state is a code per
+    frontier vertex, BLUE, RED, or MIXED plus the colours its neighbours
+    showed so far (bit 0 blue, bit 1 red), then the colours used.  It keeps
+    the least sum of 2^n - 2^(n-1-v) over its mixed v, which orders cuts by
+    size and then lexicographically and decodes back to the cut.  Returns
+    the labelled vertices and the final states; (3,) accepts.  `links` gets
+    back-links as in `colouring._frontier_pass`, colour 1 being red.  A
+    level of more than LABEL_BUDGET states raises PreconditionError.
     """
-    forbidden = set()
-    if separate is not None:
-        forbidden.update(separate)
-    if avoid is not None:
-        forbidden.add(avoid)
-    for k in range(0, g.n - 1):
-        if k == 1 and g.n > EXHAUSTIVE_MAX_VERTICES:
+    adj = g.adjacency
+    order = [v for v in _vertex_order(g) if adj[v]]
+    level = {v: k for k, v in enumerate(order)}
+    last = {v: max(level[v], *(level[w] for w in adj[v])) for v in order}  # the level v leaves at
+    frontier: list[int] = []
+    states: dict[tuple, int] = {(0,): 0}
+    for k, v in enumerate(order):
+        at = [i for i, w in enumerate(frontier) if w in adj[v]]
+        placed = frontier + [v]
+        done = [i for i, w in enumerate(placed) if last[w] == k]
+        keep = [i for i, w in enumerate(placed) if last[w] > k]
+        frontier = [placed[i] for i in keep]
+        keep.append(len(placed))
+        weight = (1 << g.n) - (1 << (g.n - 1 - v))
+        labels = [x for x in allowed.get(v, (BLUE, RED, MIXED)) if x != MIXED or _split(adj, adj[v])]
+        nxt: dict[tuple, int] = {}
+        back: dict[tuple, list[int]] = {}
+        for parent, (key, cost) in enumerate(states.items()):
+            for label in labels:
+                child = _step(key, label, at, done, keep)
+                if child is not None:
+                    cost_here = cost + weight if label == MIXED else cost
+                    nxt[child] = min(nxt.get(child, cost_here), cost_here)
+                    if links is not None:
+                        back.setdefault(child, []).append(2 * parent + (label == RED))
+        if len(nxt) > LABEL_BUDGET:
             raise PreconditionError(
-                f"exhaustive search limited to {EXHAUSTIVE_MAX_VERTICES} vertices, got {g.n}"
+                f"the labelling programme passed its budget of {LABEL_BUDGET} states per level "
+                f"at level {k + 1} of {len(order)}, frontier width {len(frontier)}"
             )
-        for cand in combinations(range(g.n), k):
-            s = frozenset(cand)
-            if s & forbidden:
-                continue
-            if not is_stable_set(g, s):
-                continue
-            comps = connected_components_without(g, s)
-            if len(comps) < 2:
-                continue
-            if separate is not None:
-                u, v = separate
-                if not any(u in c and v not in c for c in comps):
-                    continue
-            return StableCutResult(
-                cut=s,
-                separated_pair=separate,
-                avoided_vertex=avoid,
-                components=len(comps),
-            )
-    return None
+        if links is not None:
+            links.append(list(back.values()))
+        states = nxt
+    return order, states
+
+
+def exhaustive_stable_cut(
+    g: Graph, separate: Optional[tuple[int, int]] = None, avoid: Optional[int] = None
+) -> Optional[StableCutResult]:
+    """Minimum-cardinality stable cut meeting the constraints, or None;
+    the lexicographically smallest among minimum size.  The empty cut is
+    read off g's components, any other from one run of `_labellings` with
+    u red and v blue for `separate` = (u, v) and `avoid` never mixed.
+    Raises PreconditionError past the programme's state budget."""
+    if separate is not None and separate[0] == separate[1]:
+        return None  # no cut separates a vertex from itself
+    parts = g.components
+    if len(parts) > 1 and not (separate and any(set(separate) <= part for part in parts)):
+        cut: frozenset[int] = frozenset()
+    else:
+        if separate is not None:
+            allowed = {separate[0]: (RED,), separate[1]: (BLUE,)}
+        else:  # swapping the colours keeps the cut, so edge 0 may be blue
+            allowed = dict.fromkeys(g.edges[0] if g.m else (), (BLUE, MIXED))
+        if avoid is not None:
+            allowed[avoid] = tuple(x for x in allowed.get(avoid, (BLUE, RED)) if x != MIXED)
+        cost = _labellings(g, allowed)[1].get((3,))
+        if cost is None:
+            return None
+        bits = -cost % (1 << g.n)  # the sum of 2^(n-1-v) over the cut
+        cut = frozenset(v for v in range(g.n) if bits >> (g.n - 1 - v) & 1)
+    return StableCutResult(cut, separate, avoid, len(connected_components_without(g, cut)))
 
 
 class Answers:
@@ -338,6 +413,7 @@ class Answers:
         self.g = g
         self.connected = is_connected(g)
         self.tight = self.connected and g.m == 2 * g.n - 3
+        self.refusal: Optional[str] = None  # why `stable_cut` is "skipped"
 
     @cached_property
     def decomposition(self) -> Optional[GscDecomposition]:
@@ -358,8 +434,9 @@ class Answers:
     def stable_cut(self) -> tuple[Optional[StableCutResult], str]:
         """(stable cut or None, method): the peel ("gsc"), a vertex
         neighbourhood, Algorithm 1 on the report's rigid components (no second
-        game), then exhaustive search, at any size if g is disconnected, which
-        must find a cut in a tight non-member; "skipped" proves nothing."""
+        game), then `exhaustive_stable_cut`, which must find a cut in a tight
+        non-member.  Past its state budget the answer is (None, "skipped"),
+        which proves nothing, and `refusal` says why."""
         g = self.g
         if self.decomposition is not None:
             return None, "gsc"
@@ -375,12 +452,14 @@ class Answers:
                 v = next((v for v in range(u + 1, g.n) if v not in related), None)
                 if v is not None:
                     return _separate(g, comps, u, v, {"calls": 0, "pair_probes": 0}), "algorithm1"
-        if g.n <= EXHAUSTIVE_MAX_VERTICES or not self.connected:
+        try:
             result = exhaustive_stable_cut(g)
-            if result is None and self.tight:
-                raise RuntimeError("peel failed but no stable cut exists; recognizer is incomplete")
-            return result, "exhaustive"
-        return None, "skipped"
+        except PreconditionError as exc:
+            self.refusal = f"no stable cut found: {exc}"
+            return None, "skipped"
+        if result is None and self.tight:
+            raise RuntimeError("peel failed but no stable cut exists; recognizer is incomplete")
+        return result, "exhaustive"
 
 
 def find_stable_cut(g: Graph) -> tuple[Optional[StableCutResult], str]:

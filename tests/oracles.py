@@ -588,6 +588,21 @@ def brute_stable_cuts(g: Graph) -> list[frozenset[int]]:
     return list(iter_brute_stable_cuts(g))
 
 
+def scan_stable_cut(g: Graph, separate=None, avoid=None) -> frozenset[int] | None:
+    """The first stable cut, smallest first and then lexicographically, that
+    leaves `separate` = (u, v) in different components (neither in the cut)
+    and does not hold `avoid`: a scan over vertex subsets."""
+    for s in iter_brute_stable_cuts(g):
+        if avoid in s:
+            continue
+        if separate is not None:
+            u, v = separate
+            if u in s or v in s or not any(u in c and v not in c for c in _components_without(g, s)):
+                continue
+        return s
+    return None
+
+
 def _fan_contraction(n: int, comps, keep: int, removed: int) -> Graph:
     """The component-completed graph with vertex `removed` merged into `keep`,
     relabelled as `contract_edge` does, each component image a fan on all
@@ -1202,6 +1217,55 @@ def non_member_graphs() -> dict[int, Graph]:
         for e in ((0, p), (1, p), (p + 1, p + 2), (p + 2, p + 3), (p + 1, p + 3), (0, p + 1), (1, p + 2), (p, p + 3))
     ]
     return {n: Graph.from_edges(n, edges) for n, edges in ((6, base), (36, eared), (166, glued))}
+
+
+def random_eared_laman(rnd: random.Random, n: int) -> Graph:
+    """A random minimally rigid graph on n vertices with an ear (a
+    degree-2 vertex) on the edge from each vertex to its smallest
+    neighbour: 2n vertices, each in a triangle, so no vertex neighbourhood
+    is a stable cut.  The peel strips the ears, so the graph is in the
+    gluing family exactly when the random one is."""
+    edges = random_laman_edges(rnd, list(range(n)))
+    g = Graph.from_edges(n, edges)
+    for v in range(n):
+        edges |= {(v, n + v), (min(g.adjacency[v]), n + v)}
+    return Graph.from_edges(2 * n, edges)
+
+
+def triangulated_grid(rows: int, cols: int) -> Graph:
+    """The rows x cols grid with one diagonal in each square: vertex
+    r * cols + c.  Every separator of it holds two adjacent vertices, so it
+    has no stable cut."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+            if r + 1 < rows and c + 1 < cols:
+                edges.append((v, v + cols + 1))
+    return Graph.from_edges(rows * cols, edges)
+
+
+def glued_copies(h: Graph, copies: int) -> Graph:
+    """`copies` copies of h in a chain, each glued by its edge 0 onto the
+    edge 5 of the copy before (end to end).  Gluing minimally rigid graphs
+    along an edge keeps m = 2n - 3."""
+    (a, b), (c, d) = h.edges[0], h.edges[5]
+    edges = set(h.edges)
+    names = list(range(h.n))
+    n = h.n
+    for _ in range(copies - 1):
+        glued = {a: names[c], b: names[d]}
+        names = []
+        for v in range(h.n):
+            if v not in glued:
+                glued[v], n = n, n + 1
+            names.append(glued[v])
+        edges |= {(min(names[u], names[v]), max(names[u], names[v])) for u, v in h.edges}
+    return Graph.from_edges(n, edges)
 
 
 def slow_make_gsc(steps: list) -> Graph:

@@ -18,10 +18,14 @@ from oracles import (
     brute_is_nap,
     deadline,
     dfs_nac_masks,
+    glued_copies,
     non_member_graphs,
+    random_eared_laman,
     random_graph,
+    random_laman_edges,
     random_prism_chain,
     random_two_body,
+    triangulated_grid,
     two_trees_with_bars,
 )
 
@@ -63,6 +67,14 @@ EARED_NON_MEMBER_EDGES = NON_MEMBER_EDGES + "".join(f"\n0 {w}\n1 {w}" for w in r
 PRISM_GLUED_NON_MEMBER_EDGES = NON_MEMBER_EDGES + "".join(
     f"\n0 {p}\n1 {p}\n{q} {r}\n{r} {t}\n{q} {t}\n0 {q}\n1 {r}\n{p} {t}"
     for p, q, r, t in ((w, w + 1, w + 2, w + 3) for w in range(6, 166, 4))
+)
+
+# a random minimally rigid non-member on 60 vertices with an ear at each
+# vertex: no stable neighbourhood, and too wide for the search's budget
+WIDE_NON_MEMBER_EDGES = edge_text(random_eared_laman(random.Random(60), 60))
+WIDE_REFUSAL = (
+    "no stable cut found: the labelling programme passed its budget of 32768 states per level "
+    "at level 55 of 120, frontier width 18"
 )
 
 # K5 and a disjoint edge: m = 2n - 3, but not connected
@@ -278,8 +290,15 @@ class TestNac:
         assert json.loads(out)["two_tree_peel"]
 
     def test_construct_refuses_large_non_member(self, monkeypatch, capsys):
-        code, out, err = run_cli(monkeypatch, capsys, ["nac", "construct"], EARED_NON_MEMBER_EDGES)
-        assert code == 3 and out == "" and "exhaustive search limited" in err
+        with deadline(3.0):
+            code, out, err = run_cli(monkeypatch, capsys, ["nac", "construct"], WIDE_NON_MEMBER_EDGES)
+        assert code == 3 and out == "" and err == f"precondition failed: {WIDE_REFUSAL}\n"
+
+    def test_construct_colours_the_eared_non_member(self, monkeypatch, capsys):
+        code, out, _ = run_cli(monkeypatch, capsys, ["nac", "construct"], EARED_NON_MEMBER_EDGES)
+        g = non_member_graphs()[36]
+        red = json.loads(out)["red"]
+        assert code == 0 and brute_is_nap(g, sum(1 << i for i in red))
 
     def test_count_is_the_same_at_every_worker_count(self, monkeypatch, capsys):
         h18 = edge_text(fixtures()["h18"].graph)
@@ -350,6 +369,12 @@ class TestNap:
         code, out, _ = run_cli(monkeypatch, capsys, ["nap", "exists"], PRISM_EDGES)
         assert code == 1 and out.strip() == "false"
 
+    def test_exists_on_a_random_40_vertex_laman_graph(self, monkeypatch, capsys):
+        text = edge_text(Graph.from_edges(40, random_laman_edges(random.Random(40), list(range(40)))))
+        with deadline(2.0):
+            code, out, _ = run_cli(monkeypatch, capsys, ["nap", "exists"], text)
+        assert code == 0 and out == "true\n"
+
 
 class TestStableCut:
     def test_separate(self, monkeypatch, capsys):
@@ -391,28 +416,53 @@ class TestStableCut:
         assert payload["cut"] == [2, 5] and payload["components_after_removal"] == 2
 
     def test_large_non_member_is_skipped(self, monkeypatch, capsys):
-        # nothing is proven, so this is a refusal (exit 3), not a negative answer
-        code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut"], EARED_NON_MEMBER_EDGES)
-        payload = json.loads(out)
-        assert code == 3 and payload.pop("reason")
-        assert payload == {"cut": None, "method": "skipped"}
+        # past the search's state budget nothing is proven, so this is a
+        # refusal (exit 3), not a negative answer
+        with deadline(3.0):
+            code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut"], WIDE_NON_MEMBER_EDGES)
+        assert code == 3 and json.loads(out) == {"cut": None, "method": "skipped", "reason": WIDE_REFUSAL}
 
     def test_analyze_keeps_exit_0_when_skipped(self, monkeypatch, capsys):
-        code, out, _ = run_cli(monkeypatch, capsys, ["analyze"], EARED_NON_MEMBER_EDGES)
+        with deadline(3.0):
+            code, out, _ = run_cli(monkeypatch, capsys, ["analyze"], WIDE_NON_MEMBER_EDGES)
         report = json.loads(out)
         assert code == 0 and report["stable_cut"] is None and report["stable_cut_method"] == "skipped"
+        assert report["gsc"] == {"member": False, "reason": "stable cut"}
 
-    def test_prism_glued_non_member_is_refused_quickly(self, monkeypatch, capsys):
+    def test_eared_non_member_gets_the_exhaustive_cut(self, monkeypatch, capsys):
+        code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut"], EARED_NON_MEMBER_EDGES)
+        payload = json.loads(out)
+        assert code == 0 and payload["cut"] == [2, 5] and payload["method"] == "exhaustive"
+        code, out, _ = run_cli(monkeypatch, capsys, ["analyze"], EARED_NON_MEMBER_EDGES)
+        report = json.loads(out)
+        assert code == 0 and report["stable_cut"] == [2, 5] and report["stable_cut_method"] == "exhaustive"
+
+    def test_prism_glued_non_member_is_cut_quickly(self, monkeypatch, capsys):
         with deadline(0.5):
             code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut"], PRISM_GLUED_NON_MEMBER_EDGES)
         payload = json.loads(out)
-        assert code == 3 and payload.pop("reason")
-        assert payload == {"cut": None, "method": "skipped"}
+        assert code == 0 and payload["cut"] == [2, 5] and payload["method"] == "exhaustive"
         with deadline(0.5):
             code, out, _ = run_cli(monkeypatch, capsys, ["analyze"], PRISM_GLUED_NON_MEMBER_EDGES)
         report = json.loads(out)
-        assert code == 0 and report["n"] == 166
+        assert code == 0 and report["n"] == 166 and report["stable_cut"] == [2, 5]
         assert report["gsc"] == {"member": False, "reason": "stable cut"}
+
+    def test_glued_chain_is_cut_quickly(self, monkeypatch, capsys):
+        # 150 copies of a 9-vertex non-member, end to end: 1 052 vertices
+        chain = glued_copies(parse_graph6("H`?NTh["), 150)
+        with deadline(2.0):
+            code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut"], edge_text(chain))
+        payload = json.loads(out)
+        assert code == 0 and chain.n == 1052 and payload["cut"] == [6, 7, 8] and payload["method"] == "exhaustive"
+
+    def test_triangulated_grid_has_no_stable_cut(self, monkeypatch, capsys):
+        text = edge_text(triangulated_grid(8, 8))
+        with deadline(1.0):
+            code, out, _ = run_cli(monkeypatch, capsys, ["stable-cut"], text)
+        assert code == 1 and json.loads(out) == {"cut": None, "method": "exhaustive"}
+        code, out, _ = run_cli(monkeypatch, capsys, ["nap", "exists"], text)
+        assert code == 1 and out == "false\n"
 
     def test_peel_is_checked_against_exhaustive_search(self, monkeypatch, capsys):
         # a peel that misses a member contradicts Le and Pfender: exhaustive

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,7 +13,6 @@ from rignac.colouring import (
     _frontier_count,
     _frontier_levels,
     _frontier_masks,
-    _vertex_order,
     RED,
     _colouring_from_decomposition,
     EdgeColouring,
@@ -22,6 +22,7 @@ from rignac.colouring import (
     count_nac_complete_bipartite,
     enumerate_nac,
     enumerate_nac_detailed,
+    has_nap_colouring,
     is_nac,
     is_nap,
     json_line_writer,
@@ -39,6 +40,7 @@ from rignac.graph import (
     Graph,
     PreconditionError,
     Separation,
+    _vertex_order,
     blocks,
     connected_components,
     is_stable_set,
@@ -205,8 +207,31 @@ class TestIsNap:
             assert list(nap_masks(g)) == [mask for mask in nac_masks if brute_is_nap(g, mask)], g.edges
 
     def test_nap_masks_needs_an_edge(self):
-        with pytest.raises(PreconditionError, match="at least one edge"):
-            nap_masks(Graph.from_edges(3, []))
+        for answer in (nap_masks, has_nap_colouring):
+            with pytest.raises(PreconditionError, match="at least one edge"):
+                answer(Graph.from_edges(3, []))
+
+    def test_nap_masks_are_the_nac_masks_that_are_nap(self, laman_keys, laman8_keys):
+        # every edge set on at most 5 labelled vertices, every Laman class
+        # with n <= 8, and seeded random graphs with isolated vertices and
+        # several components: the same list, in the same order
+        graphs = [
+            Graph.from_edges(n, [e for i, e in enumerate(combinations(range(n), 2)) if mask >> i & 1])
+            for n in range(2, 6)
+            for mask in range(1, 1 << (n * (n - 1) // 2))
+        ]
+        graphs += [parse_graph6(key) for n in laman_keys for key in laman_keys[n]]
+        graphs += [parse_graph6(key) for key in laman8_keys]
+        rnd = random.Random(2900)
+        for _ in range(300):
+            n = rnd.randrange(2, 11)
+            graphs.append(random_graph(rnd, n, rnd.randrange(1, 2 * n + 1)))
+        assert sum(not all(g.adjacency) for g in graphs[-300:]) >= 100
+        assert sum(len(g.components) > 1 for g in graphs[-300:]) >= 100
+        for g in graphs:
+            want = [mask for mask in nac_masks(g) if is_nap(g, EdgeColouring(g.m, mask))]
+            assert nap_masks(g) == want, g.edges
+            assert has_nap_colouring(g) == bool(want), g.edges
 
 
 class TestJsonLineWriter:

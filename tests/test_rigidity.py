@@ -567,15 +567,11 @@ class TestGscRecognition:
 
         assert is_stable_set(g2, out.stable_cut) and is_cut(g2, out.stable_cut)
 
-    def test_non_members_above_the_exhaustive_limit_get_no_witness(self):
-        # the 36-vertex eared and the 166-vertex prism-glued non-members: the
-        # minimum witness is searched up to 24 vertices only, and the size
-        # cap of that search does not surface
+    def test_large_non_members_get_the_minimum_witness(self):
+        # the 36-vertex eared and the 166-vertex prism-glued non-members
         for n, g in non_member_graphs().items():
-            if n < 36:
-                continue
             with deadline(0.5):
-                assert recognize_gsc(g) == GscNonMembership("stable cut"), n
+                assert recognize_gsc(g) == GscNonMembership("stable cut", frozenset({2, 5})), n
 
     def test_disconnected_rejected(self):
         g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)])

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import os
 import random
 import time
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 from rignac import stable_cut
-from rignac.graph import Graph, PreconditionError, is_connected, is_stable_set, parse_graph6
+from rignac.catalog import minimally_rigid_graph6
+from rignac.graph import Graph, PreconditionError, connected_components_without, is_connected, is_stable_set, parse_graph6
 from rignac.rigidity import pebble_game, rank, rigid_components, rigidity_report, rigidly_related_pairs
 from rignac.stable_cut import (
     StableCutResult,
@@ -23,12 +26,16 @@ from rignac.constructions import make_cycle, make_gk, make_path
 
 from oracles import (
     brute_stable_cuts,
+    deadline,
     is_cut,
     random_connected_graph,
+    random_eared_laman,
     random_flexible_connected,
+    random_graph,
     random_laman_edges,
     random_two_body,
     remove_edge_index,
+    scan_stable_cut,
     slow_alg1,
     two_trees_with_bars,
 )
@@ -547,13 +554,13 @@ class TestExhaustive:
         assert exhaustive_stable_cut(g).cut == frozenset()
 
     def test_empty_cut_above_the_size_limit(self):
-        # the empty cut is one component search, so the cap starts at size 1
+        # two disjoint K13: the empty cut comes from the components, and no
+        # stable cut parts two vertices of one clique
         k13 = [(i, j) for i in range(13) for j in range(i + 1, 13)]
         g = Graph.from_edges(26, k13 + [(i + 13, j + 13) for i, j in k13])
         assert exhaustive_stable_cut(g) == StableCutResult(frozenset())
         assert exhaustive_stable_cut(g, separate=(0, 13)).cut == frozenset()
-        with pytest.raises(PreconditionError, match="24"):
-            exhaustive_stable_cut(g, separate=(0, 1))
+        assert exhaustive_stable_cut(g, separate=(0, 1)) is None
         assert find_stable_cut(g) == (StableCutResult(frozenset()), "exhaustive")
 
     def test_constraints(self):
@@ -563,10 +570,68 @@ class TestExhaustive:
         result = exhaustive_stable_cut(g, avoid=0)
         assert 0 not in result.cut
 
-    def test_size_limit(self):
-        big = Graph.from_edges(25, [(i, i + 1) for i in range(24)])
-        with pytest.raises(PreconditionError, match="24"):
-            exhaustive_stable_cut(big)
+    def test_state_budget(self, monkeypatch):
+        # the number of vertices sets no limit, the states per level do
+        path = Graph.from_edges(200, [(i, i + 1) for i in range(199)])
+        assert exhaustive_stable_cut(path) == StableCutResult(frozenset({1}), components=2)
+        wide = random_eared_laman(random.Random(60), 60)
+        pattern = r"budget of 32768 states per level at level 55 of 120, frontier width 18"
+        with deadline(3.0), pytest.raises(PreconditionError, match=pattern):
+            exhaustive_stable_cut(wide)
+        monkeypatch.setattr(stable_cut, "LABEL_BUDGET", 2)
+        with pytest.raises(PreconditionError, match="budget of 2 states per level at level 2 of 6"):
+            exhaustive_stable_cut(make_cycle(6))
+
+    def test_equals_the_subset_scan(self, laman_keys, laman8_keys):
+        # every edge set on at most 5 labelled vertices, every Laman class
+        # with n <= 8, and seeded random graphs with isolated vertices and
+        # several components; separate and avoid as in `_constraints`
+        graphs = [
+            Graph.from_edges(n, [e for i, e in enumerate(combinations(range(n), 2)) if mask >> i & 1])
+            for n in range(6)
+            for mask in range(1 << (n * (n - 1) // 2))
+        ]
+        graphs += [parse_graph6(key) for n in laman_keys for key in laman_keys[n]]
+        graphs += [parse_graph6(key) for key in laman8_keys]
+        rnd = random.Random(2800)
+        for _ in range(300):
+            n = rnd.randrange(1, 11)
+            graphs.append(random_graph(rnd, n, rnd.randrange(0, 2 * n + 1)))
+        assert sum(not all(g.adjacency) for g in graphs[-300:]) >= 100
+        assert sum(len(g.components) > 1 for g in graphs[-300:]) >= 100
+        for g in graphs:
+            for separate, avoid in _constraints(g):
+                got = exhaustive_stable_cut(g, separate, avoid)
+                assert (None if got is None else got.cut) == scan_stable_cut(g, separate, avoid), (g, separate, avoid)
+                if got is not None:
+                    assert got.components == len(connected_components_without(g, got.cut))
+
+    @pytest.mark.skipif(
+        not os.environ.get("RIGNAC_LARGE_TESTS"),
+        reason="opt-in: ~75 s (set RIGNAC_LARGE_TESTS=1)",
+    )
+    def test_equals_the_subset_scan_on_the_n9_catalog(self):
+        for key in minimally_rigid_graph6(9, allow_large=True):
+            g = parse_graph6(key)
+            for separate, avoid in _constraints(g):
+                got = exhaustive_stable_cut(g, separate, avoid)
+                assert (None if got is None else got.cut) == scan_stable_cut(g, separate, avoid), (key, separate, avoid)
+
+    def test_tie_break_comes_from_one_run(self, monkeypatch):
+        # the least cuts of C_6 are its nine stable pairs; under each
+        # constraint one labelling pass picks the first, with no pass per vertex
+        runs = []
+        real = stable_cut._labellings
+
+        def counted(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(stable_cut, "_labellings", counted)
+        g = make_cycle(6)
+        assert exhaustive_stable_cut(g).cut == frozenset({0, 2}) and len(runs) == 1
+        assert exhaustive_stable_cut(g, separate=(3, 0)).cut == frozenset({1, 4}) and len(runs) == 2
+        assert exhaustive_stable_cut(g, avoid=0).cut == frozenset({1, 3}) and len(runs) == 3
 
     def test_every_flexible_catalog_graph_has_cut(self):
         # flexibility came from edge deletion in tight graphs
@@ -596,6 +661,22 @@ class TestExhaustive:
                 best = min(len(c) for c in cuts)
                 expect = min((c for c in cuts if len(c) == best), key=sorted)
                 assert got.cut == expect
+
+
+def _constraints(g: Graph):
+    """(separate, avoid) pairs to check on g: none; each vertex avoided,
+    and each pair separated both ways, the second time avoiding the first
+    other vertex, on five vertices or fewer, else two of each; and vertex 0
+    separated from itself."""
+    yield None, None
+    small = g.n <= 5
+    for v in range(g.n) if small else (0, g.n - 1):
+        yield None, v
+    pairs = list(combinations(range(g.n), 2)) if small else [(0, g.n - 1), (1, g.n - 2)]
+    for u, v in pairs:
+        yield (u, v), None
+        yield (v, u), next((w for w in range(g.n) if w not in (u, v)), None)
+    yield (0, 0), None
 
 
 class TestChenYuRegime:
