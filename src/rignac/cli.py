@@ -11,7 +11,6 @@ import contextlib
 import functools
 import json
 import sys
-import time
 from typing import Optional
 
 from . import catalog as cat
@@ -165,17 +164,11 @@ def cmd_components(args) -> int:
 def cmd_nac(args) -> int:
     g = _load_graph(args)
     if args.action == "count":
-        start = time.perf_counter()
-        stats: dict = {}
-        count = col.count_nac(g, stats)
-        ms = (time.perf_counter() - start) * 1000.0
-        if args.raw:
-            _emit(str(count), args)
-        else:
-            _emit({"nnac": str(count), "nodes": stats["states"], "millis": int(ms)}, args)
+        count, nodes, ms = col.enumerate_nac_detailed(g)
+        _emit(str(count) if args.raw else {"nnac": str(count), "nodes": nodes, "millis": int(ms)}, args)
         return EXIT_OK
     if args.action == "exists":
-        found = col.count_nac(g) > 0
+        found = col.enumerate_nac(g, first_only=True) > 0
         _emit("true" if found else "false", args)
         return EXIT_OK if found else EXIT_NEGATIVE
     if args.action == "list":

@@ -368,11 +368,9 @@ def _frontier_pass(
     of ways to finish depends only on the state, and states with equal
     keys are merged with their multiplicities added.  A final state is
     (has_red, 0, 0).  If `links` is a list, each level appends its
-    back-links to it: for each of the level's states, in order, the flat
-    ints 2 * parent + colour of the steps into it, where parent indexes
-    the previous level's states.  A graph whose edges form one unit has
-    no NAC-colouring: it returns no units and no final states, and counts
-    the start state as expanded.
+    back-links to it, in the format `_spell` reads.  A graph whose edges
+    form one unit has no NAC-colouring: it returns no units and no final
+    states, and counts the start state as expanded.
     """
     classes = triangle_classes(g)
     if len(classes) == 1:
@@ -406,16 +404,17 @@ def _frontier_count(g: Graph) -> tuple[int, int]:
 
 
 def _spell(links: list, reds: list[int], states: dict, accept: tuple, first_only: bool, m: int) -> list[int]:
-    """The sorted red-edge masks that a programme's back-links `links` (as
-    `_frontier_pass` fills them) spell on the paths from its final state
-    `accept` to the start; a step of colour 1 into level k adds the edges
-    `reds[k]`, and distinct paths spell distinct colourings.  The paths are
-    walked backwards a level at a time, keeping for each state the masks of
-    the accepting path suffixes that start there, one mask per path (only
-    the first path with `first_only`); grouping by state keeps no per-path
-    record besides the mask.  The masks come out in the order of an
-    edge-by-edge search that tries red before blue: descending by the mask
-    read with edge 0 as its highest bit.
+    """The sorted red-edge masks that a programme's back-links spell on the
+    paths from its final state `accept` to the start.  `links[k]` holds,
+    for each state after level k in order, the ints 2 * parent + colour of
+    the steps into it, parent indexing the states before level k; a step
+    of colour 1 adds the edges `reds[k]`, and distinct paths spell distinct
+    colourings.  The paths are walked backwards a level at a time, keeping
+    for each state the masks of the accepting path suffixes that start
+    there, one mask per path (only the first path with `first_only`);
+    grouping by state keeps no per-path record besides the mask.  The masks
+    come out in the order of an edge-by-edge search that tries red before
+    blue: descending by the mask read with edge 0 as its highest bit.
     """
     suffixes = {j: [0] for j, key in enumerate(states) if key == accept}
     for red in reversed(reds):
@@ -501,48 +500,56 @@ def nac_masks(g: Graph) -> list[int]:
     return _frontier_masks(g, False)[0]
 
 
-def _nap_labellings(g: Graph, links: Optional[list] = None) -> tuple[list[int], dict[tuple, int]]:
-    """`stable_cut._labellings` with edge 0 blue: both its ends blue or mixed."""
-    if g.m < 1:
-        raise PreconditionError("enumeration requires at least one edge")
-    return _labellings(g, dict.fromkeys(g.edges[0], (BLUE, MIXED)), links)
-
-
 def nap_masks(g: Graph) -> list[int]:
     """Red-edge masks of the NAP-colourings with edge 0 blue, in the order
-    of `nac_masks`.  They are the labellings of `stable_cut._labellings`
-    read at the edges, where an edge is red exactly when an end is, so a
-    red vertex adds the edges at it to the mask."""
+    of `nac_masks`: the labellings of `stable_cut._labellings` with both
+    ends of edge 0 blue or mixed, read at the edges, where an edge is red
+    exactly when an end is."""
+    if g.m < 1:
+        raise PreconditionError("enumeration requires at least one edge")
     links: list[list[list[int]]] = []
-    order, states = _nap_labellings(g, links)
+    order, states = _labellings(g, dict.fromkeys(g.edges[0], (BLUE, MIXED)), links)
     index = g.edge_index
     reds = [sum(1 << index[min(v, w), max(v, w)] for w in g.adjacency[v]) for v in order]
     return _spell(links, reds, states, (3,), False, g.m)
 
 
 def has_nap_colouring(g: Graph) -> bool:
-    """Whether g has a NAP-colouring: one labelling pass, with no listing."""
-    return (3,) in _nap_labellings(g)[1]
+    """Whether g has a NAP-colouring: whether `Answers` finds a stable cut
+    of the core, g without its isolated vertices.  The mixed vertices of a
+    NAP-colouring are a stable cut of the core; conversely, for a stable cut
+    S of the core, edges red at one component of core - S and blue at the
+    others are a NAP-colouring.  A "skipped" search raises
+    PreconditionError with `Answers.refusal`."""
+    if g.m < 1:
+        raise PreconditionError("enumeration requires at least one edge")
+    answers = Answers(_core(g))
+    result, method = answers.stable_cut
+    if method == "skipped":
+        raise PreconditionError(answers.refusal)
+    return result is not None
+
+
+def _core(g: Graph) -> Graph:
+    """g without its isolated vertices; g itself when it has none."""
+    return g if all(g.adjacency) else induced_subgraph(g, (v for v in range(g.n) if g.adjacency[v]))[0]
 
 
 def count_nac(g: Graph, stats: Optional[dict] = None) -> int:
     """nnac via block decomposition: half the product of (2*nnac(block)+2), minus 1.
 
-    Isolated vertices do not affect the count and are dropped before the
-    block decomposition; each block is counted by `_frontier_count`.  A
-    graph without isolated vertices is its own core, and a block holding
-    every edge is the core itself, so a 2-connected graph is counted
-    without a copy.  `stats`, if given, receives "states" (counter states
-    expanded, summed over the blocks).
+    Isolated vertices do not affect the count: each block of the core is
+    counted by `_frontier_count`, and a block holding every edge is the
+    core itself, so a 2-connected graph is counted without a copy.
+    `stats`, if given, receives "states" (counter states expanded, summed
+    over the blocks).
     """
     if g.m < 1:
         raise PreconditionError("count requires at least one edge")
     if stats is None:
         stats = {}
     stats.setdefault("states", 0)
-    core = g
-    if not all(g.adjacency):
-        core, _ = induced_subgraph(g, (v for v in range(g.n) if g.adjacency[v]))
+    core = _core(g)
     product = 1
     for block in blocks(core):
         sub = core

@@ -335,7 +335,7 @@ def _labellings(g: Graph, allowed: dict, links: Optional[list] = None) -> tuple[
     the least sum of 2^n - 2^(n-1-v) over its mixed v, which orders cuts by
     size and then lexicographically and decodes back to the cut.  Returns
     the labelled vertices and the final states; (3,) accepts.  `links` gets
-    back-links as in `colouring._frontier_pass`, colour 1 being red.  A
+    back-links in the format `colouring._spell` reads, colour 1 being red.  A
     level of more than LABEL_BUDGET states raises PreconditionError.
     """
     adj = g.adjacency

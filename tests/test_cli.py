@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from rignac import cli, rigidity, stable_cut
+from rignac import cli, colouring, rigidity, stable_cut
 from rignac.cli import main
 from rignac.graph import Graph, connected_components, emit_graph6, parse_graph, parse_graph6
 from rignac.constructions import fixtures, make_2tree, make_complete_bipartite, make_gk
@@ -374,6 +374,51 @@ class TestNap:
         with deadline(2.0):
             code, out, _ = run_cli(monkeypatch, capsys, ["nap", "exists"], text)
         assert code == 0 and out == "true\n"
+
+    def test_exists_on_large_random_laman_graphs(self, monkeypatch, capsys):
+        # n = 200 and 2 000, as built, minus one edge (flexible) and plus
+        # n / 10 edges: a stable cut of the core is a NAP-colouring, and
+        # `Answers` finds one where the labelling programme is too wide
+        for n in (200, 2000):
+            rnd = random.Random(n)
+            edges = random_laman_edges(rnd, list(range(n)))
+            more = set(edges)
+            while len(more) < len(edges) + n // 10:
+                more.add(tuple(sorted(rnd.sample(range(n), 2))))
+            for variant in (edges, edges - {min(edges)}, more):
+                text = edge_text(Graph.from_edges(n, variant))
+                with deadline(1.0):
+                    code, out, _ = run_cli(monkeypatch, capsys, ["nap", "exists"], text)
+                assert code == 0 and out == "true\n", (n, len(variant))
+
+    def test_exists_on_100_vertex_two_body_graphs(self, monkeypatch, capsys):
+        # connected and flexible, so Algorithm 1 gives the stable cut
+        for seed in range(4):
+            text = edge_text(random_two_body(random.Random(seed), 100))
+            with deadline(1.0):
+                code, out, _ = run_cli(monkeypatch, capsys, ["nap", "exists"], text)
+            assert code == 0 and out == "true\n", seed
+
+    def test_exists_refuses_as_stable_cut_does(self, monkeypatch, capsys):
+        with deadline(3.0):
+            code, out, err = run_cli(monkeypatch, capsys, ["nap", "exists"], WIDE_NON_MEMBER_EDGES)
+        assert code == 3 and out == "" and WIDE_REFUSAL in err
+
+    def test_exists_runs_no_labelling_programme_where_a_theorem_answers(self, monkeypatch, capsys):
+        # h18 has a stable vertex neighbourhood, and the peel takes a 2-tree
+        calls = []
+        real = stable_cut._labellings
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stable_cut, "_labellings", counted)
+        monkeypatch.setattr(colouring, "_labellings", counted)
+        for g, want in ((fixtures()["h18"].graph, (0, "true\n")), (make_2tree(1, 1500), (1, "false\n"))):
+            code, out, _ = run_cli(monkeypatch, capsys, ["nap", "exists"], edge_text(g))
+            assert (code, out) == want
+        assert calls == []
 
 
 class TestStableCut:
