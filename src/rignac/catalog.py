@@ -121,14 +121,18 @@ def _search_key(nbrs: list[list[int]]) -> tuple[str, tuple]:
 
 def _deletable(nbrs: list[list[int]]) -> list[int]:
     """The vertices that pass the canonical-deletion filter: those of degree
-    d, d = 2 if some vertex has degree 2 and 3 otherwise, whose sorted
-    neighbour degrees are the maximum among the degree-d vertices.
+    d, d = 2 if some vertex has degree 2 and 3 otherwise, and closed ears
+    (degree 2 with adjacent neighbours) if some vertex is one, whose sorted
+    neighbour degrees are the maximum among these candidates.
 
-    The set depends on the graph alone, so an isomorphism maps it onto the
-    image graph's set."""
+    Degrees and being a closed ear depend on the graph alone, so an
+    isomorphism maps the set onto the image graph's set."""
     deg = [len(a) for a in nbrs]
     d = 2 if 2 in deg else 3
-    inv = {v: sorted([deg[u] for u in nbrs[v]]) for v in range(len(nbrs)) if deg[v] == d}
+    low = [v for v in range(len(nbrs)) if deg[v] == d]
+    if d == 2:
+        low = [v for v in low if nbrs[v][0] in nbrs[nbrs[v][1]]] or low
+    inv = {v: sorted([deg[u] for u in nbrs[v]]) for v in low}
     top = max(inv.values())
     return [v for v, t in inv.items() if t == top]
 
@@ -202,8 +206,8 @@ def _fan_out(fn: Callable, items: list, workers: int) -> Iterator:
 
 
 class _Level(list):
-    """Sorted keys, and `root`: a class that a closed ear reaches maps to the
-    end of its chain of closed-ear parents (`_henneberg_children`)."""
+    """Sorted keys, and `root`: a class with a closed ear maps to the end of
+    its chain of closed-ear parents (`_henneberg_children`)."""
 
 
 def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) -> list[str]:

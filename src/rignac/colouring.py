@@ -27,6 +27,7 @@ from .graph import (
 from .stable_cut import BLUE, MIXED, RED, Answers, _labellings
 
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+FRONTIER_BUDGET = 1 << 16  # states per level of `_frontier_pass`
 
 
 @dataclass(frozen=True)
@@ -357,9 +358,56 @@ def _colour_level(key: tuple, level: tuple, stride: int, colours: tuple) -> list
     return children
 
 
-def _frontier_pass(
-    g: Graph, links: Optional[list] = None
-) -> tuple[list[list[int]], dict[tuple, int], int]:
+def _steady_level(key: tuple, level: tuple, stride: int, colours: tuple) -> list:
+    """`_colour_level` on a steady level, one that brings no new vertex and
+    keeps every frontier vertex, so the frontier and its local numbers stay.
+    The other colour's labels carry over unchanged and its mask gains the
+    unit's edges as pairs.  The unit's colour is renamed only when the unit
+    joins two or more of its components, and the trap test runs inside that
+    renaming: with one component joined no pair can be trapped, and the
+    child is the key with one mask widened."""
+    size, _, edges, _, touched = level
+    children: list = []
+    for colour in colours:
+        theirs, child, added = key[(1 - colour) * size : (2 - colour) * size], None, 0
+        for a, b in edges:
+            ta, tb = theirs[a], theirs[b]
+            if ta == tb:
+                break  # the edge closes an almost cycle of the other colour
+            added |= 1 << (ta * stride + tb if ta < tb else tb * stride + ta)
+        else:
+            mine, pairs, joined = key[colour * size : (colour + 1) * size], key[-2 + colour], 0
+            for x in touched:
+                joined |= 1 << mine[x]
+            if joined & (joined - 1):
+                rep = (joined & -joined).bit_length() - 1  # the joined component's label
+                rename, labels, count = [-1] * size, [], 0
+                for r in mine:
+                    if joined >> r & 1:
+                        r = rep
+                    if rename[r] < 0:
+                        rename[r], count = count, count + 1
+                    labels.append(rename[r])
+                mine, left, pairs = tuple(labels), pairs, 0
+                while left:
+                    low = left & -left
+                    left ^= low
+                    a, b = divmod(low.bit_length() - 1, stride)
+                    if joined >> a & joined >> b & 1:
+                        mine = None  # the join traps an edge of the other colour
+                        break
+                    a, b = rename[rep if joined >> a & 1 else a], rename[rep if joined >> b & 1 else b]
+                    pairs |= 1 << (a * stride + b if a < b else b * stride + a)
+            if mine is not None:
+                if colour == BLUE:
+                    child = (*mine, *theirs, key[-3], pairs, key[-1] | added)
+                else:
+                    child = (*theirs, *mine, 1, key[-2] | added, pairs)
+        children.append(child)
+    return children
+
+
+def _frontier_pass(g: Graph, links: Optional[list] = None) -> tuple[list[list[int]], dict[tuple, object], int]:
     """Colour the units level by level: (the units in level order, the
     final states with their multiplicities, the states expanded).
 
@@ -367,30 +415,43 @@ def _frontier_pass(
     A component with no frontier vertex never changes again, so the number
     of ways to finish depends only on the state, and states with equal
     keys are merged with their multiplicities added.  A final state is
-    (has_red, 0, 0).  If `links` is a list, each level appends its
-    back-links to it, in the format `_spell` reads.  A graph whose edges
-    form one unit has no NAC-colouring: it returns no units and no final
-    states, and counts the start state as expanded.
+    (has_red, 0, 0).  A steady level (`_steady_level`) takes the short step.
+    If `links` is a list, no multiplicities are kept: each level's states
+    map to their back-links, the ints 2 * parent + colour of the steps into
+    them, and the level appends the lists in state order to `links`, the
+    format `_spell` reads; the final states map to their back-links too.  A
+    level of more than FRONTIER_BUDGET states raises PreconditionError.  A
+    graph whose edges form one unit has no NAC-colouring: it returns no
+    units and no final states, and counts the start state as expanded.
     """
     classes = triangle_classes(g)
     if len(classes) == 1:
         return [], {}, 1
     units, levels = _frontier_levels(g, classes)
     stride = max((len(level[3]) for level in levels), default=0)
-    states: dict[tuple, int] = {(0, 0, 0): 1}
+    states: dict = {(0, 0, 0): 1}
     expanded = 0
-    for unit, level in zip(units, levels):
+    for k, (unit, level) in enumerate(zip(units, levels)):
         colours = (BLUE,) if unit[0] == 0 else (BLUE, RED)
-        nxt: dict[tuple, int] = {}
-        back: dict[tuple, list[int]] = {}
-        for parent, (key, mult) in enumerate(states.items()):
-            for colour, child in zip(colours, _colour_level(key, level, stride, colours)):
-                if child is not None:
-                    nxt[child] = nxt.get(child, 0) + mult
-                    if links is not None:
-                        back.setdefault(child, []).append(2 * parent + colour)
-        if links is not None:
-            links.append(list(back.values()))
+        size, new, _, keep, _ = level
+        step = _steady_level if not new and keep == list(range(size)) else _colour_level
+        nxt: dict = {}
+        if links is None:
+            for key, mult in states.items():
+                for child in step(key, level, stride, colours):
+                    if child is not None:
+                        nxt[child] = nxt.get(child, 0) + mult
+        else:
+            for parent, key in enumerate(states):
+                for colour, child in zip(colours, step(key, level, stride, colours)):
+                    if child is not None:
+                        nxt.setdefault(child, []).append(2 * parent + colour)
+            links.append(list(nxt.values()))
+        if len(nxt) > FRONTIER_BUDGET:
+            raise PreconditionError(
+                f"the frontier programme passed its budget of {FRONTIER_BUDGET} states per level "
+                f"at level {k + 1} of {len(levels)}, frontier width {len(keep)}"
+            )
         expanded += len(states)
         states = nxt
     return units, states, expanded
@@ -427,11 +488,10 @@ def _spell(links: list, reds: list[int], states: dict, accept: tuple, first_only
                 prev.setdefault(link >> 1, []).extend([mask | red for mask in tails] if link & 1 else tails)
         suffixes = prev
     masks = suffixes.get(0, [])[: 1 if first_only else None]
-    size = (m + 7) // 8  # bits reversed over whole bytes sort as the m-bit reversal does
-    masks.sort(
-        key=lambda mask: int.from_bytes(mask.to_bytes(size, "little").translate(_BIT_REVERSED), "big"),
-        reverse=True,
-    )
+    # bits reversed over whole bytes sort as the m-bit reversal does, and
+    # bytes of one length compare as the big-endian ints they spell
+    size = (m + 7) // 8
+    masks.sort(key=lambda mask: mask.to_bytes(size, "little").translate(_BIT_REVERSED), reverse=True)
     return masks
 
 

@@ -284,6 +284,14 @@ class TestNac:
         assert code == 0 and len(lines) == 1
         assert set(lines[0]) == {"red", "blue"}
 
+    def test_count_refuses_past_the_state_budget(self, monkeypatch, capsys):
+        # a random 40-vertex Laman graph passes 65 536 states in a level
+        text = edge_text(Graph.from_edges(40, random_laman_edges(random.Random(40), list(range(40)))))
+        with deadline(15.0):
+            code, out, err = run_cli(monkeypatch, capsys, ["nac", "count"], text)
+        reason = "the frontier programme passed its budget of 65536 states per level at level 24 of 67, frontier width 12"
+        assert code == 3 and out == "" and err == f"precondition failed: {reason}\n"
+
     def test_construct_on_2tree_reports_peel(self, monkeypatch, capsys):
         code, out, _ = run_cli(monkeypatch, capsys, ["nac", "construct"], "0 1\n0 2\n1 2")
         assert code == 1

@@ -812,6 +812,55 @@ class TestFrontierCounter:
             assert stats["states"] == _frontier_masks(g, False)[1] == states
         assert sum(_frontier_count(parse_graph6(key))[1] for key in laman8_keys) == 14160
 
+    def test_steady_levels_equal_the_full_step(self, fix, monkeypatch):
+        # a steady level brings no vertex and keeps its frontier; its short
+        # step gives, state for state, the children of the full step, and
+        # every other level takes the full step
+        calls = {"steady": 0, "full": 0}
+        full, steady = colouring._colour_level, colouring._steady_level
+
+        def spy_full(key, level, stride, colours):
+            size, new, _, keep, _ = level
+            assert new or keep != list(range(size)), level
+            calls["full"] += 1
+            return full(key, level, stride, colours)
+
+        def spy_steady(key, level, stride, colours):
+            children = steady(key, level, stride, colours)
+            assert children == full(key, level, stride, colours), (key, level, stride, colours)
+            calls["steady"] += 1
+            return children
+
+        monkeypatch.setattr(colouring, "_colour_level", spy_full)
+        monkeypatch.setattr(colouring, "_steady_level", spy_steady)
+        h18 = fix["h18"].graph
+        rnd = random.Random(3000)
+        named = [h18] + [relabelled(h18, rnd) for _ in range(3)]
+        named += [make_complete_bipartite(6, 10), make_complete_bipartite(4, 8)]
+        for g in named:
+            before = calls["steady"]
+            assert count_nac(g) == len(nac_masks(g)), g.edges
+            assert calls["steady"] > before, g.edges
+        wide = 0
+        for _ in range(30):
+            n = rnd.randrange(8, 21)
+            g = random_connected_graph(rnd, n, rnd.randrange(n, 3 * n))
+            _, levels = _frontier_levels(g, triangle_classes(g))
+            wide += max(len(level[3]) for level in levels) >= 9
+            assert count_nac(g) == len(nac_masks(g)), g.edges
+        assert wide >= 5 and min(calls.values()) >= 10000, (wide, calls)
+
+    def test_state_budget(self, monkeypatch):
+        # a level of more than FRONTIER_BUDGET states is refused, when
+        # counting and when listing alike
+        monkeypatch.setattr(colouring, "FRONTIER_BUDGET", 2)
+        pattern = "budget of 2 states per level at level 3 of 9, frontier width 3"
+        for run in (count_nac, nac_masks):
+            with pytest.raises(PreconditionError, match=pattern):
+                run(make_complete_bipartite(3, 3))
+        # a path's levels hold 2 states each: has_red is 0 or 1
+        assert count_nac(make_path(6)) == len(nac_masks(make_path(6))) == 15
+
     def test_wide_frontiers_against_the_search(self, monkeypatch):
         # a frontier at least 9 wide has room for pairs past bit 64 of a mask
         seen = spy_on_states(monkeypatch)
