@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
 
-from .colouring import count_nac
+from .colouring import _colour_components, count_nac, nac_masks
 from .graph import (
     Graph,
     PreconditionError,
@@ -49,8 +49,31 @@ class CatalogEntry:
 
 def _nnac(g6: str) -> int:
     """The number of NAC-colourings of the class with key g6: `_nnacs`
-    runs it once per closed-ear root."""
+    runs it once per root with no degree-2 vertex, and on the triangle."""
     return count_nac(parse_graph6(g6))
+
+
+def _open_ear_counts(item: tuple[str, list[tuple[int, int]]]) -> list[int]:
+    """nnac(G) for each open ear (a, b) of item: G is the class with key
+    item[0] plus a vertex on a and b, which are not adjacent.  One listing
+    of the parent's NAC-colourings serves every pair (`_nnacs`'s lemma)."""
+    g6, pairs = item
+    g = parse_graph6(g6)
+    counts = [1] * len(pairs)
+    for mask in nac_masks(g):
+        red = [i for i in range(g.m) if mask >> i & 1]
+        blue = [i for i in range(g.m) if not mask >> i & 1]
+        rc, bc = _colour_components(g, red), _colour_components(g, blue)
+        red_joins = {_pair(rc[u], rc[v]) for u, v in (g.edges[i] for i in blue)}
+        blue_joins = {_pair(bc[u], bc[v]) for u, v in (g.edges[i] for i in red)}
+        for j, (a, b) in enumerate(pairs):
+            red_apart, blue_apart = rc[a] != rc[b], bc[a] != bc[b]
+            counts[j] += (
+                (not red_apart or _pair(rc[a], rc[b]) not in red_joins)
+                + (not blue_apart or _pair(bc[a], bc[b]) not in blue_joins)
+                + 2 * (red_apart and blue_apart)
+            )
+    return counts
 
 
 def _classify(item: tuple[str, int]) -> CatalogEntry:
@@ -137,13 +160,14 @@ def _deletable(nbrs: list[list[int]]) -> list[int]:
     return [v for v, t in inv.items() if t == top]
 
 
-def _henneberg_children(parent: tuple[str, tuple]) -> tuple[dict[str, tuple], dict[str, str]]:
+def _henneberg_children(parent: tuple[str, tuple]) -> tuple[dict[str, tuple], dict[str, tuple]]:
     """Keys and generators (`_search_key`) of the one-vertex extensions of
     the tight graph parent (a key and its generators) whose new vertex passes
     the canonical-deletion filter (`_deletable`): 0-extensions, and
     1-extensions whose child has no degree-2 vertex.  Only those are searched.
-    Second, each of these children that a 0-extension on an edge of the
-    parent (a closed ear) forms, mapped to the parent's key (`_nnacs`).
+    Second, each of these children that a 0-extension forms, mapped to
+    (parent key, u, v, whether uv is an edge) for the first pair (u, v), in
+    the parent key's labelling, that forms it (`_nnacs`).
 
     Automorphic extensions give isomorphic children, so one choice per orbit
     of the parent's automorphism group is extended.
@@ -179,16 +203,20 @@ def _henneberg_children(parent: tuple[str, tuple]) -> tuple[dict[str, tuple], di
         child = [list(a) for a in adj] + [[u, v]]
         child[u].append(n)
         child[v].append(n)
-        grown.append((child, g.has_edge(u, v)))
+        grown.append((child, (g6, u, v, g.has_edge(u, v))))
     for x, y, z in triples:
         child = [list(a) for a in adj] + [[x, y, z]]
         child[x].remove(y)
         child[y].remove(x)
         for w in (x, y, z):
             child[w].append(n)
-        grown.append((child, False))
+        grown.append((child, None))
     kept = [(_search_key(child), ear) for child, ear in grown if n in _deletable(child)]
-    return dict(key for key, _ in kept), {key[0]: g6 for key, ear in kept if ear}
+    ears: dict[str, tuple] = {}
+    for (key, _), ear in kept:
+        if ear is not None:
+            ears.setdefault(key, ear)
+    return dict(key for key, _ in kept), ears
 
 
 def _fan_out(fn: Callable, items: list, workers: int) -> Iterator:
@@ -206,8 +234,10 @@ def _fan_out(fn: Callable, items: list, workers: int) -> Iterator:
 
 
 class _Level(list):
-    """Sorted keys, and `root`: a class with a closed ear maps to the end of
-    its chain of closed-ear parents (`_henneberg_children`)."""
+    """Sorted keys, `root`: a class with a closed ear maps to the end of its
+    chain of closed-ear parents, and `ear`: a root that an open ear reaches
+    maps to (parent key, a, b) from the first parent in sorted order that
+    forms it (`_henneberg_children`)."""
 
 
 def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) -> list[str]:
@@ -223,7 +253,8 @@ def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) 
     that the next level's orbit choices need, and the last level keeps keys
     only.  Generation can fan out over parent graphs; per-parent children are
     merged, and the sorted output is identical for every worker count.  The
-    list carries each class's closed-ear root (`_Level`) for `_nnacs`.
+    list carries each class's closed-ear root, and the open ear of each root
+    with a degree-2 vertex (`_Level`), for `_nnacs`.
     """
     limit = OPT_IN_MAX_N if allow_large else DEFAULT_MAX_N
     if not 3 <= n <= limit:
@@ -231,35 +262,74 @@ def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) 
             f"catalog supports 3 <= n <= {limit}"
             + ("" if allow_large else f" ({OPT_IN_MAX_N} behind allow_large)")
         )
-    level, root = dict([_search_key([[1, 2], [0, 2], [0, 1]])]), {}
+    level, root, ear = dict([_search_key([[1, 2], [0, 2], [0, 1]])]), {}, {}
     for size in range(4, n + 1):
-        nxt, below, root = {}, root, {}
-        for children, closed in _fan_out(_henneberg_children, sorted(level.items()), workers):
+        nxt, below, root, ear_below, ear = {}, root, {}, ear, {}
+        for children, ears in _fan_out(_henneberg_children, sorted(level.items()), workers):
             nxt.update(children if size < n else dict.fromkeys(children))
-            root.update((key, below.get(p, p)) for key, p in closed.items())
+            for key, (p, a, b, closed) in ears.items():
+                if closed:
+                    root[key] = below.get(p, p)
+                else:
+                    ear.setdefault(key, (p, a, b))
+        ear.update((r, ear_below[r]) for r in root.values() if r in ear_below)
         level = nxt
     for g6 in level:
         g = parse_graph6(g6)
         if g.m != 2 * g.n - 3 or rank(g) != 2 * g.n - 3:
             raise RuntimeError(f"generated class {g6} is not minimally rigid")
     keys = _Level(sorted(level))
-    keys.root = root
+    keys.root, keys.ear = root, ear
     return keys
 
 
 def _nnacs(keys: _Level, workers: int) -> list[int]:
-    """The NAC counts of keys, in order: `count_nac` runs once per distinct
-    closed-ear root, fanned out over the sorted roots; a class takes its root's.
+    """The NAC counts of keys, in order.  A class takes its closed-ear
+    root's count.  A root with an open ear is counted from its parent's
+    NAC-colourings (`_open_ear_counts`, once per parent); `count_nac` runs on
+    the other roots, which have no degree-2 vertex, and on the triangle.
+    Both fan out, over the sorted parents and the sorted roots.
 
-    Lemma: if w has degree 2 and adjacent neighbours a, b, nnac(G) =
-    nnac(G - w).  A NAC-colouring gives a triangle one colour (Grasegger,
-    Legerský and Schicho), so restriction to G - w is a bijection whose
-    inverse colours wa and wb as ab: a cycle through w but not ab, closed
-    by ab instead, is a cycle of G - w with one edge of ab's colour fewer,
-    so if that one is monochromatic or has two edges of each, so has it."""
+    Lemma (closed ear): if w has degree 2 and adjacent neighbours a, b,
+    nnac(G) = nnac(G - w).  A NAC-colouring gives a triangle one colour
+    (Grasegger, Legerský and Schicho), so restriction to G - w is a bijection
+    whose inverse colours wa and wb as ab: a cycle through w but not ab,
+    closed by ab instead, is a cycle of G - w with one edge of ab's colour
+    fewer, so if that one is monochromatic or has two edges of each, so has it.
+
+    Lemma (open ear): let w have degree 2 and neighbours a, b that are not
+    adjacent, with G' = G - w connected.  A NAC-colouring of G restricts to
+    a NAC-colouring of G' or to a monochromatic G', since an almost
+    monochromatic cycle of G' is one of G.  The cycles through w are wa, a
+    path P from a to b in G', and bw, and P has at least two edges.
+    - G' blue: if just one of wa, wb is red, a cycle through w has one red
+      edge; both red give every such cycle two red edges and at least two
+      blue ones.  So a monochromatic G' extends in exactly 1 class.
+    - A NAC-colouring δ of G' with wa and wb red: a cycle through w has two
+      red edges, so it is almost monochromatic exactly when P has one blue
+      edge xy.  Then a, x share a red component and y, b share one, and not
+      the same one, or xy would close an almost red cycle in G'.
+      Conversely, a blue edge joining the distinct red components of a and
+      b gives such a P.  So δ extends exactly when a and b share a red
+      component or no blue edge joins theirs.  Both blue: the same test
+      with the colours swapped.
+    - wa and wb of different colours: a cycle through w is almost
+      monochromatic exactly when P is monochromatic, so δ extends, in 2
+      ways, exactly when a and b lie in different red components and in
+      different blue ones.
+    So nnac(G) = 1 + the sum over the classes δ of G' of those extensions."""
     roots = [keys.root.get(k, k) for k in keys]
     distinct = sorted(set(roots))
-    nnac = dict(zip(distinct, _fan_out(_nnac, distinct, workers)))
+    counted = [r for r in distinct if r not in keys.ear]
+    nnac = dict(zip(counted, _fan_out(_nnac, counted, workers)))
+    by_parent: dict[str, list[str]] = {}
+    for r in distinct:
+        if r in keys.ear:
+            by_parent.setdefault(keys.ear[r][0], []).append(r)
+    groups = sorted(by_parent.items())
+    items = [(p, [keys.ear[r][1:] for r in ears]) for p, ears in groups]
+    for (_, ears), counts in zip(groups, _fan_out(_open_ear_counts, items, workers)):
+        nnac.update(zip(ears, counts))
     return [nnac[r] for r in roots]
 
 
@@ -292,10 +362,11 @@ def histogram_report(
     """Histogram plus a flagged comparison against published 6-vertex counts.
 
     Without `entries` it classifies nothing: it reads the NAC counts of
-    `_nnacs`, one `count_nac` per closed-ear root fanned out over `workers`
-    processes.  The published reference counts for 6 vertices sum to 14
-    classes while regeneration is the arbiter; any per-bucket deviation is
-    reported, never silently dropped.
+    `_nnacs`, fanned out over `workers` processes: `count_nac` on the roots
+    with no degree-2 vertex, and one listing of the parent's NAC-colourings
+    for the roots with an open ear.  The published reference counts for 6
+    vertices sum to 14 classes while regeneration is the arbiter; any
+    per-bucket deviation is reported, never silently dropped.
     """
     if entries is None:
         hist, mx = _fold(_nnacs(minimally_rigid_graph6(n, allow_large, workers), workers))

@@ -95,22 +95,25 @@ class TestGeneration:
         # one extension per orbit of the parent's automorphisms, and no edge
         # split whose child has a degree-2 vertex, loses no class of the level;
         # the returned keys are plain strings, so the parent's generators come
-        # from a fresh search; a child linked to the parent loses a closed ear
-        # that passes the deletion filter and gives the parent back
+        # from a fresh search; a child linked to the parent is the parent plus
+        # a vertex on the recorded pair, and loses an ear of that kind (closed
+        # or open) that passes the deletion filter and gives the parent back
         for n in range(3, 8):
             union, slow_union = set(), set()
             for key in laman_keys[n]:
                 g = parse_graph6(key)
                 parent = _search_key([sorted(a) for a in g.adjacency])
                 assert parent[0] == key
-                children, closed = _henneberg_children(parent)
+                children, linked = _henneberg_children(parent)
                 children, slow = set(children), slow_henneberg_children(g)
                 assert children <= slow, key
-                for child, p in closed.items():
+                for child, (p, u, v, closed) in linked.items():
+                    assert p == key and child in children and closed == g.has_edge(u, v)
+                    eared = Graph.from_edges(n + 1, g.edges + ((u, n), (v, n)))
+                    assert canonical_form(eared).decode() == child
                     c = parse_graph6(child)
                     nbrs = [sorted(a) for a in c.adjacency]
-                    ears = [w for w in _deletable(nbrs) if len(nbrs[w]) == 2 and c.has_edge(*nbrs[w])]
-                    assert p == key and child in children
+                    ears = [w for w in _deletable(nbrs) if len(nbrs[w]) == 2 and c.has_edge(*nbrs[w]) == closed]
                     assert any(canonical_form(remove_vertices(c, [w])[0]).decode() == key for w in ears), child
                 union |= children
                 slow_union |= slow
@@ -157,24 +160,33 @@ class TestGeneration:
         assert _digest(keys) == KEYS_SHA256[8]
 
     @staticmethod
-    def _counted_histogram(monkeypatch, n: int) -> tuple[dict, int]:
+    def _counted_histogram(monkeypatch, n: int) -> tuple[dict, int, int]:
+        """The report, `count_nac` calls and `nac_masks` calls."""
         import rignac.catalog as catalog
 
-        calls = []
-        count = catalog.count_nac
+        calls = {"count_nac": 0, "nac_masks": 0}
 
-        def counted(g):
-            calls.append(g)
-            return count(g)
+        def spy(name):
+            real = getattr(catalog, name)
 
-        monkeypatch.setattr(catalog, "count_nac", counted)
-        return histogram_report(n, allow_large=True), len(calls)
+            def counted(g):
+                calls[name] += 1
+                return real(g)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(catalog, name, spy(name))
+        report = histogram_report(n, allow_large=True)
+        return report, calls["count_nac"], calls["nac_masks"]
 
     def test_histogram_count_nac_calls_n8(self, monkeypatch):
-        # deterministic: one count per closed-ear root; one per class takes 608
-        report, counts = self._counted_histogram(monkeypatch, 8)
+        # deterministic: one count per root with no degree-2 vertex (and the
+        # triangle) and one listing per parent of an open-ear root; one count
+        # per closed-ear root takes 256, one per class 608
+        report, counts, listings = self._counted_histogram(monkeypatch, 8)
         assert report["classes"] == 608
-        assert counts == 256
+        assert (counts, listings) == (39, 67)
 
     def test_keys_leave_as_plain_strings(self, laman_keys, laman8_keys):
         # the generators a key carries inside generation stay there
@@ -193,10 +205,11 @@ class TestGeneration:
         reason="opt-in: ~5 s (set RIGNAC_LARGE_TESTS=1)",
     )
     def test_histogram_count_nac_calls_n9(self, monkeypatch):
-        # one count per closed-ear root; one per class takes 7 222
-        report, counts = self._counted_histogram(monkeypatch, 9)
+        # as at n = 8; one count per closed-ear root takes 2 967, one per
+        # class 7 222
+        report, counts, listings = self._counted_histogram(monkeypatch, 9)
         assert report["histogram"] == {str(k): v for k, v in sorted(PUBLISHED_HISTOGRAM_9.items())}
-        assert counts == 2967
+        assert (counts, listings) == (303, 527)
 
     def test_deletion_filter_commutes_with_relabelling(self, laman_keys, laman8_keys):
         # the filter reads the graph, not its vertex ids, so a child's new
