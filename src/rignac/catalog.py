@@ -49,18 +49,21 @@ class CatalogEntry:
 
 def _nnac(g6: str) -> int:
     """The number of NAC-colourings of the class with key g6: `_nnacs`
-    runs it once per root with no degree-2 vertex, and on the triangle."""
+    runs it once per root with no degree-2 vertex that it does not list as
+    a parent, and on the triangle."""
     return count_nac(parse_graph6(g6))
 
 
 def _open_ear_counts(item: tuple[str, list[tuple[int, int]]]) -> list[int]:
-    """nnac(G) for each open ear (a, b) of item: G is the class with key
-    item[0] plus a vertex on a and b, which are not adjacent.  One listing
-    of the parent's NAC-colourings serves every pair (`_nnacs`'s lemma)."""
+    """nnac(G) for each open ear (a, b) of item, then the parent's own
+    count: G is the class with key item[0] plus a vertex on a and b, which
+    are not adjacent.  One listing of the parent's NAC-colourings serves
+    every pair (`_nnacs`'s lemma), and its length is the parent's count."""
     g6, pairs = item
     g = parse_graph6(g6)
     counts = [1] * len(pairs)
-    for mask in nac_masks(g):
+    masks = nac_masks(g)
+    for mask in masks:
         red = [i for i in range(g.m) if mask >> i & 1]
         blue = [i for i in range(g.m) if not mask >> i & 1]
         rc, bc = _colour_components(g, red), _colour_components(g, blue)
@@ -73,7 +76,7 @@ def _open_ear_counts(item: tuple[str, list[tuple[int, int]]]) -> list[int]:
                 + (not blue_apart or _pair(bc[a], bc[b]) not in blue_joins)
                 + 2 * (red_apart and blue_apart)
             )
-    return counts
+    return counts + [len(masks)]
 
 
 def _classify(item: tuple[str, int]) -> CatalogEntry:
@@ -286,7 +289,8 @@ def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) 
 def _nnacs(keys: _Level, workers: int) -> list[int]:
     """The NAC counts of keys, in order.  A class takes its closed-ear
     root's count.  A root with an open ear is counted from its parent's
-    NAC-colourings (`_open_ear_counts`, once per parent); `count_nac` runs on
+    NAC-colourings (`_open_ear_counts`, once per parent), and a root that is
+    also such a parent from the length of that listing; `count_nac` runs on
     the other roots, which have no degree-2 vertex, and on the triangle.
     Both fan out, over the sorted parents and the sorted roots.
 
@@ -320,16 +324,17 @@ def _nnacs(keys: _Level, workers: int) -> list[int]:
     So nnac(G) = 1 + the sum over the classes δ of G' of those extensions."""
     roots = [keys.root.get(k, k) for k in keys]
     distinct = sorted(set(roots))
-    counted = [r for r in distinct if r not in keys.ear]
-    nnac = dict(zip(counted, _fan_out(_nnac, counted, workers)))
     by_parent: dict[str, list[str]] = {}
     for r in distinct:
         if r in keys.ear:
             by_parent.setdefault(keys.ear[r][0], []).append(r)
     groups = sorted(by_parent.items())
     items = [(p, [keys.ear[r][1:] for r in ears]) for p, ears in groups]
-    for (_, ears), counts in zip(groups, _fan_out(_open_ear_counts, items, workers)):
-        nnac.update(zip(ears, counts))
+    nnac: dict[str, int] = {}
+    for (p, ears), counts in zip(groups, _fan_out(_open_ear_counts, items, workers)):
+        nnac.update(zip(ears + [p], counts))
+    counted = [r for r in distinct if r not in nnac]
+    nnac.update(zip(counted, _fan_out(_nnac, counted, workers)))
     return [nnac[r] for r in roots]
 
 
@@ -362,9 +367,10 @@ def histogram_report(
     """Histogram plus a flagged comparison against published 6-vertex counts.
 
     Without `entries` it classifies nothing: it reads the NAC counts of
-    `_nnacs`, fanned out over `workers` processes: `count_nac` on the roots
-    with no degree-2 vertex, and one listing of the parent's NAC-colourings
-    for the roots with an open ear.  The published reference counts for 6
+    `_nnacs`, fanned out over `workers` processes: one listing of the
+    parent's NAC-colourings for the roots with an open ear, which also
+    counts a root that is such a parent, and `count_nac` on the other roots
+    with no degree-2 vertex.  The published reference counts for 6
     vertices sum to 14 classes while regeneration is the arbiter; any
     per-bucket deviation is reported, never silently dropped.
     """

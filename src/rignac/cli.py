@@ -83,16 +83,11 @@ def _output(args):
         raise InputError(f"cannot write {out}: {exc.strerror}") from exc
 
 
-def _write_listing(args, masks, m: int) -> None:
-    """One JSON line per red-edge mask; an empty listing is one blank line."""
-    line = col.json_line_writer(m)
+def _write_listing(args, masks: list[int], m: int) -> None:
+    """One JSON line per red-edge mask (`colouring.json_lines`), written in
+    one `writelines`; an empty listing is one blank line."""
     with _output(args) as fh:
-        found = False
-        for mask in masks:
-            fh.write(line(mask))
-            found = True
-        if not found:
-            fh.write("\n")
+        fh.writelines(col.json_lines(m, masks) if masks else ["\n"])
 
 
 def _emit(obj, args) -> None:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import comb
-from operator import getitem
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .graph import (
     Graph,
@@ -68,38 +67,50 @@ class EdgeColouring:
 
 class _ChunkIds(dict):
     """Byte value -> the ids, each followed by ", ", of the edges of one
-    8-edge chunk whose bit in the byte equals `bit`; filled on first use."""
+    8-edge chunk whose bits are set in the byte; filled on first use, from
+    the lowest set bit and the entry of the byte without it."""
 
-    def __init__(self, chunk: int, m: int, bit: int) -> None:
-        self.ids = range(8 * chunk, min(8 * chunk + 8, m))
-        self.bit = bit
+    def __init__(self, chunk: int) -> None:
+        self.first = 8 * chunk
+        self[0] = ""
 
     def __missing__(self, byte: int) -> str:
-        text = "".join(f"{i}, " for j, i in enumerate(self.ids) if (byte >> j & 1) == self.bit)
+        text = f"{self.first + (byte & -byte).bit_length() - 1}, " + self[byte & (byte - 1)]
         self[byte] = text
         return text
 
 
-def json_line_writer(m: int) -> Callable[[int], str]:
-    """A function from a red-edge mask on m edges to its listing line.
+def json_lines(m: int, masks: Iterable[int]) -> Iterator[str]:
+    """The listing line of each red-edge mask on m edges, in order.
 
-    The line is `json.dumps(EdgeColouring(m, mask).to_json()) + "\n"`,
-    byte for byte.  The mask is cut into 8-edge chunks by `to_bytes`, and
-    each chunk's red and blue id texts are looked up by its byte value, so
-    a line costs about m/8 lookups and no per-edge work.  A (chunk, byte)
-    entry is built the first time it is seen.
+    A line is `json.dumps(EdgeColouring(m, mask).to_json()) + "\n"`, byte
+    for byte.  The mask is cut into 8-edge chunks, and a chunk's red text is
+    looked up in its chunk's table at the chunk's byte, its blue text at the
+    complemented byte.  The texts of the chunks below the first one in which
+    a mask differs from the previous mask are kept from the previous line,
+    so a listing in sorted order, whose neighbours mostly differ in their
+    last chunks, rebuilds few chunks per line.  Lines are right for masks in
+    any order.
     """
     size = (m + 7) // 8
-    red = [_ChunkIds(k, m, RED) for k in range(size)]
-    blue = [_ChunkIds(k, m, BLUE) for k in range(size)]
-
-    def line(mask: int) -> str:
-        data = mask.to_bytes(size, "little")
-        reds = "".join(map(getitem, red, data))[:-2]
-        blues = "".join(map(getitem, blue, data))[:-2]
-        return '{"red": [' + reds + '], "blue": [' + blues + "]}\n"
-
-    return line
+    # chunk k: (k + 1, its table, its shift, the mask of its edges in a byte)
+    chunks = [(k + 1, _ChunkIds(k), 8 * k, (1 << min(8, m - 8 * k)) - 1) for k in range(size)]
+    rebuild = [chunks[k:] for k in range(size)]
+    red = [""] * (size + 1)  # red[k]: the red text of the chunks below k
+    blue = [""] * (size + 1)
+    prev, fresh, line = 0, 1, ""  # fresh: the first line builds every chunk
+    for mask in masks:
+        diff = mask ^ prev | fresh
+        if diff:
+            first = ((diff & -diff).bit_length() - 1) >> 3
+            r, b = red[first], blue[first]
+            for k, table, shift, ones in rebuild[first]:
+                byte = mask >> shift & 255
+                red[k] = r = r + table[byte]
+                blue[k] = b = b + table[byte ^ ones]
+            line = f'{{"red": [{r[:-2]}], "blue": [{b[:-2]}]}}\n'
+            prev, fresh = mask, 0
+        yield line
 
 
 def _check_length(g: Graph, c: EdgeColouring) -> None:
@@ -418,8 +429,9 @@ def _frontier_pass(g: Graph, links: Optional[list] = None) -> tuple[list[list[in
     (has_red, 0, 0).  A steady level (`_steady_level`) takes the short step.
     If `links` is a list, no multiplicities are kept: each level's states
     map to their back-links, the ints 2 * parent + colour of the steps into
-    them, and the level appends the lists in state order to `links`, the
-    format `_spell` reads; the final states map to their back-links too.  A
+    them, parent indexing the states before the level, and the level
+    appends the lists in state order to `links`, the format `_spell` reads
+    from both ends; the final states map to their back-links too.  A
     level of more than FRONTIER_BUDGET states raises PreconditionError.  A
     graph whose edges form one unit has no NAC-colouring: it returns no
     units and no final states, and counts the start state as expanded.
@@ -464,30 +476,102 @@ def _frontier_count(g: Graph) -> tuple[int, int]:
     return states.get((1, 0, 0), 0), expanded
 
 
+def _suffix_counts(links: list, final: list[int]) -> list[list[int]]:
+    """The number of accepting path suffixes from each state, as ints:
+    entry k + 1 is for the states after level k (entry 0 for the start),
+    where `final` gives 1 at each accepting final state and 0 elsewhere.
+    A state counted 0 is dead: no accepting path passes it."""
+    counts = [final]
+    for k in range(len(links) - 1, -1, -1):
+        below = [0] * (len(links[k - 1]) if k else 1)
+        for back, count in zip(links[k], counts[-1]):
+            if count:
+                for link in back:
+                    below[link >> 1] += count
+        counts.append(below)
+    counts.reverse()
+    return counts
+
+
+def _join_level(links: list, counts: list[list[int]]) -> int:
+    """The level k at which `_spell` joins, -1 to L-1 for L levels: the
+    one that builds the fewest masks, counting the path prefixes into the
+    live states after levels 0..k, built forwards, and the accepting path
+    suffixes from the states after levels k..L-2, built backwards (`counts`,
+    from `_suffix_counts`; level -1 is the start).  Ties go to the lower
+    level; k = -1 builds suffixes only."""
+    heads, prefix = [1], []  # heads: path prefixes into each live state
+    for back, live in zip(links, counts[1:]):
+        here = []
+        for links_in, count in zip(back, live):
+            total = 0
+            if count:
+                for link in links_in:
+                    total += heads[link >> 1]
+            here.append(total)
+        heads = here
+        prefix.append(sum(heads))
+    suffix = [sum(c) for c in counts]
+    cost = sum(suffix[:-1])  # k = -1: the suffixes after levels -1..L-2
+    best, join = cost, -1
+    for k, here in enumerate(prefix):
+        cost += here - suffix[k]
+        if cost < best:
+            best, join = cost, k
+    return join
+
+
 def _spell(links: list, reds: list[int], states: dict, accept: tuple, first_only: bool, m: int) -> list[int]:
     """The sorted red-edge masks that a programme's back-links spell on the
-    paths from its final state `accept` to the start.  `links[k]` holds,
+    paths from the start to its final state `accept`.  `links[k]` holds,
     for each state after level k in order, the ints 2 * parent + colour of
     the steps into it, parent indexing the states before level k; a step
     of colour 1 adds the edges `reds[k]`, and distinct paths spell distinct
-    colourings.  The paths are walked backwards a level at a time, keeping
-    for each state the masks of the accepting path suffixes that start
-    there, one mask per path (only the first path with `first_only`);
-    grouping by state keeps no per-path record besides the mask.  The masks
-    come out in the order of an edge-by-edge search that tries red before
-    blue: descending by the mask read with edge 0 as its highest bit.
+    colourings.
+
+    The paths are spelled from both ends and joined at the level k that
+    `_join_level` picks from their counts (`_suffix_counts`): backwards from
+    the last level through level k + 1, keeping for each state the masks of
+    the accepting path suffixes that start there, and forwards through
+    level k, keeping for each live state the masks of the path prefixes
+    into it.  At level k each prefix of a state ORs with each of its
+    suffixes.  Grouping by state keeps no per-path record besides the mask.
+    With `first_only` nothing is counted, k is -1, and the backward walk
+    keeps only the first path.  A programme with no level spells nothing.
+    The masks come out in the order of an edge-by-edge search that tries
+    red before blue: descending by the mask read with edge 0 as its highest
+    bit.
     """
-    suffixes = {j: [0] for j, key in enumerate(states) if key == accept}
-    for red in reversed(reds):
+    if not reds:
+        return []
+    final = [int(key == accept) for key in states]
+    if first_only:
+        join, counts = -1, []
+    else:
+        counts = _suffix_counts(links, final)
+        join = _join_level(links, counts)
+    tails = {j: [0] for j, count in enumerate(final) if count}
+    for k in range(len(reds) - 1, join, -1):
         if first_only:
-            suffixes = {j: tails[:1] for j, tails in list(suffixes.items())[:1]}
-        back = links.pop()
-        prev: dict[int, list[int]] = {}
-        for j, tails in suffixes.items():
-            for link in back[j]:
-                prev.setdefault(link >> 1, []).extend([mask | red for mask in tails] if link & 1 else tails)
-        suffixes = prev
-    masks = suffixes.get(0, [])[: 1 if first_only else None]
+            tails = {j: masks[:1] for j, masks in list(tails.items())[:1]}
+        red, below = reds[k], {}
+        for j, masks in tails.items():
+            for link in links[k][j]:
+                below.setdefault(link >> 1, []).extend([mask | red for mask in masks] if link & 1 else masks)
+        tails = below
+    heads = {0: [0]}
+    for k in range(join + 1):
+        red, after = reds[k], {}
+        for j, (back, count) in enumerate(zip(links[k], counts[k + 1])):
+            if count:
+                here = after[j] = []
+                for link in back:
+                    masks = heads[link >> 1]
+                    here.extend([mask | red for mask in masks] if link & 1 else masks)
+        heads = after
+    masks = [head | tail for j, ends in tails.items() for head in heads[j] for tail in ends]
+    if first_only:
+        masks = masks[:1]
     # bits reversed over whole bytes sort as the m-bit reversal does, and
     # bytes of one length compare as the big-endian ints they spell
     size = (m + 7) // 8

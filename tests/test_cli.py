@@ -360,6 +360,22 @@ class TestNac:
             code, printed, _ = run_cli(monkeypatch, capsys, [action, "list", "--out", str(path)], text)
             assert code == 0 and printed == "" and path.read_bytes() == out.encode()
 
+    def test_nap_list_out_is_the_json_of_each_colouring(self, monkeypatch, capsys, tmp_path):
+        # K_{6,10}'s 542 NAP-colourings, written to a file, are the bytes of
+        # json.dumps on each, in the order of the search (`is_nap` filters it)
+        g = make_complete_bipartite(6, 10)
+        naps = [mask for mask in dfs_nac_masks(g)[0] if colouring.is_nap(g, colouring.EdgeColouring(g.m, mask))]
+        path = tmp_path / "nap.txt"
+        code, printed, _ = run_cli(monkeypatch, capsys, ["nap", "list", "--out", str(path)], edge_text(g))
+        assert code == 0 and printed == "" and len(naps) == 542
+        assert path.read_bytes() == search_stdout(g, naps).encode()
+
+    def test_list_of_one_unit_is_one_blank_line(self, monkeypatch, capsys):
+        # one edge, K_3 and a 2-tree each form one triangle class
+        for g in (Graph.from_edges(2, [(0, 1)]), Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), make_2tree(5, 9)):
+            code, out, _ = run_cli(monkeypatch, capsys, ["nac", "list"], edge_text(g))
+            assert code == 0 and out == "\n", g.edges
+
     def test_threads_flag(self, monkeypatch, capsys):
         code, out, _ = run_cli(
             monkeypatch, capsys, ["nac", "count", "--raw", "--threads", "2"], PRISM_EDGES

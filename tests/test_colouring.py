@@ -25,7 +25,7 @@ from rignac.colouring import (
     has_nap_colouring,
     is_nac,
     is_nap,
-    json_line_writer,
+    json_lines,
     ladder_edges,
     locally_nac_check,
     nac_masks,
@@ -236,14 +236,23 @@ class TestIsNap:
 
 class TestJsonLineWriter:
     def test_matches_json_dumps(self):
+        # one call per m on masks sorted both ways, shuffled, repeated, and
+        # with 0 and the full mask next to each other: a line is right
+        # whichever chunk its mask first differs from the previous one in
         rnd = random.Random(8300)
         for m in (1, 7, 8, 9, 15, 16, 17, 60, 64, 65, 130):
             full = (1 << m) - 1
-            masks = [0, full] + [full ^ (1 << i) for i in range(m)]
+            masks = [0, full] + [full ^ (1 << i) for i in range(m)] + [1 << i for i in range(m)]
             masks += [rnd.getrandbits(m) for _ in range(300)]
-            line = json_line_writer(m)
-            for mask in masks + masks[::-1]:  # the second pass reads filled entries
-                assert line(mask) == json.dumps(EdgeColouring(m, mask).to_json()) + "\n", (m, mask)
+            shuffled = masks[:]
+            rnd.shuffle(shuffled)
+            repeated = [mask for mask in shuffled[:40] for _ in range(3)]
+            fed = sorted(masks) + sorted(masks, reverse=True) + shuffled + repeated + [0, full, 0, 0, full, full, 0]
+            lines = list(json_lines(m, fed))
+            assert len(lines) == len(fed)
+            for mask, line in zip(fed, lines):
+                assert line == json.dumps(EdgeColouring(m, mask).to_json()) + "\n", (m, mask)
+            assert list(json_lines(m, [])) == []
 
 
 class TestSeparations:
@@ -366,6 +375,86 @@ class TestEnumerationEngine:
 
     def test_parallel_zero_count(self):
         assert enumerate_nac(make_2tree(0, 12), workers=2) == 0
+
+
+class TestSpell:
+    """`_spell` spells the back-links from both ends and joins them at the
+    level `_join_level` picks; every join level, -1 (suffixes only) to the
+    last (prefixes only), spells the same masks."""
+
+    @staticmethod
+    def spelled_at_every_join(monkeypatch, listing, g) -> list[list[int]]:
+        """listing(g) once, its programme caught on the way into `_spell`,
+        then `_spell` on that programme forced to join at each level."""
+        caught = []
+        real_spell, real_join = colouring._spell, colouring._join_level
+        monkeypatch.setattr(colouring, "_spell", lambda *args: caught.append(args) or real_spell(*args))
+        chosen = listing(g)
+        monkeypatch.setattr(colouring, "_spell", real_spell)
+        (links, reds, states, accept, first_only, m), = caught
+        spelled = [chosen]
+        for k in range(-1, len(reds)):
+            monkeypatch.setattr(colouring, "_join_level", lambda links, counts: k)
+            spelled.append(real_spell(links, reds, states, accept, first_only, m))
+        monkeypatch.setattr(colouring, "_join_level", real_join)
+        return spelled
+
+    def assert_every_join(self, monkeypatch, g, nap: bool = True) -> None:
+        want, _ = dfs_nac_masks(g)
+        for spelled in self.spelled_at_every_join(monkeypatch, nac_masks, g):
+            assert spelled == want, g.edges
+        if nap:
+            naps = [mask for mask in want if is_nap(g, EdgeColouring(g.m, mask))]
+            for spelled in self.spelled_at_every_join(monkeypatch, nap_masks, g):
+                assert spelled == naps, g.edges
+
+    def test_every_join_on_complete_bipartite_and_h18(self, monkeypatch, fix):
+        self.assert_every_join(monkeypatch, make_complete_bipartite(4, 8))
+        self.assert_every_join(monkeypatch, fix["h18"].graph)
+
+    def test_every_join_on_the_catalog_up_to_7(self, monkeypatch, laman_keys):
+        for n in laman_keys:
+            for key in laman_keys[n]:
+                self.assert_every_join(monkeypatch, parse_graph6(key))
+
+    def test_every_join_on_seeded_random_graphs(self, monkeypatch):
+        rnd = random.Random(3200)
+        for _ in range(200):
+            n = rnd.randrange(2, 10)
+            self.assert_every_join(monkeypatch, random_graph(rnd, n, rnd.randrange(1, 2 * n)))
+
+    def test_join_sits_inside_the_programme(self):
+        # a wide programme joins between its ends: K_{6,10} has 60 levels
+        links: list = []
+        units, states, _ = colouring._frontier_pass(make_complete_bipartite(6, 10), links)
+        counts = colouring._suffix_counts(links, [int(key == (1, 0, 0)) for key in states])
+        assert len(units) == 60 and counts[0] == [2 ** 14 - 1]
+        assert 0 < colouring._join_level(links, counts) < 59
+
+    def test_one_unit_spells_nothing_without_counting(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("counted a programme with no level")
+
+        monkeypatch.setattr(colouring, "_suffix_counts", refuse)
+        monkeypatch.setattr(colouring, "_join_level", refuse)
+        for g in (Graph.from_edges(2, [(0, 1)]), make_complete(3), make_2tree(5, 9)):
+            assert len(triangle_classes(g)) == 1
+            assert nac_masks(g) == [] and _frontier_masks(g, True) == ([], 1), g.edges
+        assert _frontier_masks(make_complete_bipartite(3, 3), True)[0] == [292]
+
+    def test_first_only_keeps_one_path(self, monkeypatch, fix):
+        # the one-path walk counts nothing; its witnesses are pinned
+        def refuse(*args):
+            raise AssertionError("counted a first-only walk")
+
+        monkeypatch.setattr(colouring, "_suffix_counts", refuse)
+        pins = {"k33": 292, "prism": 52, "h18": 4563402752}
+        for name, mask in pins.items():
+            g = fix[name].graph
+            assert _frontier_masks(g, True)[0] == [mask] and is_nac(g, EdgeColouring(g.m, mask)), name
+        got: list[int] = []
+        assert enumerate_nac_detailed(make_complete_bipartite(6, 10), got.append, first_only=True)[0] == 1
+        assert got == [577024252550054400]
 
 
 class TestPartialState:
