@@ -446,36 +446,57 @@ class Separation:
 # canonical forms (small graphs)
 
 
-def _refine(nbrs: Sequence[Iterable[int]], colours: list[int], cells: int) -> tuple[list[int], int]:
-    """Colour refinement to an equitable partition.
-
-    Each pass ranks the signatures (colour, sorted neighbour colours); the
-    first pass that leaves the number of cells (``cells`` on entry) unchanged,
-    or makes every cell a single vertex, ends the refinement.  A discrete
-    partition is already equitable: a further pass would rank the signatures
-    by their distinct first entries and return the same colours.  Returns
-    that pass's colours 0..k-1 and k.
-    """
+def _refine(nbrs: Sequence[Iterable[int]], cells: list[list[int]], colours: list[int], first: int) -> list[list[int]]:
+    """Refine the ordered partition ``cells`` (each colour's vertices, in
+    colour order, each in vertex order) to an equitable one, renumbering
+    ``colours[v]``, the index of v's cell, in place from cell ``first`` on.
+    A pass splits each cell of two or more vertices in place, its parts in
+    sorted-neighbour-colour order, as ranking every vertex's (colour, sorted
+    neighbour colours) would; a pass that splits nothing, or a discrete
+    partition, ends the refinement."""
     n = len(colours)
-    while True:
-        sigs = [(c, tuple(sorted([colours[u] for u in nb]))) for c, nb in zip(colours, nbrs)]
-        distinct = sorted(set(sigs))
-        rank = {s: i for i, s in enumerate(distinct)}
-        colours = [rank[s] for s in sigs]
-        if len(distinct) == cells or len(distinct) == n:
-            return colours, len(distinct)
-        cells = len(distinct)
+    while first >= 0:
+        for c in range(first, len(cells)):
+            for v in cells[c]:
+                colours[v] = c
+        if len(cells) == n:
+            break
+        out: list[list[int]] = []
+        first = -1
+        for cell in cells:
+            if len(cell) == 2:
+                a, b = cell
+                sa, sb = sorted([colours[u] for u in nbrs[a]]), sorted([colours[u] for u in nbrs[b]])
+                parts = [cell] if sa == sb else [[a], [b]] if sa < sb else [[b], [a]]
+            elif len(cell) > 2:
+                parts, last = [], None
+                for sig, v in sorted([(sorted([colours[u] for u in nbrs[v]]), v) for v in cell]):
+                    if sig == last:
+                        parts[-1].append(v)
+                    else:
+                        parts.append([v])
+                        last = sig
+            else:
+                out.append(cell)
+                continue
+            if first < 0 and len(parts) > 1:
+                first = len(out)
+            out += parts
+        cells = out
+    return cells
 
 
 def canonical_search(nbrs: Sequence[Iterable[int]]) -> tuple[int, list[list[int]], list[int]]:
     """Canonical certificate of a graph, generators of its automorphism group
     and the canonical labelling.
 
-    ``nbrs[v]`` holds the neighbours of vertex v.  The root starts at the
-    degree partition, coloured by the rank of each vertex's degree: the
-    colours that a refinement pass makes from one cell.  After each
-    refinement the search individualises, in vertex order, each vertex of
-    the smallest colour with more than one vertex.  A leaf's certificate is the graph6 bit string
+    ``nbrs[v]`` holds the neighbours of vertex v.  The search works on an
+    ordered partition: its cells in colour order, each a list of vertices in
+    vertex order.  The root is the degree partition, cells in increasing
+    degree: the cells that a refinement pass makes from one cell.  After each
+    refinement (``_refine``) the search individualises, in vertex order, each
+    vertex w of the first cell with more than one vertex, splitting that cell
+    into [w] followed by the rest.  A leaf's certificate is the graph6 bit string
     of its labelling read as one integer, so the smallest certificate is the
     graph6 minimum.  A leaf whose certificate equals the first or the best
     leaf's gives an automorphism; a child is skipped when its vertex lies in
@@ -498,10 +519,10 @@ def canonical_search(nbrs: Sequence[Iterable[int]]) -> tuple[int, list[list[int]
     first: tuple[int, list[int]] | None = None
     best: tuple[int, list[int]] | None = None
 
-    def visit(colours: list[int], cells: int, prefix: list[int]) -> None:
+    def visit(cells: list[list[int]], colours: list[int], start: int, prefix: list[int]) -> None:
         nonlocal first, best
-        colours, cells = _refine(nbrs, colours, cells)
-        if cells == n:
+        cells = _refine(nbrs, cells, colours, start)
+        if len(cells) == n:
             cert = 0
             for v, p in enumerate(colours):
                 row = shifts[p]
@@ -514,21 +535,15 @@ def canonical_search(nbrs: Sequence[Iterable[int]]) -> tuple[int, list[list[int]
                 return
             ref = first if cert == first[0] else best if cert == best[0] else None
             if ref is not None:
-                at = [0] * n
-                for v, p in enumerate(colours):
-                    at[p] = v
-                gens.append([at[p] for p in ref[1]])
+                gens.append([cells[p][0] for p in ref[1]])
             elif cert < best[0]:
                 best = (cert, colours)
             return
-        size = [0] * cells
-        for c in colours:
-            size[c] += 1
-        target = next(c for c in range(cells) if size[c] > 1)
+        t = next(c for c, cell in enumerate(cells) if len(cell) > 1)
         orbit = list(range(n))  # orbit labels under the generators fixing prefix
         used = 0
         explored: list[int] = []
-        for w in [v for v in range(n) if colours[v] == target]:
+        for w in cells[t]:
             if explored:
                 for gen in gens[used:]:
                     if all(gen[p] == p for p in prefix):
@@ -540,11 +555,10 @@ def canonical_search(nbrs: Sequence[Iterable[int]]) -> tuple[int, list[list[int]
                 if any(orbit[w] == orbit[x] for x in explored):
                     continue
             explored.append(w)
-            visit([2 * c + (u != w) for u, c in enumerate(colours)], cells + 1, prefix + [w])
+            visit(cells[:t] + [[w], [u for u in cells[t] if u != w]] + cells[t + 1 :], colours[:], t + 1, prefix + [w])
 
     degrees = [len(nb) for nb in nbrs]
-    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    visit([rank[d] for d in degrees], len(rank), [])
+    visit([[v for v in range(n) if degrees[v] == d] for d in sorted(set(degrees))], [0] * n, 0, [])
     assert best is not None
     return best[0], gens, best[1]
 

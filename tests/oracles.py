@@ -474,11 +474,35 @@ def slow_canonical_form(g: Graph) -> bytes:
     return best[0]
 
 
-def zero_root_canonical_search(nbrs) -> tuple[int, list[list[int]], list[int]]:
-    """`rignac.graph.canonical_search` with its root at one cell, all
-    colours zero, so the first refinement pass finds the degree partition;
-    the same pruned search otherwise (certificate, generators, labelling)."""
-    from rignac.graph import _pair_shifts, _refine
+def signature_refine(nbrs, colours: list[int], cells: int) -> tuple[list[int], int]:
+    """Colour refinement to an equitable partition.
+
+    Each pass ranks the signatures (colour, sorted neighbour colours); the
+    first pass that leaves the number of cells (``cells`` on entry) unchanged,
+    or makes every cell a single vertex, ends the refinement.  A discrete
+    partition is already equitable: a further pass would rank the signatures
+    by their distinct first entries and return the same colours.  Returns
+    that pass's colours 0..k-1 and k.
+    """
+    n = len(colours)
+    while True:
+        sigs = [(c, tuple(sorted([colours[u] for u in nb]))) for c, nb in zip(colours, nbrs)]
+        distinct = sorted(set(sigs))
+        rank = {s: i for i, s in enumerate(distinct)}
+        colours = [rank[s] for s in sigs]
+        if len(distinct) == cells or len(distinct) == n:
+            return colours, len(distinct)
+        cells = len(distinct)
+
+
+def signature_canonical_search(nbrs, zero_root: bool = False) -> tuple[int, list[list[int]], list[int]]:
+    """`rignac.graph.canonical_search` on colour vectors: every refinement
+    pass re-ranks every vertex (`signature_refine`), and individualising w
+    recolours each vertex u of colour c as 2c + (u != w).  The root is the
+    degree partition or, with ``zero_root``, one cell with all colours zero,
+    so the first refinement pass finds the degree partition.  The same pruned
+    search otherwise (certificate, generators, labelling)."""
+    from rignac.graph import _pair_shifts
 
     n = len(nbrs)
     shifts = _pair_shifts(n)
@@ -487,7 +511,7 @@ def zero_root_canonical_search(nbrs) -> tuple[int, list[list[int]], list[int]]:
 
     def visit(colours: list[int], cells: int, prefix: list[int]) -> None:
         nonlocal first, best
-        colours, cells = _refine(nbrs, colours, cells)
+        colours, cells = signature_refine(nbrs, colours, cells)
         if cells == n:
             cert = sum(1 << shifts[p][colours[w]] for v, p in enumerate(colours) for w in nbrs[v] if colours[w] < p)
             if first is None:
@@ -520,7 +544,12 @@ def zero_root_canonical_search(nbrs) -> tuple[int, list[list[int]], list[int]]:
             explored.append(w)
             visit([2 * c + (u != w) for u, c in enumerate(colours)], cells + 1, prefix + [w])
 
-    visit([0] * n, 1, [])
+    if zero_root:
+        visit([0] * n, 1, [])
+    else:
+        degrees = [len(nb) for nb in nbrs]
+        rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+        visit([rank[d] for d in degrees], len(rank), [])
     return best[0], gens, best[1]
 
 

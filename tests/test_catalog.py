@@ -30,7 +30,7 @@ from rignac.rigidity import rank
 from rignac.constructions import make_complete_bipartite
 from rignac.stable_cut import exhaustive_stable_cut
 
-from oracles import remove_vertices, slow_henneberg_children, slow_minimally_rigid_graph6
+from oracles import remove_vertices, signature_canonical_search, slow_henneberg_children, slow_minimally_rigid_graph6
 
 # sha256 of the sorted keys joined by newlines
 KEYS_SHA256 = {
@@ -137,27 +137,51 @@ class TestGeneration:
                     assert {(min(gen[u], gen[v]), max(gen[u], gen[v])) for u, v in edges} == edges, key
 
     @staticmethod
-    def _counted_generation(monkeypatch, n: int) -> tuple[list[str], int]:
+    def _counted_generation(monkeypatch, n: int) -> tuple[list[str], list[tuple]]:
+        """The keys, and each canonical search that generation makes: its
+        neighbour lists and its (certificate, generators, labelling)."""
         import rignac.catalog as catalog
 
         calls = []
         search = catalog.canonical_search
 
         def counted(nbrs):
-            calls.append(nbrs)
-            return search(nbrs)
+            found = search(nbrs)
+            calls.append(([list(a) for a in nbrs], found))
+            return found
 
         monkeypatch.setattr(catalog, "canonical_search", counted)
-        return minimally_rigid_graph6(n, allow_large=True), len(calls)
+        return minimally_rigid_graph6(n, allow_large=True), calls
+
+    @staticmethod
+    def _assert_signature_ranking_agrees(calls: list[tuple]) -> None:
+        # the ordered-partition search makes the tree that re-ranking every
+        # vertex on every refinement pass makes
+        for nbrs, found in calls:
+            assert found == signature_canonical_search(nbrs), nbrs
 
     def test_generation_canonical_search_count_n8(self, monkeypatch):
         # deterministic: one search per child that passes the canonical-deletion
         # filter, and none for a parent; searching every child, and each parent
         # again for its automorphisms, takes 1 446
-        keys, searches = self._counted_generation(monkeypatch, 8)
+        import rignac.graph as graph
+
+        refined = []
+        refine = graph._refine
+
+        def counted_refine(nbrs, cells, colours, first):
+            cells = refine(nbrs, cells, colours, first)
+            refined.append(len(cells) == len(colours))
+            return cells
+
+        monkeypatch.setattr(graph, "_refine", counted_refine)
+        keys, calls = self._counted_generation(monkeypatch, 8)
         assert len(keys) == 608
-        assert searches == 778
+        assert len(calls) == 778
+        # one refinement per search-tree node, 1 559 of them at leaves
+        assert (len(refined), sum(refined)) == (2622, 1559)
         assert _digest(keys) == KEYS_SHA256[8]
+        self._assert_signature_ranking_agrees(calls)
 
     @staticmethod
     def _counted_histogram(monkeypatch, n: int) -> tuple[dict, int, int]:
@@ -196,10 +220,11 @@ class TestGeneration:
 
     def test_generation_canonical_search_count_n9(self, monkeypatch):
         # searching every child, and each parent again, takes 18 273
-        keys, searches = self._counted_generation(monkeypatch, 9)
+        keys, calls = self._counted_generation(monkeypatch, 9)
         assert len(keys) == 7222
-        assert searches == 9078
+        assert len(calls) == 9078
         assert _digest(keys) == KEYS_SHA256[9]
+        self._assert_signature_ranking_agrees(calls)
 
     @pytest.mark.skipif(
         not os.environ.get("RIGNAC_LARGE_TESTS"),

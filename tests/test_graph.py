@@ -37,8 +37,8 @@ from oracles import (
     random_connected_graph,
     random_graph,
     relabelled,
+    signature_canonical_search,
     slow_canonical_form,
-    zero_root_canonical_search,
 )
 
 
@@ -517,7 +517,28 @@ class TestCanonicalSearch:
         graphs += [random_graph(rnd, n, rnd.randrange(0, n * (n - 1) // 2 + 1)) for n in (rnd.randrange(1, 13) for _ in range(100))]
         assert sum(not all(g.adjacency) for g in graphs) >= 10
         for g in graphs:
-            assert canonical_search(g.adjacency) == zero_root_canonical_search(g.adjacency), g.edges
+            assert canonical_search(g.adjacency) == signature_canonical_search(g.adjacency, zero_root=True), g.edges
+
+    def test_ordered_partition_matches_signature_ranking(self):
+        # refining only the cells that can split gives the colours that
+        # re-ranking every vertex gives, so the search tree is the same:
+        # certificate, generators and labelling all agree
+        graphs = [
+            Graph.from_edges(12, [(0, i) for i in range(1, 12)]),
+            Graph.from_edges(12, [(i, j) for i in range(6) for j in range(6, 12)]),
+            Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)]),
+            Graph.from_edges(12, [(3 * t + a, 3 * t + b) for t in range(4) for a, b in ((0, 1), (0, 2), (1, 2))]),
+            _petersen(),
+        ]
+        rnd = random.Random(3301)
+        for _ in range(300):
+            n = rnd.randrange(1, 13)
+            graphs.append(random_graph(rnd, n, rnd.randrange(0, n * (n - 1) // 2 + 1)))
+        assert sum(not is_connected(g) for g in graphs) >= 50
+        assert sum(not all(g.adjacency) for g in graphs) >= 30
+        graphs += [relabelled(g, rnd) for g in graphs]
+        for g in graphs:
+            assert canonical_search(g.adjacency) == signature_canonical_search(g.adjacency), g.edges
 
     def test_generators_generate_the_automorphism_group(self, laman_keys):
         graphs = [parse_graph6(k) for k in laman_keys[6]] + _random_graphs(7, 40)
