@@ -11,12 +11,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import comb
+from operator import add
 from typing import Callable, Iterable, Iterator, Optional
 
 from .graph import (
     Graph,
     PreconditionError,
     Separation,
+    _frontier_run,
     _vertex_order,
     blocks,
     connected_components_without,
@@ -26,7 +28,6 @@ from .graph import (
 from .stable_cut import BLUE, MIXED, RED, Answers, _labellings
 
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-FRONTIER_BUDGET = 1 << 16  # states per level of `_frontier_pass`
 
 
 @dataclass(frozen=True)
@@ -419,21 +420,14 @@ def _steady_level(key: tuple, level: tuple, stride: int, colours: tuple) -> list
 
 
 def _frontier_pass(g: Graph, links: Optional[list] = None) -> tuple[list[list[int]], dict[tuple, object], int]:
-    """Colour the units level by level: (the units in level order, the
-    final states with their multiplicities, the states expanded).
-
-    The unit holding edge 0 is coloured blue, every other one red or blue.
-    A component with no frontier vertex never changes again, so the number
-    of ways to finish depends only on the state, and states with equal
-    keys are merged with their multiplicities added.  A final state is
+    """Colour the units level by level, run by `graph._frontier_run` with
+    `links`: (the units in level order, the final states, the states
+    expanded).  The unit holding edge 0 is coloured blue, every other one
+    red (back-link bit 1) or blue.  A component with no frontier vertex
+    never changes again, so the number of ways to finish depends only on the
+    state, and equal states add their multiplicities.  A final state is
     (has_red, 0, 0).  A steady level (`_steady_level`) takes the short step.
-    If `links` is a list, no multiplicities are kept: each level's states
-    map to their back-links, the ints 2 * parent + colour of the steps into
-    them, parent indexing the states before the level, and the level
-    appends the lists in state order to `links`, the format `_spell` reads
-    from both ends; the final states map to their back-links too.  A
-    level of more than FRONTIER_BUDGET states raises PreconditionError.  A
-    graph whose edges form one unit has no NAC-colouring: it returns no
+    A graph whose edges form one unit has no NAC-colouring: it returns no
     units and no final states, and counts the start state as expanded.
     """
     classes = triangle_classes(g)
@@ -441,37 +435,16 @@ def _frontier_pass(g: Graph, links: Optional[list] = None) -> tuple[list[list[in
         return [], {}, 1
     units, levels = _frontier_levels(g, classes)
     stride = max((len(level[3]) for level in levels), default=0)
-    states: dict = {(0, 0, 0): 1}
-    expanded = 0
-    for k, (unit, level) in enumerate(zip(units, levels)):
+    run = []
+    for unit, level in zip(units, levels):
         colours = (BLUE,) if unit[0] == 0 else (BLUE, RED)
-        size, new, _, keep, _ = level
-        step = _steady_level if not new and keep == list(range(size)) else _colour_level
-        nxt: dict = {}
-        if links is None:
-            for key, mult in states.items():
-                for child in step(key, level, stride, colours):
-                    if child is not None:
-                        nxt[child] = nxt.get(child, 0) + mult
-        else:
-            for parent, key in enumerate(states):
-                for colour, child in zip(colours, step(key, level, stride, colours)):
-                    if child is not None:
-                        nxt.setdefault(child, []).append(2 * parent + colour)
-            links.append(list(nxt.values()))
-        if len(nxt) > FRONTIER_BUDGET:
-            raise PreconditionError(
-                f"the frontier programme passed its budget of {FRONTIER_BUDGET} states per level "
-                f"at level {k + 1} of {len(levels)}, frontier width {len(keep)}"
-            )
-        expanded += len(states)
-        states = nxt
-    return units, states, expanded
+        step = _colour_level if level[1] or level[3] != list(range(level[0])) else _steady_level
+        run.append((step, (level, stride, colours), colours, (0,) * len(colours), len(level[3])))
+    return (units, *_frontier_run(run, {(0, 0, 0): 1}, add, links))
 
 
 def _frontier_count(g: Graph) -> tuple[int, int]:
-    """(NAC classes of g, states expanded): the multiplicity of the final
-    state that used red."""
+    """(NAC classes of g, states expanded), read at the final state that used red."""
     _, states, expanded = _frontier_pass(g)
     return states.get((1, 0, 0), 0), expanded
 
@@ -522,12 +495,10 @@ def _join_level(links: list, counts: list[list[int]]) -> int:
 
 
 def _spell(links: list, reds: list[int], states: dict, accept: tuple, first_only: bool, m: int) -> list[int]:
-    """The sorted red-edge masks that a programme's back-links spell on the
-    paths from the start to its final state `accept`.  `links[k]` holds,
-    for each state after level k in order, the ints 2 * parent + colour of
-    the steps into it, parent indexing the states before level k; a step
-    of colour 1 adds the edges `reds[k]`, and distinct paths spell distinct
-    colourings.
+    """The sorted red-edge masks that a programme's back-links `links`
+    (`graph._frontier_run`) spell on the paths from the start to its final
+    state `accept`.  A step of bit 1 at level k adds the edges `reds[k]`,
+    and distinct paths spell distinct colourings.
 
     The paths are spelled from both ends and joined at the level k that
     `_join_level` picks from their counts (`_suffix_counts`): backwards from

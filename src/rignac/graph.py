@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class GraphParseError(ValueError):
@@ -23,6 +23,7 @@ class PreconditionError(ValueError):
 
 
 CANONICAL_FORM_MAX_VERTICES = 12
+FRONTIER_BUDGET = 1 << 16  # states per level of `_frontier_run`
 
 
 @dataclass(frozen=True)
@@ -392,6 +393,49 @@ def _vertex_order(g: Graph) -> list[int]:
         if not visited[v] and entry == key(v):
             visit(v)
     return order
+
+
+def _frontier_run(levels: list[tuple], start: dict, merge: Callable, links: Optional[list] = None) -> tuple[dict, int]:
+    """Run a frontier programme level by level: (the final states, the
+    states expanded).  The generic driver of frontier-based search (Iwashita
+    and Minato, TdZdd, Hokkaido Univ. TCS-TR-A-13-69, 2013).
+
+    A level is (step, args, bits, adds, width).  `step(key, *args)` gives a
+    state's children, one per entry of `bits` and of `adds`, None where
+    rejected.  `start` maps the start state to its value; a child takes its
+    parent's value plus its `adds` entry, and equal children merge by
+    `merge`: `operator.add` sums multiplicities, `min` keeps the least
+    weight.  With a list `links` no values are kept: a state maps to its
+    back-links, the ints 2 * parent + bit of the steps into it, parent
+    indexing the states before the level, and each level appends its
+    states' lists in order to `links`, the format `colouring._spell` reads.
+    Both modes reach the same states in the same order.  A level of more
+    than FRONTIER_BUDGET states raises PreconditionError with the level and
+    its frontier width `width`.
+    """
+    states, expanded = start, 0
+    for k, (step, args, bits, adds, width) in enumerate(levels):
+        nxt: dict = {}
+        if links is None:
+            for key, value in states.items():
+                for child, add in zip(step(key, *args), adds):
+                    if child is not None:
+                        here, old = value + add, nxt.get(child)
+                        nxt[child] = here if old is None else merge(old, here)
+        else:
+            for parent, key in enumerate(states):
+                for child, bit in zip(step(key, *args), bits):
+                    if child is not None:
+                        nxt.setdefault(child, []).append(2 * parent + bit)
+            links.append(list(nxt.values()))
+        if len(nxt) > FRONTIER_BUDGET:
+            raise PreconditionError(
+                f"the frontier programme passed its budget of {FRONTIER_BUDGET} states per level "
+                f"at level {k + 1} of {len(levels)}, frontier width {width}"
+            )
+        expanded += len(states)
+        states = nxt
+    return states, expanded
 
 
 # ---------------------------------------------------------------------------

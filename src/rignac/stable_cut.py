@@ -10,11 +10,12 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .graph import (
     Graph,
     PreconditionError,
+    _frontier_run,
     _vertex_order,
     blocks,
     connected_components_without,
@@ -26,7 +27,6 @@ from .rigidity import GscDecomposition, RigidityReport, gsc_decomposition, pebbl
 # Vertex labels of `_labellings`; a mixed code adds bit 0 once it has a
 # blue neighbour and bit 1 once it has a red one.
 BLUE, RED, MIXED = 0, 1, 4
-LABEL_BUDGET = 1 << 15  # states per level of `_labellings`
 
 Components = tuple[frozenset[int], ...]
 
@@ -289,25 +289,28 @@ def stable_cut_avoiding(g: Graph, v: int) -> StableCutResult:
     return _separate(g, comps, u, v, stats, avoid=v)
 
 
-def _step(key: tuple, label: int, at: list[int], done: list[int], keep: list[int]) -> Optional[tuple]:
-    """The next state when the level's vertex, one past the frontier, takes
-    `label`, or None; `at`, `done` and `keep` are positions in `key`."""
-    codes = list(key)
-    for i in at:
-        x = codes[i]
-        if label & MIXED:
-            if x & MIXED:
-                return None
-            label |= 1 << x
-        elif x & MIXED:
-            codes[i] = x | 1 << label
-        elif x != label:
-            return None
-    codes.append(key[-1] if label & MIXED else key[-1] | 1 << label)
-    codes[-2] = label
-    if any(MIXED <= codes[i] < MIXED | 3 for i in done):
-        return None  # a mixed vertex leaves without a red and a blue neighbour
-    return tuple(map(codes.__getitem__, keep))
+def _step(key: tuple, labels: list[int], at: list[int], done: list[int], keep: list[int]) -> Iterator[Optional[tuple]]:
+    """The next state for each of `labels` that the level's vertex, one past
+    the frontier, may take, None where it is rejected; `at`, `done` and
+    `keep` are positions in `key`."""
+    for label in labels:
+        codes, child = list(key), None
+        for i in at:
+            x = codes[i]
+            if label & MIXED:
+                if x & MIXED:
+                    break
+                label |= 1 << x
+            elif x & MIXED:
+                codes[i] = x | 1 << label
+            elif x != label:
+                break
+        else:
+            codes.append(key[-1] if label & MIXED else key[-1] | 1 << label)
+            codes[-2] = label
+            if not any(MIXED <= codes[i] < MIXED | 3 for i in done):  # a leaving mixed vertex has a red and a blue neighbour
+                child = tuple(map(codes.__getitem__, keep))
+        yield child
 
 
 def _split(adj: tuple[frozenset[int], ...], nbrs: frozenset[int]) -> bool:
@@ -321,7 +324,7 @@ def _split(adj: tuple[frozenset[int], ...], nbrs: frozenset[int]) -> bool:
     return len(seen) < len(nbrs)
 
 
-def _labellings(g: Graph, allowed: dict, links: Optional[list] = None) -> tuple[list[int], dict[tuple, int]]:
+def _labellings(g: Graph, allowed: dict, links: Optional[list] = None) -> tuple[list[int], dict[tuple, object]]:
     """Label the non-isolated vertices red, blue or mixed, so that mixed
     vertices are pairwise non-adjacent, adjacent unmixed ones agree, each
     mixed one has a red and a blue neighbour (so its neighbourhood is
@@ -329,21 +332,19 @@ def _labellings(g: Graph, allowed: dict, links: Optional[list] = None) -> tuple[
     vertices.  The mixed set is a stable cut, and every least stable cut
     is one.  `allowed.get(v)` narrows the labels of v.
 
-    One level per vertex, in `_vertex_order`.  A state is a code per
-    frontier vertex, BLUE, RED, or MIXED plus the colours its neighbours
-    showed so far (bit 0 blue, bit 1 red), then the colours used.  It keeps
-    the least sum of 2^n - 2^(n-1-v) over its mixed v, which orders cuts by
-    size and then lexicographically and decodes back to the cut.  Returns
-    the labelled vertices and the final states; (3,) accepts.  `links` gets
-    back-links in the format `colouring._spell` reads, colour 1 being red.  A
-    level of more than LABEL_BUDGET states raises PreconditionError.
+    One level per vertex, in `_vertex_order`, run by `graph._frontier_run`
+    with `links`, red being back-link bit 1.  A state is a code per frontier
+    vertex, BLUE, RED, or MIXED plus the colours its neighbours showed so
+    far (bit 0 blue, bit 1 red), then the colours used.  It keeps the least
+    sum of 2^n - 2^(n-1-v) over its mixed v, which orders cuts by size and
+    then lexicographically and decodes back to the cut.  Returns the
+    labelled vertices and the final states; (3,) accepts.
     """
     adj = g.adjacency
     order = [v for v in _vertex_order(g) if adj[v]]
     level = {v: k for k, v in enumerate(order)}
     last = {v: max(level[v], *(level[w] for w in adj[v])) for v in order}  # the level v leaves at
-    frontier: list[int] = []
-    states: dict[tuple, int] = {(0,): 0}
+    frontier, run = [], []
     for k, v in enumerate(order):
         at = [i for i, w in enumerate(frontier) if w in adj[v]]
         placed = frontier + [v]
@@ -351,27 +352,10 @@ def _labellings(g: Graph, allowed: dict, links: Optional[list] = None) -> tuple[
         keep = [i for i, w in enumerate(placed) if last[w] > k]
         frontier = [placed[i] for i in keep]
         keep.append(len(placed))
-        weight = (1 << g.n) - (1 << (g.n - 1 - v))
         labels = [x for x in allowed.get(v, (BLUE, RED, MIXED)) if x != MIXED or _split(adj, adj[v])]
-        nxt: dict[tuple, int] = {}
-        back: dict[tuple, list[int]] = {}
-        for parent, (key, cost) in enumerate(states.items()):
-            for label in labels:
-                child = _step(key, label, at, done, keep)
-                if child is not None:
-                    cost_here = cost + weight if label == MIXED else cost
-                    nxt[child] = min(nxt.get(child, cost_here), cost_here)
-                    if links is not None:
-                        back.setdefault(child, []).append(2 * parent + (label == RED))
-        if len(nxt) > LABEL_BUDGET:
-            raise PreconditionError(
-                f"the labelling programme passed its budget of {LABEL_BUDGET} states per level "
-                f"at level {k + 1} of {len(order)}, frontier width {len(frontier)}"
-            )
-        if links is not None:
-            links.append(list(back.values()))
-        states = nxt
-    return order, states
+        adds = [(1 << g.n) - (1 << (g.n - 1 - v)) if x == MIXED else 0 for x in labels]
+        run.append((_step, (labels, at, done, keep), [int(x == RED) for x in labels], adds, len(frontier)))
+    return order, _frontier_run(run, {(0,): 0}, min, links)[0]
 
 
 def exhaustive_stable_cut(

@@ -73,8 +73,8 @@ PRISM_GLUED_NON_MEMBER_EDGES = NON_MEMBER_EDGES + "".join(
 # vertex: no stable neighbourhood, and too wide for the search's budget
 WIDE_NON_MEMBER_EDGES = edge_text(random_eared_laman(random.Random(60), 60))
 WIDE_REFUSAL = (
-    "no stable cut found: the labelling programme passed its budget of 32768 states per level "
-    "at level 55 of 120, frontier width 18"
+    "no stable cut found: the frontier programme passed its budget of 65536 states per level "
+    "at level 61 of 120, frontier width 20"
 )
 
 # K5 and a disjoint edge: m = 2n - 3, but not connected

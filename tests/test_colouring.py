@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from rignac import colouring
+from rignac import colouring, graph
 from rignac.colouring import (
     BLUE,
     _frontier_count,
@@ -59,7 +59,7 @@ from rignac.constructions import (
     make_path,
     make_wheel,
 )
-from rignac.stable_cut import is_biconnected
+from rignac.stable_cut import MIXED, _labellings, exhaustive_stable_cut, is_biconnected
 
 from oracles import (
     PartialNacState,
@@ -940,15 +940,44 @@ class TestFrontierCounter:
         assert wide >= 5 and min(calls.values()) >= 10000, (wide, calls)
 
     def test_state_budget(self, monkeypatch):
-        # a level of more than FRONTIER_BUDGET states is refused, when
-        # counting and when listing alike
-        monkeypatch.setattr(colouring, "FRONTIER_BUDGET", 2)
-        pattern = "budget of 2 states per level at level 3 of 9, frontier width 3"
-        for run in (count_nac, nac_masks):
-            with pytest.raises(PreconditionError, match=pattern):
-                run(make_complete_bipartite(3, 3))
+        # one budget refuses both programmes with one text, when counting and
+        # when listing alike, each naming its own level and frontier width
+        monkeypatch.setattr(graph, "FRONTIER_BUDGET", 2)
+        text = "the frontier programme passed its budget of 2 states per level at level {} of {}, frontier width {}"
+        k33, c6 = make_complete_bipartite(3, 3), make_cycle(6)
+        runs = [
+            (count_nac, k33, (3, 9, 3)),
+            (nac_masks, k33, (3, 9, 3)),
+            (exhaustive_stable_cut, c6, (2, 6, 2)),
+            (nap_masks, c6, (2, 6, 2)),
+        ]
+        for run, g, where in runs:
+            with pytest.raises(PreconditionError) as refusal:
+                run(g)
+            assert str(refusal.value) == text.format(*where), run
         # a path's levels hold 2 states each: has_red is 0 or 1
         assert count_nac(make_path(6)) == len(nac_masks(make_path(6))) == 15
+
+    def test_value_and_link_modes_reach_the_same_states(self, laman_keys):
+        # the driver merges values in one mode and back-links in the other;
+        # both must keep the same final states in the same order, for both
+        # programmes
+        graphs = [parse_graph6(key) for n in laman_keys for key in laman_keys[n]]
+        rnd = random.Random(3400)
+        for _ in range(100):
+            n = rnd.randrange(1, 12)
+            graphs.append(random_graph(rnd, n, rnd.randrange(0, 2 * n + 1)))
+        assert sum(len(connected_components(g)) > 1 for g in graphs[-100:]) >= 30
+        assert sum(not all(g.adjacency) for g in graphs[-100:]) >= 20
+        for g in graphs:
+            if g.m:
+                units, values, expanded = colouring._frontier_pass(g)
+                linked = colouring._frontier_pass(g, [])
+                assert (linked[0], list(linked[1]), linked[2]) == (units, list(values), expanded), g.edges
+            for allowed in ({}, dict.fromkeys(g.edges[0] if g.m else (), (BLUE, MIXED))):
+                order, values = _labellings(g, allowed)
+                linked = _labellings(g, allowed, [])
+                assert linked[0] == order and list(linked[1]) == list(values), g.edges
 
     def test_wide_frontiers_against_the_search(self, monkeypatch):
         # a frontier at least 9 wide has room for pairs past bit 64 of a mask

@@ -1,13 +1,16 @@
 """Source hygiene of `src/rignac`, checked with `ast` in place of a linter:
-no module imports a name it never uses, and every private top-level
-function or class is named somewhere in the package."""
+no module imports a name it never uses, every private top-level function
+or class is named somewhere in the package, and every module constant is
+read somewhere in `src/` or `tests/`."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rignac"
+TESTS = Path(__file__).resolve().parent
 
 
 def modules() -> dict[str, ast.Module]:
@@ -56,3 +59,47 @@ def test_every_private_definition_is_named():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") and node.name not in named
     ]
     assert not unnamed, unnamed
+
+
+def constants(tree: ast.Module) -> list[str]:
+    """The module-level names a module assigns that are UPPER_CASE or start
+    with an underscore, dunders excepted."""
+    targets = [t for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+    targets += [node.target for node in tree.body if isinstance(node, ast.AnnAssign)]
+    names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return [name for name in names if re.fullmatch(r"[A-Z][A-Z0-9_]*|_(?!_).*", name)]
+
+
+def reads(tree: ast.Module, module: str) -> set[tuple[str, str]]:
+    """(module, name) for each name a file reads.  A bare name belongs to
+    the module it is imported from, or else to the file's own `module`;
+    `x.name` belongs to the module that x names."""
+    origin = {  # bound name -> (the module it comes from, its own name)
+        alias.asname or alias.name: ((node.module or "").rsplit(".", 1)[-1], alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(origin.get(node.id, (module, node.id)))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = node.value.id if isinstance(node.value, ast.Name) else getattr(node.value, "attr", "")
+            read.add((origin[owner][1] if owner in origin else owner, node.attr))
+    return read
+
+
+def test_every_module_constant_is_read():
+    # a constant left behind by a change, such as a second state budget
+    # or an old one re-exported under its old module, is read nowhere
+    files = {path: ast.parse(path.read_text(), str(path)) for path in [*SRC.glob("*.py"), *TESTS.glob("*.py")]}
+    read = set().union(*(reads(tree, path.stem) for path, tree in files.items()))
+    unread = [
+        f"{path.name}: {name}"
+        for path, tree in sorted(files.items())
+        if path.parent == SRC
+        for name in constants(tree)
+        if (path.stem, name) not in read
+    ]
+    assert not unread, unread
