@@ -47,20 +47,16 @@ class CatalogEntry:
         return parse_graph6(self.graph6)
 
 
-def _nnac(g6: str) -> int:
-    """The number of NAC-colourings of the class with key g6: `_nnacs`
-    runs it once per root with no degree-2 vertex that it does not list as
-    a parent, and on the triangle."""
-    return count_nac(parse_graph6(g6))
-
-
 def _open_ear_counts(item: tuple[str, list[tuple[int, int]]]) -> list[int]:
-    """nnac(G) for each open ear (a, b) of item, then the parent's own
-    count: G is the class with key item[0] plus a vertex on a and b, which
-    are not adjacent.  One listing of the parent's NAC-colourings serves
-    every pair (`_nnacs`'s lemma), and its length is the parent's count."""
+    """nnac(G) for each open ear (a, b) of item, then the count of the class
+    with key item[0] itself: G is that class plus a vertex on a and b, which
+    are not adjacent.  With no pairs this is `count_nac`; otherwise one
+    listing of the class's NAC-colourings serves every pair (`_nnacs`'s
+    lemma), and its length is the class's own count."""
     g6, pairs = item
     g = parse_graph6(g6)
+    if not pairs:
+        return [count_nac(g)]
     counts = [1] * len(pairs)
     masks = nac_masks(g)
     for mask in masks:
@@ -236,11 +232,37 @@ def _fan_out(fn: Callable, items: list, workers: int) -> Iterator:
         yield from map(fn, items)
 
 
-class _Level(list):
-    """Sorted keys, `root`: a class with a closed ear maps to the end of its
-    chain of closed-ear parents, and `ear`: a root that an open ear reaches
-    maps to (parent key, a, b) from the first parent in sorted order that
-    forms it (`_henneberg_children`)."""
+def _generate(n: int, allow_large: bool, workers: int) -> tuple[list[str], dict[str, tuple]]:
+    """The sorted keys of `minimally_rigid_graph6`, and the count source of
+    the classes that generation reaches by a 0-extension, for `_nnacs`: (r,)
+    for a class that shares the count of the class r, the end of its chain
+    of closed-ear parents, or (p, a, b) for an open ear on a, b of the
+    parent p.  A closed ear on p takes p's own source, or (p,) if it has
+    none, so every source names a class that `_nnacs` counts or lists.  A
+    closed ear overrides an open one, and the last closed parent in sorted
+    order wins; an open ear comes from the first parent that forms it."""
+    limit = OPT_IN_MAX_N if allow_large else DEFAULT_MAX_N
+    if not 3 <= n <= limit:
+        raise PreconditionError(
+            f"catalog supports 3 <= n <= {limit}"
+            + ("" if allow_large else f" ({OPT_IN_MAX_N} behind allow_large)")
+        )
+    level, source = dict([_search_key([[1, 2], [0, 2], [0, 1]])]), {}
+    for size in range(4, n + 1):
+        nxt, below, source = {}, source, {}
+        for children, ears in _fan_out(_henneberg_children, sorted(level.items()), workers):
+            nxt.update(children if size < n else dict.fromkeys(children))
+            for key, (p, a, b, closed) in ears.items():
+                if closed:
+                    source[key] = below.get(p, (p,))
+                else:
+                    source.setdefault(key, (p, a, b))
+        level = nxt
+    for g6 in level:
+        g = parse_graph6(g6)
+        if g.m != 2 * g.n - 3 or rank(g) != 2 * g.n - 3:
+            raise RuntimeError(f"generated class {g6} is not minimally rigid")
+    return sorted(level), source
 
 
 def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) -> list[str]:
@@ -256,43 +278,19 @@ def minimally_rigid_graph6(n: int, allow_large: bool = False, workers: int = 1) 
     that the next level's orbit choices need, and the last level keeps keys
     only.  Generation can fan out over parent graphs; per-parent children are
     merged, and the sorted output is identical for every worker count.  The
-    list carries each class's closed-ear root, and the open ear of each root
-    with a degree-2 vertex (`_Level`), for `_nnacs`.
+    count sources that `_generate` keeps beside the keys are dropped.
     """
-    limit = OPT_IN_MAX_N if allow_large else DEFAULT_MAX_N
-    if not 3 <= n <= limit:
-        raise PreconditionError(
-            f"catalog supports 3 <= n <= {limit}"
-            + ("" if allow_large else f" ({OPT_IN_MAX_N} behind allow_large)")
-        )
-    level, root, ear = dict([_search_key([[1, 2], [0, 2], [0, 1]])]), {}, {}
-    for size in range(4, n + 1):
-        nxt, below, root, ear_below, ear = {}, root, {}, ear, {}
-        for children, ears in _fan_out(_henneberg_children, sorted(level.items()), workers):
-            nxt.update(children if size < n else dict.fromkeys(children))
-            for key, (p, a, b, closed) in ears.items():
-                if closed:
-                    root[key] = below.get(p, p)
-                else:
-                    ear.setdefault(key, (p, a, b))
-        ear.update((r, ear_below[r]) for r in root.values() if r in ear_below)
-        level = nxt
-    for g6 in level:
-        g = parse_graph6(g6)
-        if g.m != 2 * g.n - 3 or rank(g) != 2 * g.n - 3:
-            raise RuntimeError(f"generated class {g6} is not minimally rigid")
-    keys = _Level(sorted(level))
-    keys.root, keys.ear = root, ear
-    return keys
+    return _generate(n, allow_large, workers)[0]
 
 
-def _nnacs(keys: _Level, workers: int) -> list[int]:
-    """The NAC counts of keys, in order.  A class takes its closed-ear
-    root's count.  A root with an open ear is counted from its parent's
-    NAC-colourings (`_open_ear_counts`, once per parent), and a root that is
-    also such a parent from the length of that listing; `count_nac` runs on
-    the other roots, which have no degree-2 vertex, and on the triangle.
-    Both fan out, over the sorted parents and the sorted roots.
+def _nnacs(keys: list[str], source: dict[str, tuple], workers: int) -> list[int]:
+    """The NAC counts of keys, in order, from their count sources
+    (`_generate`); a class with no source is its own, (key,).  Each class
+    that a source names is one work item for `_open_ear_counts`, with the
+    sorted open ears that name it: `count_nac` runs on those with none (the
+    triangle and classes with no degree-2 vertex), and the others are
+    listed once, the listing's length being their own count.  The items
+    fan out once, in sorted order.
 
     Lemma (closed ear): if w has degree 2 and adjacent neighbours a, b,
     nnac(G) = nnac(G - w).  A NAC-colouring gives a triangle one colour
@@ -322,28 +320,26 @@ def _nnacs(keys: _Level, workers: int) -> list[int]:
       ways, exactly when a and b lie in different red components and in
       different blue ones.
     So nnac(G) = 1 + the sum over the classes δ of G' of those extensions."""
-    roots = [keys.root.get(k, k) for k in keys]
-    distinct = sorted(set(roots))
-    by_parent: dict[str, list[str]] = {}
-    for r in distinct:
-        if r in keys.ear:
-            by_parent.setdefault(keys.ear[r][0], []).append(r)
-    groups = sorted(by_parent.items())
-    items = [(p, [keys.ear[r][1:] for r in ears]) for p, ears in groups]
-    nnac: dict[str, int] = {}
-    for (p, ears), counts in zip(groups, _fan_out(_open_ear_counts, items, workers)):
-        nnac.update(zip(ears + [p], counts))
-    counted = [r for r in distinct if r not in nnac]
-    nnac.update(zip(counted, _fan_out(_nnac, counted, workers)))
-    return [nnac[r] for r in roots]
+    sources = [source.get(k, (k,)) for k in keys]
+    ears: dict[str, set] = {}
+    for r, *ear in sources:
+        pairs = ears.setdefault(r, set())
+        if ear:
+            pairs.add(tuple(ear))
+    items = [(r, sorted(pairs)) for r, pairs in sorted(ears.items())]
+    nnac: dict[tuple, int] = {}
+    for (r, pairs), counts in zip(items, _fan_out(_open_ear_counts, items, workers)):
+        nnac[(r,)] = counts[-1]
+        nnac.update(((r, *pair), c) for pair, c in zip(pairs, counts))
+    return [nnac[s] for s in sources]
 
 
 def enumerate_minimally_rigid(
     n: int, allow_large: bool = False, workers: int = 1
 ) -> list[CatalogEntry]:
     """Every class classified in full, with its NAC count from `_nnacs`."""
-    keys = minimally_rigid_graph6(n, allow_large, workers)
-    return list(_fan_out(_classify, list(zip(keys, _nnacs(keys, workers))), workers))
+    keys, source = _generate(n, allow_large, workers)
+    return list(_fan_out(_classify, list(zip(keys, _nnacs(keys, source, workers))), workers))
 
 
 def _fold(counts: Iterable[int]) -> tuple[dict[int, int], int]:
@@ -367,15 +363,14 @@ def histogram_report(
     """Histogram plus a flagged comparison against published 6-vertex counts.
 
     Without `entries` it classifies nothing: it reads the NAC counts of
-    `_nnacs`, fanned out over `workers` processes: one listing of the
-    parent's NAC-colourings for the roots with an open ear, which also
-    counts a root that is such a parent, and `count_nac` on the other roots
-    with no degree-2 vertex.  The published reference counts for 6
+    `_nnacs` from the one count source per class that generation keeps,
+    fanned out over `workers` processes, so each class that a source names
+    is counted or listed once.  The published reference counts for 6
     vertices sum to 14 classes while regeneration is the arbiter; any
     per-bucket deviation is reported, never silently dropped.
     """
     if entries is None:
-        hist, mx = _fold(_nnacs(minimally_rigid_graph6(n, allow_large, workers), workers))
+        hist, mx = _fold(_nnacs(*_generate(n, allow_large, workers), workers))
     else:
         hist, mx = nnac_histogram(entries)
     report = {

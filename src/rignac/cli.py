@@ -21,6 +21,7 @@ from .graph import (
     Graph,
     GraphParseError,
     PreconditionError,
+    _parse_graph6_text,
     blocks,
     connected_components,
     connected_components_without,
@@ -28,8 +29,6 @@ from .graph import (
     emit_graph6,
     is_edge_list_text,
     parse_edge_list,
-    parse_graph,
-    parse_graph6,
 )
 from .rigidity import gsc_decomposition, rank, recognize_0extension_graph, rigidity_report
 
@@ -63,10 +62,8 @@ def _read_input(args) -> str:
 def _load_graph(args) -> Graph:
     text = _read_input(args)
     fmt = getattr(args, "format", "auto")
-    if fmt == "graph6":
-        return parse_graph6(text)
-    if fmt == "auto" and not is_edge_list_text(text):
-        return parse_graph(text)
+    if fmt == "graph6" or (fmt == "auto" and not is_edge_list_text(text)):
+        return _parse_graph6_text(text)
     g, labels = parse_edge_list(text)
     if labels != [str(i) for i in range(len(labels))]:
         print(f"label map: {dict(enumerate(labels))}", file=sys.stderr)

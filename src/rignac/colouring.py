@@ -119,22 +119,23 @@ def _check_length(g: Graph, c: EdgeColouring) -> None:
         raise ValueError(f"colouring length {c.m} does not match edge count {g.m}")
 
 
+def _find(parent: list[int], x: int) -> int:
+    """The root of x in the union-find forest parent, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _colour_components(g: Graph, edge_ids: Iterable[int]) -> list[int]:
     """Component label per vertex for the subgraph on the given edges."""
     label = list(range(g.n))
-
-    def find(x: int) -> int:
-        while label[x] != x:
-            label[x] = label[label[x]]
-            x = label[x]
-        return x
-
     for i in edge_ids:
         u, v = g.edges[i]
-        ru, rv = find(u), find(v)
+        ru, rv = _find(label, u), _find(label, v)
         if ru != rv:
             label[rv] = ru
-    return [find(v) for v in range(g.n)]
+    return [_find(label, v) for v in range(g.n)]
 
 
 def _no_almost_cycle(g: Graph, red: list[int], blue: list[int]) -> bool:
@@ -215,24 +216,17 @@ def triangle_classes(g: Graph) -> list[list[int]]:
     in increasing edge order.
     """
     parent = list(range(g.m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     adj, index = g.adjacency, g.edge_index
     for i, (u, v) in enumerate(g.edges):
         for w in adj[u] & adj[v]:
             if w > v:  # each triangle u < v < w once
                 for j in (index[(u, w)], index[(v, w)]):
-                    a, b = find(i), find(j)
+                    a, b = _find(parent, i), _find(parent, j)
                     if a != b:
                         parent[max(a, b)] = min(a, b)
     classes: dict[int, list[int]] = {}
     for i in range(g.m):
-        classes.setdefault(find(i), []).append(i)
+        classes.setdefault(_find(parent, i), []).append(i)
     return list(classes.values())
 
 

@@ -229,6 +229,11 @@ def parse_graph(text: str) -> Graph:
     """Parse either format; graph6 iff no line carries a whitespace-separated pair."""
     if is_edge_list_text(text):
         return parse_edge_list(text)[0]
+    return _parse_graph6_text(text)
+
+
+def _parse_graph6_text(text: str) -> Graph:
+    """The graph of text's one graph6 line, `#` comments and blank lines stripped."""
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -237,7 +242,7 @@ def parse_graph(text: str) -> Graph:
     if not lines:
         raise GraphParseError("empty input")
     if len(lines) != 1:
-        raise GraphParseError("multiple single-token lines; cannot detect format")
+        raise GraphParseError(f"{len(lines)} lines where one graph6 string is expected")
     return parse_graph6(lines[0])
 
 

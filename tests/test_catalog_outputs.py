@@ -114,6 +114,10 @@ def test_histogram_equals_the_count_of_every_class(n, workers):
     hist = Counter(count_nac(parse_graph6(k)) for k in minimally_rigid_graph6(n))
     report = histogram_report(n, workers=workers)
     assert report["histogram"] == {str(k): v for k, v in sorted(hist.items())}
+    # the histograms agree even when two classes swap counts, so check that
+    # each class gets its own
+    for e in enumerate_minimally_rigid(n, workers=workers):
+        assert e.nnac == count_nac(e.graph), e.graph6
 
 
 def test_a_closed_ear_keeps_the_count(laman_keys):

@@ -708,6 +708,12 @@ class TestMisc:
             code, out, err = run_cli(monkeypatch, capsys, ["components", *flags], "0 1\n1 2\n2 0\n3 4")
             assert code == 0 and err == "" and json.loads(out) == {"components": [[0, 1, 2], [3, 4]]}
 
+    def test_graph6_flag_reads_what_auto_reads(self, monkeypatch, capsys):
+        # comments and blank lines around the one graph6 string, in either form
+        for text in ("# a triangle\nBw\n", "\nBw  # a triangle\n\n"):
+            runs = [run_cli(monkeypatch, capsys, ["rank", *flags], text) for flags in ([], ["--format", "graph6"])]
+            assert runs[0] == runs[1] == (0, '{"max_rank": 3, "rank": 3}\n', ""), text
+
     def test_selftest_passes(self, monkeypatch, capsys):
         code, out, _ = run_cli(monkeypatch, capsys, ["selftest"])
         assert code == 0
