@@ -298,8 +298,17 @@ def _colour_level(key: tuple, level: tuple, stride: int, colours: tuple) -> list
     so its colour joins the labels of all its vertices into one component.
     A child is refused as soon as a unit edge lies in one component of the
     other colour or the join traps a pair, before any label is renamed.
-    With no next frontier the child is the final state (has_red, 0, 0)."""
+    With no next frontier the child is the final state (has_red, 0, 0).
+
+    A colour's labels are renamed only where they change.  A steady level
+    brings no new vertex and keeps every frontier vertex, so the frontier
+    keeps its local numbers: the other colour's labels carry over and its
+    mask gains the unit's edges as pairs, and the unit's colour is renamed
+    only when the unit joins two or more of its components.  With one
+    component joined no pair can be trapped, and the child is the key with
+    one mask widened."""
     size, new, edges, keep, touched = level
+    steady = not new and len(keep) == size
     labels = (key[:size] + new, key[size : 2 * size] + new)  # blue, red
     width = len(labels[0])
     fresh = (1 << width) - (1 << size)  # the labels of the new vertices
@@ -317,6 +326,8 @@ def _colour_level(key: tuple, level: tuple, stride: int, colours: tuple) -> list
             for x in touched:
                 joined |= 1 << mine[x]
             pairs, carried = key[-2 + colour], []
+            if steady and not joined & (joined - 1):
+                pairs = 0  # one component joined keeps its labels, and traps no pair
             while pairs:
                 low = pairs & -pairs
                 pairs ^= low
@@ -330,85 +341,48 @@ def _colour_level(key: tuple, level: tuple, stride: int, colours: tuple) -> list
                     child = (has_red, 0, 0)
                 else:
                     rep = (joined & -joined).bit_length() - 1  # the joined component's label
-                    mine_new, theirs_new = [-1] * width, [-1] * width  # label -> kept label
-                    mine_kept, theirs_kept, mine_count, theirs_count = [], [], 0, 0
-                    for x in keep:
-                        r, t = mine[x], theirs[x]
-                        if joined >> r & 1:
-                            r = rep
-                        if mine_new[r] < 0:
-                            mine_new[r], mine_count = mine_count, mine_count + 1
-                        if theirs_new[t] < 0:
-                            theirs_new[t], theirs_count = theirs_count, theirs_count + 1
-                        mine_kept.append(mine_new[r])
-                        theirs_kept.append(theirs_new[t])
-                    mine_mask = 0
+                    if steady:
+                        mine_kept, mine_mask, theirs_kept, theirs_mask = mine, key[-2 + colour], theirs, key[-1 - colour]
+                        for a, b in added:
+                            theirs_mask |= 1 << (a * stride + b if a < b else b * stride + a)
+                        if joined & (joined - 1):
+                            mine_new, mine_kept, mine_count, mine_mask = [-1] * size, [], 0, 0  # label -> kept label
+                            for r in mine:
+                                if joined >> r & 1:
+                                    r = rep
+                                if mine_new[r] < 0:
+                                    mine_new[r], mine_count = mine_count, mine_count + 1
+                                mine_kept.append(mine_new[r])
+                    else:
+                        mine_new, theirs_new = [-1] * width, [-1] * width
+                        mine_kept, theirs_kept, mine_count, theirs_count, mine_mask = [], [], 0, 0, 0
+                        for x in keep:
+                            r, t = mine[x], theirs[x]
+                            if joined >> r & 1:
+                                r = rep
+                            if mine_new[r] < 0:
+                                mine_new[r], mine_count = mine_count, mine_count + 1
+                            if theirs_new[t] < 0:
+                                theirs_new[t], theirs_count = theirs_count, theirs_count + 1
+                            mine_kept.append(mine_new[r])
+                            theirs_kept.append(theirs_new[t])
+                        pairs, theirs_mask = key[-1 - colour], 0
+                        while pairs:
+                            low = pairs & -pairs
+                            pairs ^= low
+                            added.append(divmod(low.bit_length() - 1, stride))
+                        for a, b in added:
+                            a, b = theirs_new[a], theirs_new[b]
+                            if a >= 0 and b >= 0:
+                                theirs_mask |= 1 << (a * stride + b if a < b else b * stride + a)
                     for a, b in carried:
                         a, b = mine_new[rep if joined >> a & 1 else a], mine_new[rep if joined >> b & 1 else b]
                         if a >= 0 and b >= 0:
                             mine_mask |= 1 << (a * stride + b if a < b else b * stride + a)
-                    pairs, theirs_mask = key[-1 - colour], 0
-                    while pairs:
-                        low = pairs & -pairs
-                        pairs ^= low
-                        added.append(divmod(low.bit_length() - 1, stride))
-                    for a, b in added:
-                        a, b = theirs_new[a], theirs_new[b]
-                        if a >= 0 and b >= 0:
-                            theirs_mask |= 1 << (a * stride + b if a < b else b * stride + a)
                     if colour == RED:
                         child = (*theirs_kept, *mine_kept, has_red, theirs_mask, mine_mask)
                     else:
                         child = (*mine_kept, *theirs_kept, has_red, mine_mask, theirs_mask)
-        children.append(child)
-    return children
-
-
-def _steady_level(key: tuple, level: tuple, stride: int, colours: tuple) -> list:
-    """`_colour_level` on a steady level, one that brings no new vertex and
-    keeps every frontier vertex, so the frontier and its local numbers stay.
-    The other colour's labels carry over unchanged and its mask gains the
-    unit's edges as pairs.  The unit's colour is renamed only when the unit
-    joins two or more of its components, and the trap test runs inside that
-    renaming: with one component joined no pair can be trapped, and the
-    child is the key with one mask widened."""
-    size, _, edges, _, touched = level
-    children: list = []
-    for colour in colours:
-        theirs, child, added = key[(1 - colour) * size : (2 - colour) * size], None, 0
-        for a, b in edges:
-            ta, tb = theirs[a], theirs[b]
-            if ta == tb:
-                break  # the edge closes an almost cycle of the other colour
-            added |= 1 << (ta * stride + tb if ta < tb else tb * stride + ta)
-        else:
-            mine, pairs, joined = key[colour * size : (colour + 1) * size], key[-2 + colour], 0
-            for x in touched:
-                joined |= 1 << mine[x]
-            if joined & (joined - 1):
-                rep = (joined & -joined).bit_length() - 1  # the joined component's label
-                rename, labels, count = [-1] * size, [], 0
-                for r in mine:
-                    if joined >> r & 1:
-                        r = rep
-                    if rename[r] < 0:
-                        rename[r], count = count, count + 1
-                    labels.append(rename[r])
-                mine, left, pairs = tuple(labels), pairs, 0
-                while left:
-                    low = left & -left
-                    left ^= low
-                    a, b = divmod(low.bit_length() - 1, stride)
-                    if joined >> a & joined >> b & 1:
-                        mine = None  # the join traps an edge of the other colour
-                        break
-                    a, b = rename[rep if joined >> a & 1 else a], rename[rep if joined >> b & 1 else b]
-                    pairs |= 1 << (a * stride + b if a < b else b * stride + a)
-            if mine is not None:
-                if colour == BLUE:
-                    child = (*mine, *theirs, key[-3], pairs, key[-1] | added)
-                else:
-                    child = (*theirs, *mine, 1, key[-2] | added, pairs)
         children.append(child)
     return children
 
@@ -420,7 +394,7 @@ def _frontier_pass(g: Graph, links: Optional[list] = None) -> tuple[list[list[in
     red (back-link bit 1) or blue.  A component with no frontier vertex
     never changes again, so the number of ways to finish depends only on the
     state, and equal states add their multiplicities.  A final state is
-    (has_red, 0, 0).  A steady level (`_steady_level`) takes the short step.
+    (has_red, 0, 0).
     A graph whose edges form one unit has no NAC-colouring: it returns no
     units and no final states, and counts the start state as expanded.
     """
@@ -432,8 +406,7 @@ def _frontier_pass(g: Graph, links: Optional[list] = None) -> tuple[list[list[in
     run = []
     for unit, level in zip(units, levels):
         colours = (BLUE,) if unit[0] == 0 else (BLUE, RED)
-        step = _colour_level if level[1] or level[3] != list(range(level[0])) else _steady_level
-        run.append((step, (level, stride, colours), colours, (0,) * len(colours), len(level[3])))
+        run.append((_colour_level, (level, stride, colours), colours, (0,) * len(colours), len(level[3])))
     return (units, *_frontier_run(run, {(0, 0, 0): 1}, add, links))
 
 
@@ -566,8 +539,11 @@ def enumerate_nac(
     returned count is already the half-count.  Without `on_found` it counts
     as `count_nac` does, block by block; with it, every class is listed, in the
     order of an edge-by-edge search that tries red before blue.
-    `first_only` stops at one class: the count is 0 or 1 and the witness
-    is some NAC-colouring, not necessarily the first in that order.
+    `first_only` keeps one class: the count is 0 or 1 and the witness is
+    some NAC-colouring, not necessarily the first in that order.  It does
+    not stop early: without `on_found` the whole block-by-block count runs
+    and is clipped to 1, so it costs what the count costs and is refused
+    at the same state budget.
     `workers` is accepted for compatibility and ignored.
     """
     emit = None if on_found is None else lambda mask: on_found(EdgeColouring(g.m, mask))
@@ -583,7 +559,9 @@ def enumerate_nac_detailed(
     workers: int = 1,
 ) -> tuple[int, int, float]:
     """enumerate_nac with red-edge masks passed to `on_found`, plus (states
-    expanded, elapsed milliseconds)."""
+    expanded, elapsed milliseconds).  `first_only` without `on_found`
+    clips the whole count to 1; with it, the whole programme runs and one
+    path is spelled."""
     if g.m < 1:
         raise PreconditionError("enumeration requires at least one edge")
     start = time.perf_counter()

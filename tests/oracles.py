@@ -1120,6 +1120,148 @@ def dfs_nac_masks(g: Graph, first_only: bool = False) -> tuple[list[int], int]:
     return masks, nodes
 
 
+# ---------------------------------------------------------------------------
+# the NAC frontier step in two shapes
+
+
+def reference_colour_level(key: tuple, level: tuple, stride: int, colours: tuple) -> list:
+    """The children of a counter state at one level of the NAC frontier
+    programme (`rignac.colouring._colour_level`'s contract), from two
+    separate steps chosen by the level's shape: a steady level, one that
+    brings no new vertex and keeps every frontier vertex, takes
+    `reference_steady_step`, every other level `reference_full_step`.
+    They are kept unchanged from the library's two-step layout, as the
+    reference that its one step is checked against."""
+    size, new, _, keep, _ = level
+    step = reference_full_step if new or keep != list(range(size)) else reference_steady_step
+    return step(key, level, stride, colours)
+
+
+def reference_full_step(key: tuple, level: tuple, stride: int, colours: tuple) -> list:
+    """The children of a state, one per colour in `colours` and in that
+    order: the next state after colouring the level's unit that colour, or
+    None if it is rejected.
+
+    The key is sliced once for both colours.  A new vertex takes its local
+    number as label, which no frontier label reaches.  A unit is connected,
+    so its colour joins the labels of all its vertices into one component.
+    A child is refused as soon as a unit edge lies in one component of the
+    other colour or the join traps a pair, before any label is renamed.
+    With no next frontier the child is the final state (has_red, 0, 0)."""
+    size, new, edges, keep, touched = level
+    labels = (key[:size] + new, key[size : 2 * size] + new)  # blue, red
+    width = len(labels[0])
+    fresh = (1 << width) - (1 << size)  # the labels of the new vertices
+    children: list = []
+    for colour in colours:
+        mine, theirs = labels[colour], labels[1 - colour]
+        child, added = None, []
+        for a, b in edges:
+            ta, tb = theirs[a], theirs[b]
+            if ta == tb:
+                break  # the edge closes an almost cycle of the other colour
+            added.append((ta, tb))
+        else:
+            joined = fresh  # the labels of `mine` that the unit joins
+            for x in touched:
+                joined |= 1 << mine[x]
+            pairs, carried = key[-2 + colour], []
+            while pairs:
+                low = pairs & -pairs
+                pairs ^= low
+                a, b = divmod(low.bit_length() - 1, stride)
+                if joined >> a & joined >> b & 1:
+                    break  # the join traps an edge of the other colour
+                carried.append((a, b))
+            else:
+                has_red = 1 if colour == RED else key[-3]
+                if not keep:
+                    child = (has_red, 0, 0)
+                else:
+                    rep = (joined & -joined).bit_length() - 1  # the joined component's label
+                    mine_new, theirs_new = [-1] * width, [-1] * width  # label -> kept label
+                    mine_kept, theirs_kept, mine_count, theirs_count = [], [], 0, 0
+                    for x in keep:
+                        r, t = mine[x], theirs[x]
+                        if joined >> r & 1:
+                            r = rep
+                        if mine_new[r] < 0:
+                            mine_new[r], mine_count = mine_count, mine_count + 1
+                        if theirs_new[t] < 0:
+                            theirs_new[t], theirs_count = theirs_count, theirs_count + 1
+                        mine_kept.append(mine_new[r])
+                        theirs_kept.append(theirs_new[t])
+                    mine_mask = 0
+                    for a, b in carried:
+                        a, b = mine_new[rep if joined >> a & 1 else a], mine_new[rep if joined >> b & 1 else b]
+                        if a >= 0 and b >= 0:
+                            mine_mask |= 1 << (a * stride + b if a < b else b * stride + a)
+                    pairs, theirs_mask = key[-1 - colour], 0
+                    while pairs:
+                        low = pairs & -pairs
+                        pairs ^= low
+                        added.append(divmod(low.bit_length() - 1, stride))
+                    for a, b in added:
+                        a, b = theirs_new[a], theirs_new[b]
+                        if a >= 0 and b >= 0:
+                            theirs_mask |= 1 << (a * stride + b if a < b else b * stride + a)
+                    if colour == RED:
+                        child = (*theirs_kept, *mine_kept, has_red, theirs_mask, mine_mask)
+                    else:
+                        child = (*mine_kept, *theirs_kept, has_red, mine_mask, theirs_mask)
+        children.append(child)
+    return children
+
+
+def reference_steady_step(key: tuple, level: tuple, stride: int, colours: tuple) -> list:
+    """`reference_full_step` on a steady level, one that brings no new vertex and
+    keeps every frontier vertex, so the frontier and its local numbers stay.
+    The other colour's labels carry over unchanged and its mask gains the
+    unit's edges as pairs.  The unit's colour is renamed only when the unit
+    joins two or more of its components, and the trap test runs inside that
+    renaming: with one component joined no pair can be trapped, and the
+    child is the key with one mask widened."""
+    size, _, edges, _, touched = level
+    children: list = []
+    for colour in colours:
+        theirs, child, added = key[(1 - colour) * size : (2 - colour) * size], None, 0
+        for a, b in edges:
+            ta, tb = theirs[a], theirs[b]
+            if ta == tb:
+                break  # the edge closes an almost cycle of the other colour
+            added |= 1 << (ta * stride + tb if ta < tb else tb * stride + ta)
+        else:
+            mine, pairs, joined = key[colour * size : (colour + 1) * size], key[-2 + colour], 0
+            for x in touched:
+                joined |= 1 << mine[x]
+            if joined & (joined - 1):
+                rep = (joined & -joined).bit_length() - 1  # the joined component's label
+                rename, labels, count = [-1] * size, [], 0
+                for r in mine:
+                    if joined >> r & 1:
+                        r = rep
+                    if rename[r] < 0:
+                        rename[r], count = count, count + 1
+                    labels.append(rename[r])
+                mine, left, pairs = tuple(labels), pairs, 0
+                while left:
+                    low = left & -left
+                    left ^= low
+                    a, b = divmod(low.bit_length() - 1, stride)
+                    if joined >> a & joined >> b & 1:
+                        mine = None  # the join traps an edge of the other colour
+                        break
+                    a, b = rename[rep if joined >> a & 1 else a], rename[rep if joined >> b & 1 else b]
+                    pairs |= 1 << (a * stride + b if a < b else b * stride + a)
+            if mine is not None:
+                if colour == BLUE:
+                    child = (*mine, *theirs, key[-3], pairs, key[-1] | added)
+                else:
+                    child = (*theirs, *mine, 1, key[-2] | added, pairs)
+        children.append(child)
+    return children
+
+
 def slow_0extension(g: Graph) -> tuple[bool, int | None]:
     """Recursive memoised 0-extension search: (buildable, min open steps).
 

@@ -75,6 +75,7 @@ from oracles import (
     random_graph,
     random_prism_chain,
     random_gsc_member,
+    reference_colour_level,
     relabelled,
     slow_colouring_from_decomposition,
     slow_two_tree_peel,
@@ -901,27 +902,21 @@ class TestFrontierCounter:
             assert stats["states"] == _frontier_masks(g, False)[1] == states
         assert sum(_frontier_count(parse_graph6(key))[1] for key in laman8_keys) == 14160
 
-    def test_steady_levels_equal_the_full_step(self, fix, monkeypatch):
-        # a steady level brings no vertex and keeps its frontier; its short
-        # step gives, state for state, the children of the full step, and
-        # every other level takes the full step
-        calls = {"steady": 0, "full": 0}
-        full, steady = colouring._colour_level, colouring._steady_level
+    def test_one_step_equals_the_two_step_reference(self, fix, monkeypatch):
+        # the one step gives, state for state, the children of the two-step
+        # reference, on steady levels (no vertex arrives and every frontier
+        # vertex stays) and on every other level alike
+        calls = {"steady": 0, "other": 0}
+        step = colouring._colour_level
 
-        def spy_full(key, level, stride, colours):
+        def spy(key, level, stride, colours):
+            children = step(key, level, stride, colours)
+            assert children == reference_colour_level(key, level, stride, colours), (key, level, stride, colours)
             size, new, _, keep, _ = level
-            assert new or keep != list(range(size)), level
-            calls["full"] += 1
-            return full(key, level, stride, colours)
-
-        def spy_steady(key, level, stride, colours):
-            children = steady(key, level, stride, colours)
-            assert children == full(key, level, stride, colours), (key, level, stride, colours)
-            calls["steady"] += 1
+            calls["other" if new or keep != list(range(size)) else "steady"] += 1
             return children
 
-        monkeypatch.setattr(colouring, "_colour_level", spy_full)
-        monkeypatch.setattr(colouring, "_steady_level", spy_steady)
+        monkeypatch.setattr(colouring, "_colour_level", spy)
         h18 = fix["h18"].graph
         rnd = random.Random(3000)
         named = [h18] + [relabelled(h18, rnd) for _ in range(3)]

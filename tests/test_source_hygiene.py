@@ -1,8 +1,9 @@
 """Source hygiene of `src/rignac`, checked with `ast` in place of a linter:
 no module imports a name it never uses, every private top-level function
 or class is named somewhere in the package, every module constant is
-read somewhere in `src/` or `tests/`, and every function reads each of
-its parameters."""
+read somewhere in `src/` or `tests/`, every function reads each of its
+parameters, and every private or `module.name` name that README.md quotes
+is defined in the package or in `tests/oracles.py`."""
 
 from __future__ import annotations
 
@@ -128,3 +129,51 @@ def test_every_parameter_is_read():
             fn = getattr(node, "name", "<lambda>")
             unread += [f"{name}: {fn}({p})" for p in params if p not in read and not may_go_unread(name, fn, p)]
     assert not unread, unread
+
+
+def definitions(tree: ast.Module) -> set[str]:
+    """The names a module defines at top level: functions, classes,
+    assigned names and imported names."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def readme_code_names() -> list[str]:
+    """The dotted or underscored names in README.md's inline code spans,
+    outside fenced blocks; a span opened by n backquotes closes at the next
+    run of exactly n."""
+    text = (SRC.parent.parent / "README.md").read_text()
+    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    spans = [m.group(2) for m in re.finditer(r"(?<!`)(`+)(?!`)(.+?)(?<!`)\1(?!`)", text, flags=re.S)]
+    tokens = [t for span in spans for t in re.findall(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*", span)]
+    return [t for t in tokens if "." in t or re.fullmatch(r"_(?!_)\w*", t)]
+
+
+def test_readme_names_resolve():
+    # a README passage left behind by a change names a function that is gone
+    files = {path.stem: ast.parse(path.read_text(), str(path)) for path in [*SRC.glob("*.py"), TESTS / "oracles.py"]}
+    files["rignac"] = files.pop("__init__")
+    defined = {stem: definitions(tree) for stem, tree in files.items()}
+    everywhere = set().union(*defined.values())
+    everywhere |= {n.name for tree in files.values() for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    unresolved = []
+    for name in readme_code_names():
+        head, *rest = name.split(".")
+        if rest and rest[-1] in {"py", "json", "md", "txt"}:
+            continue  # a file name
+        if head == "rignac" and rest and rest[0] in defined:
+            head, *rest = rest
+        if rest and head in defined:
+            if rest[0] not in defined[head]:
+                unresolved.append(name)
+        elif not rest and name not in everywhere:
+            unresolved.append(name)
+    assert not unresolved, unresolved
