@@ -242,9 +242,10 @@ def _frontier_levels(g: Graph, classes: list[list[int]]) -> tuple[list[list[int]
     first.  A level is (the frontier size, the local numbers of the new
     vertices, the unit's edges as local pairs, the local numbers of the
     next frontier in increasing vertex order, the local numbers of the
-    unit's frontier vertices).  An edge with an end in no other unit is left
-    out: that end is new and leaves with the level, so the edge can neither
-    close an almost cycle nor carry a pair to the next frontier.
+    unit's frontier vertices), all tuples, so that equal levels share one
+    table in `graph._frontier_run`.  An edge with an end in no other unit
+    is left out: that end is new and leaves with the level, so the edge can
+    neither close an almost cycle nor carry a pair to the next frontier.
     """
     edges = g.edges
     verts = [{x for i in unit for x in edges[i]} for unit in classes]
@@ -271,10 +272,10 @@ def _frontier_levels(g: Graph, classes: list[list[int]]) -> tuple[list[list[int]
     for k, c in enumerate(order):
         size = len(frontier)
         local = {x: pos for pos, x in enumerate(frontier + sorted(x for x in verts[c] if first[x] == k))}
-        touched = [local[x] for x in verts[c] if first[x] < k]
-        carried = [(local[u], local[v]) for u, v in (edges[i] for i in classes[c]) if first[u] < last[u] and first[v] < last[v]]
+        touched = tuple([local[x] for x in verts[c] if first[x] < k])
+        carried = tuple([(local[u], local[v]) for u, v in (edges[i] for i in classes[c]) if first[u] < last[u] and first[v] < last[v]])
         frontier = sorted(x for x in local if last[x] > k)
-        levels.append((size, tuple(range(size, len(local))), carried, [local[x] for x in frontier], touched))
+        levels.append((size, tuple(range(size, len(local))), carried, tuple([local[x] for x in frontier]), touched))
     return [classes[c] for c in order], levels
 
 
@@ -406,7 +407,7 @@ def _frontier_pass(g: Graph, links: Optional[list] = None) -> tuple[list[list[in
     run = []
     for unit, level in zip(units, levels):
         colours = (BLUE,) if unit[0] == 0 else (BLUE, RED)
-        run.append((_colour_level, (level, stride, colours), colours, (0,) * len(colours), len(level[3])))
+        run.append((_colour_level, (level, stride, colours), colours, None, len(level[3])))
     return (units, *_frontier_run(run, {(0, 0, 0): 1}, add, links))
 
 

@@ -406,32 +406,49 @@ def _frontier_run(levels: list[tuple], start: dict, merge: Callable, links: Opti
     and Minato, TdZdd, Hokkaido Univ. TCS-TR-A-13-69, 2013).
 
     A level is (step, args, bits, adds, width).  `step(key, *args)` gives a
-    state's children, one per entry of `bits` and of `adds`, None where
-    rejected.  `start` maps the start state to its value; a child takes its
-    parent's value plus its `adds` entry, and equal children merge by
-    `merge`: `operator.add` sums multiplicities, `min` keeps the least
-    weight.  With a list `links` no values are kept: a state maps to its
-    back-links, the ints 2 * parent + bit of the steps into it, parent
-    indexing the states before the level, and each level appends its
-    states' lists in order to `links`, the format `colouring._spell` reads.
-    Both modes reach the same states in the same order.  A level of more
-    than FRONTIER_BUDGET states raises PreconditionError with the level and
-    its frontier width `width`.
+    state's children, one per entry of `bits`, None where rejected; it
+    depends on nothing else.  `start` maps the start state to its value; a
+    child takes its parent's value plus its entry of `adds`, or the value
+    itself where `adds` is None, and equal children merge by `merge`:
+    `operator.add` sums multiplicities, `min` keeps the least weight.  With
+    a list `links` no values are kept: a state maps to its back-links, the
+    ints 2 * parent + bit of the steps into it, parent indexing the states
+    before the level, and each level appends its states' lists in order to
+    `links`, the format `colouring._spell` reads.  Both modes reach the same
+    states in the same order.  A level of more than FRONTIER_BUDGET states
+    raises PreconditionError with the level and its frontier width `width`.
+
+    Levels with one signature (step, args), as a programme that repeats one
+    gadget lays out, share one transition table from a state's key to its
+    children: the first of them fills it, and the later ones step only the
+    keys it lacks.  A table is made only for a signature at two or more
+    levels and dropped after its last, so a level with a signature of its
+    own keeps nothing.  Every state still counts as expanded.
     """
+    signatures = [(step, args) for step, args, *_ in levels]
+    last = {signature: k for k, signature in enumerate(signatures)}
+    tables: dict = {}
     states, expanded = start, 0
     for k, (step, args, bits, adds, width) in enumerate(levels):
+        signature = signatures[k]
+        table = tables.pop(signature, None) if last[signature] == k else tables.setdefault(signature, {})
         nxt: dict = {}
-        if links is None:
-            for key, value in states.items():
-                for child, add in zip(step(key, *args), adds):
+        for parent, (key, value) in enumerate(states.items()):
+            children = None if table is None else table.get(key)
+            if children is None:
+                children = step(key, *args)
+                if table is not None:
+                    table[key] = children
+            if links is None:
+                for i, child in enumerate(children):
                     if child is not None:
-                        here, old = value + add, nxt.get(child)
+                        here, old = value if adds is None else value + adds[i], nxt.get(child)
                         nxt[child] = here if old is None else merge(old, here)
-        else:
-            for parent, key in enumerate(states):
-                for child, bit in zip(step(key, *args), bits):
+            else:
+                for child, bit in zip(children, bits):
                     if child is not None:
                         nxt.setdefault(child, []).append(2 * parent + bit)
+        if links is not None:
             links.append(list(nxt.values()))
         if len(nxt) > FRONTIER_BUDGET:
             raise PreconditionError(

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import AbstractSet, Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .graph import (
     Graph,
@@ -289,10 +289,11 @@ def stable_cut_avoiding(g: Graph, v: int) -> StableCutResult:
     return _separate(g, comps, u, v, stats, avoid=v)
 
 
-def _step(key: tuple, labels: list[int], at: list[int], done: list[int], keep: list[int]) -> Iterator[Optional[tuple]]:
+def _step(key: tuple, labels: tuple[int, ...], at: tuple[int, ...], done: tuple[int, ...], keep: tuple[int, ...]) -> list[Optional[tuple]]:
     """The next state for each of `labels` that the level's vertex, one past
     the frontier, may take, None where it is rejected; `at`, `done` and
     `keep` are positions in `key`."""
+    children = []
     for label in labels:
         codes, child = list(key), None
         for i in at:
@@ -310,7 +311,8 @@ def _step(key: tuple, labels: list[int], at: list[int], done: list[int], keep: l
             codes[-2] = label
             if not any(MIXED <= codes[i] < MIXED | 3 for i in done):  # a leaving mixed vertex has a red and a blue neighbour
                 child = tuple(map(codes.__getitem__, keep))
-        yield child
+        children.append(child)
+    return children
 
 
 def _split(adj: tuple[frozenset[int], ...], nbrs: frozenset[int]) -> bool:
@@ -333,7 +335,8 @@ def _labellings(g: Graph, allowed: dict, links: Optional[list] = None) -> tuple[
     is one.  `allowed.get(v)` narrows the labels of v.
 
     One level per vertex, in `_vertex_order`, run by `graph._frontier_run`
-    with `links`, red being back-link bit 1.  A state is a code per frontier
+    with `links`, red being back-link bit 1; its arguments are tuples, so
+    that equal levels share one table there.  A state is a code per frontier
     vertex, BLUE, RED, or MIXED plus the colours its neighbours showed so
     far (bit 0 blue, bit 1 red), then the colours used.  It keeps the least
     sum of 2^n - 2^(n-1-v) over its mixed v, which orders cuts by size and
@@ -346,13 +349,13 @@ def _labellings(g: Graph, allowed: dict, links: Optional[list] = None) -> tuple[
     last = {v: max(level[v], *(level[w] for w in adj[v])) for v in order}  # the level v leaves at
     frontier, run = [], []
     for k, v in enumerate(order):
-        at = [i for i, w in enumerate(frontier) if w in adj[v]]
+        at = tuple(i for i, w in enumerate(frontier) if w in adj[v])
         placed = frontier + [v]
-        done = [i for i, w in enumerate(placed) if last[w] == k]
-        keep = [i for i, w in enumerate(placed) if last[w] > k]
-        frontier = [placed[i] for i in keep]
-        keep.append(len(placed))
-        labels = [x for x in allowed.get(v, (BLUE, RED, MIXED)) if x != MIXED or _split(adj, adj[v])]
+        done = tuple(i for i, w in enumerate(placed) if last[w] == k)
+        kept = [i for i, w in enumerate(placed) if last[w] > k]
+        frontier = [placed[i] for i in kept]
+        keep = (*kept, len(placed))
+        labels = tuple(x for x in allowed.get(v, (BLUE, RED, MIXED)) if x != MIXED or _split(adj, adj[v]))
         adds = [(1 << g.n) - (1 << (g.n - 1 - v)) if x == MIXED else 0 for x in labels]
         run.append((_step, (labels, at, done, keep), [int(x == RED) for x in labels], adds, len(frontier)))
     return order, _frontier_run(run, {(0,): 0}, min, links)[0]

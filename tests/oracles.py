@@ -1133,7 +1133,7 @@ def reference_colour_level(key: tuple, level: tuple, stride: int, colours: tuple
     They are kept unchanged from the library's two-step layout, as the
     reference that its one step is checked against."""
     size, new, _, keep, _ = level
-    step = reference_full_step if new or keep != list(range(size)) else reference_steady_step
+    step = reference_full_step if new or tuple(keep) != tuple(range(size)) else reference_steady_step
     return step(key, level, stride, colours)
 
 

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from rignac import colouring, graph
+from rignac import colouring, graph, stable_cut
 from rignac.colouring import (
     BLUE,
     _frontier_count,
@@ -913,7 +913,7 @@ class TestFrontierCounter:
             children = step(key, level, stride, colours)
             assert children == reference_colour_level(key, level, stride, colours), (key, level, stride, colours)
             size, new, _, keep, _ = level
-            calls["other" if new or keep != list(range(size)) else "steady"] += 1
+            calls["other" if new or tuple(keep) != tuple(range(size)) else "steady"] += 1
             return children
 
         monkeypatch.setattr(colouring, "_colour_level", spy)
@@ -1063,3 +1063,123 @@ class TestFrontierCounter:
     def test_requires_an_edge(self):
         with pytest.raises(PreconditionError):
             count_nac(Graph.from_edges(3, []))
+
+
+def outcome(levels: list, start: dict, merge, linked: bool):
+    """What `graph._frontier_run` gives on a programme: the final states in
+    order, the states expanded and the back-links, or the refusal text."""
+    links = [] if linked else None
+    try:
+        states, expanded = graph._frontier_run(levels, start, merge, links)
+    except PreconditionError as refusal:
+        return str(refusal)
+    return list(states.items()), expanded, links
+
+
+def counting(levels: list, shared: bool) -> tuple[list, list[int]]:
+    """`levels` with each step wrapped to count its calls: one wrapper per
+    step as built, so levels that share a table still do, or one per level,
+    so that no two levels share."""
+    calls = [0]
+    wrappers: dict = {}
+
+    def wrap(step):
+        def counted(key, *args):
+            calls[0] += 1
+            return step(key, *args)
+
+        return counted
+
+    wrapped = []
+    for step, *rest in levels:
+        key = step if shared else len(wrapped)
+        if key not in wrappers:
+            wrappers[key] = wrap(step)
+        wrapped.append((wrappers[key], *rest))
+    return wrapped, calls
+
+
+class TestSharedLevels:
+    """Levels with equal (step, args) share one transition table in
+    `graph._frontier_run`.  Against a run in which no two levels share, both
+    programmes must reach the same states with the same values, back-links,
+    states expanded and budget refusals."""
+
+    def programmes(self, monkeypatch, g: Graph) -> list[tuple]:
+        """(levels, start, merge) of the NAC programme and of the labelling
+        programme, with and without narrowing edge 0, as built on g."""
+        built: list = []
+
+        def record(levels, start, merge, links=None):
+            built.append((levels, start, merge))
+            return graph._frontier_run(levels, start, merge, links)
+
+        monkeypatch.setattr(colouring, "_frontier_run", record)
+        monkeypatch.setattr(stable_cut, "_frontier_run", record)
+        colouring._frontier_pass(g)
+        _labellings(g, {})
+        _labellings(g, dict.fromkeys(g.edges[0], (BLUE, MIXED)))
+        monkeypatch.undo()
+        return built
+
+    def assert_invisible(self, monkeypatch, graphs: list[Graph]) -> list[int]:
+        """Check every programme on `graphs`, in both modes, under the
+        budget and under half its widest level; return the step calls with
+        sharing and without."""
+        calls = [0, 0]
+        for g in graphs:
+            for levels, start, merge in self.programmes(monkeypatch, g):
+                widest = max(map(len, outcome(levels, start, merge, True)[2]), default=0)
+                for budget in (graph.FRONTIER_BUDGET, widest // 2):
+                    monkeypatch.setattr(graph, "FRONTIER_BUDGET", budget)
+                    for linked in (False, True):
+                        runs = []
+                        for shared in (True, False):
+                            wrapped, count = counting(levels, shared)
+                            runs.append(outcome(wrapped, start, merge, linked))
+                            calls[not shared] += count[0]
+                        assert runs[0] == runs[1], g.edges
+                        assert budget >= widest or isinstance(runs[0], str), g.edges
+                    monkeypatch.undo()
+        return calls
+
+    def test_repeated_gadgets(self, monkeypatch, fix):
+        graphs = [make_complete_bipartite(a, b) for a in range(1, 7) for b in range(max(a, 2), 7)]
+        graphs += [make_gk(k)[0] for k in range(1, 13)] + [make_gk_prime(k) for k in range(2, 13)]
+        for name, copies in (("prism", 4), ("k33", 4), ("h18", 2)):
+            graphs += [glue_along_edge(fix[name].graph, 0, k) for k in range(2, copies + 1)]
+        shared, unshared = self.assert_invisible(monkeypatch, graphs)
+        assert shared < unshared, (shared, unshared)
+
+    def test_seeded_random_graphs_and_relabellings(self, monkeypatch):
+        rnd = random.Random(3700)
+        graphs = []
+        for _ in range(100):
+            n = rnd.randrange(3, 13)
+            g = random_graph(rnd, n, rnd.randrange(1, 2 * n + 1))
+            graphs += [g, relabelled(g, rnd)]
+        shared, unshared = self.assert_invisible(monkeypatch, graphs)
+        assert shared < unshared, (shared, unshared)
+
+    def test_step_calls_are_pinned(self, monkeypatch, fix):
+        # the NAC step runs once per distinct state of a repeated level
+        # shape; the states expanded are those of a run without sharing
+        calls = [0]
+        real = colouring._colour_level
+
+        def spy(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(colouring, "_colour_level", spy)
+        h18 = fix["h18"].graph
+        cases = [
+            (make_complete_bipartite(6, 10), 2**14 - 1, 2892, 5448),
+            (h18, 180607, 855, 1006),
+            (make_gk(100)[0], 2**198 - 1, 74, 3133),
+            (glue_along_edge(h18, 0, 12), 180_608**12 - 1, 1724, 13831),
+        ]
+        for g, count, steps, states in cases:
+            calls[0], stats = 0, {}
+            assert count_nac(g, stats) == count
+            assert (calls[0], stats["states"]) == (steps, states)
